@@ -2,10 +2,9 @@
 //!
 //! A snapshot is a [`sas_snap`] container with four sections:
 //!
-//! * `meta` — core count, a FNV-1a fingerprint of each core's program
-//!   (rendered back to `.sasm`), and each core's policy name. Checked on
-//!   restore so a snapshot can never be applied to a differently-configured
-//!   machine.
+//! * `meta` — core count, each core's [`Program::fingerprint`] and each
+//!   core's policy name. Checked on restore so a snapshot can never be
+//!   applied to a differently-configured machine.
 //! * `system` — the cycle counter and run-loop progress trackers, plus
 //!   system-level telemetry series when armed.
 //! * `mem` — architectural memory, MTE tags, every cache/LFB/MSHR, the
@@ -22,6 +21,8 @@
 //! fingerprint and discards the image's policy-state blob on restore: one
 //! image warmed under the unprotected baseline forks measurement cells for
 //! any mitigation past the warmup phase.
+//!
+//! [`Program::fingerprint`]: sas_isa::Program::fingerprint
 
 use sas_pipeline::System;
 use sas_snap::{Enc, SnapError, Snapshot, SnapshotBuilder, FLAG_TELEMETRY, FLAG_WARM_BASE};
@@ -45,7 +46,7 @@ pub fn snapshot_system(system: &System, warm_base: bool) -> SnapshotBuilder {
     meta.usz(system.cores());
     for i in 0..system.cores() {
         let core = system.core(i);
-        meta.uv(sas_snap::fnv1a(core.program().to_sasm().as_bytes()));
+        meta.uv(core.program().fingerprint());
         meta.str(core.policy_name());
     }
     b.section("meta", meta);
@@ -73,14 +74,19 @@ pub fn snapshot_system(system: &System, warm_base: bool) -> SnapshotBuilder {
 /// surface as [`SnapError::Mismatch`] rather than a silently-diverging
 /// machine.
 ///
-/// Every section CRC is verified *before* any state is touched, so a
-/// corrupted image always leaves the target untouched. A decode error
-/// inside a CRC-valid section (an encoding bug, not line corruption) can
-/// still leave the system partially restored — use
+/// Every section CRC is verified, exactly once, *before* any state is
+/// touched, so a corrupted image always leaves the target untouched. A
+/// decode error inside a CRC-valid section (an encoding bug, not line
+/// corruption) can still leave the system partially restored — use
 /// [`restore_system_checked`] when the target must survive that too.
 pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapError> {
-    // All-or-nothing against corruption: no partial restore on a bad CRC.
-    snap.verify()?;
+    // All-or-nothing against corruption: `section` CRC-checks each section
+    // it hands out, so take all four before the first write.
+    let mut meta = snap.section("meta")?;
+    let mut sys = snap.section("system")?;
+    let mut mem = snap.section("mem")?;
+    let mut cs = snap.section("cores")?;
+
     let warm = snap.flags() & FLAG_WARM_BASE != 0;
     let snap_telemetry = snap.flags() & FLAG_TELEMETRY != 0;
     let have_telemetry = system.timeline(0).is_some();
@@ -92,7 +98,6 @@ pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapEr
         });
     }
 
-    let mut meta = snap.section("meta")?;
     let cores = meta.usz()?;
     if cores != system.cores() {
         return Err(SnapError::Mismatch {
@@ -105,7 +110,7 @@ pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapEr
         let fp = meta.uv()?;
         let policy = meta.str()?;
         let core = system.core(i);
-        let have_fp = sas_snap::fnv1a(core.program().to_sasm().as_bytes());
+        let have_fp = core.program().fingerprint();
         if fp != have_fp {
             return Err(SnapError::Mismatch {
                 what: "program fingerprint",
@@ -123,15 +128,12 @@ pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapEr
     }
     meta.finish()?;
 
-    let mut sys = snap.section("system")?;
     system.restore_state(&mut sys)?;
     sys.finish()?;
 
-    let mut mem = snap.section("mem")?;
     system.mem_mut().restore(&mut mem)?;
     mem.finish()?;
 
-    let mut cs = snap.section("cores")?;
     for i in 0..cores {
         system.restore_core(i, &mut cs, !warm)?;
     }

@@ -81,7 +81,8 @@ fn restoring_a_finished_machine_stays_finished() {
 
 /// Corruption anywhere in the image is rejected — `parse`, `verify`,
 /// `section` or `restore` fails; it never yields a silently different
-/// machine.
+/// machine, and a rejected `restore` leaves the target byte-for-byte as it
+/// was.
 #[test]
 fn corrupted_snapshots_are_rejected_never_silently_restored() {
     check("corrupted_snapshots_are_rejected_never_silently_restored", 8, |rng| {
@@ -101,7 +102,16 @@ fn corrupted_snapshots_are_rejected_never_silently_restored() {
                 Err(_) => true,
                 Ok(snap) => {
                     let mut victim = build(&program, Mitigation::SpecAsan, false);
-                    victim.restore(&snap).is_err()
+                    victim.system_mut().run(rng.range(0, 50));
+                    let before = victim.snapshot(false).to_bytes();
+                    let rejected = victim.restore(&snap).is_err();
+                    if rejected {
+                        assert!(
+                            victim.snapshot(false).to_bytes() == before,
+                            "rejected restore (bit {bit} of byte {at}) modified the target"
+                        );
+                    }
+                    rejected
                 }
             };
             assert!(caught, "flipping bit {bit} of byte {at} went undetected");
@@ -160,6 +170,22 @@ fn mismatched_targets_are_rejected_with_structured_errors() {
     match b.restore(&snap) {
         Err(SnapError::Mismatch { what: "program fingerprint", .. }) => {}
         other => panic!("expected program mismatch, got {other:?}"),
+    }
+
+    // Programs that differ only in one initial data byte, or only in the
+    // entry point.
+    let code = "MOVZ X1, #1\nstart:\nMOVZ X2, #2\nHALT\n";
+    for (taken, target) in [
+        (format!(".data 0x1000 = 1, 2, 3\n{code}"), format!(".data 0x1000 = 1, 2, 4\n{code}")),
+        (code.to_string(), format!(".entry start\n{code}")),
+    ] {
+        let from = build(&parse_program(&taken).unwrap(), Mitigation::SpecAsan, false);
+        let image = Snapshot::parse(from.snapshot(false).to_bytes()).unwrap();
+        let mut into = build(&parse_program(&target).unwrap(), Mitigation::SpecAsan, false);
+        match into.restore(&image) {
+            Err(SnapError::Mismatch { what: "program fingerprint", .. }) => {}
+            other => panic!("expected program mismatch for {target:?}, got {other:?}"),
+        }
     }
 
     // Different mitigation (cold snapshot: policy fingerprint enforced).

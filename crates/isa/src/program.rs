@@ -138,6 +138,29 @@ impl Program {
         p
     }
 
+    /// A 64-bit fingerprint of what the program executes: every instruction
+    /// (its derived `Debug` text), the entry index, and each data segment's
+    /// base, length and bytes. Label names are not covered.
+    ///
+    /// Snapshots persist this value, so it is a hand-rolled FNV-1a rather
+    /// than `std::hash`, whose output may change between Rust releases.
+    pub fn fingerprint(&self) -> u64 {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a::new();
+        h.u64(self.insts.len() as u64);
+        for inst in &self.insts {
+            let _ = writeln!(h, "{inst:?}");
+        }
+        h.u64(self.entry as u64);
+        h.u64(self.data.len() as u64);
+        for seg in &self.data {
+            h.u64(seg.base);
+            h.u64(seg.bytes.len() as u64);
+            h.bytes(&seg.bytes);
+        }
+        h.0
+    }
+
     /// Serializes the program as text the [`crate::parse_program`] assembler
     /// accepts back: synthetic `L<i>:` labels at every branch target, an
     /// `.entry` directive when the entry is not instruction 0, and `.data`
@@ -194,6 +217,34 @@ impl Program {
             }
         }
         out
+    }
+}
+
+/// 64-bit FNV-1a, fed through [`fmt::Write`] so `Debug` text is hashed
+/// without building a `String`.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -678,6 +729,38 @@ mod tests {
         assert!(text.contains("CBZ X0, @2  ; -> victim"), "{text}");
         // Unnamed targets keep the bare index rendering.
         assert!(!text.contains("HALT  ;"), "{text}");
+    }
+
+    fn fingerprint_sample(entry: usize, data: Vec<u8>, label: &str) -> Program {
+        let mut asm = ProgramBuilder::new();
+        let l = asm.named_label(label);
+        asm.movz(Reg::X1, 7, 0);
+        asm.bind(l);
+        asm.sub(Reg::X1, Reg::X1, Operand::imm(1));
+        asm.cbnz(Reg::X1, l);
+        asm.halt();
+        asm.data_segment(0x1000, data);
+        asm.entry(entry);
+        asm.build().unwrap()
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Snapshots persist this value: changing it invalidates every
+        // checkpoint on disk, which needs a snapshot format version bump.
+        let p = fingerprint_sample(0, vec![1, 2, 3], "top");
+        assert_eq!(p.fingerprint(), 0xA4AE_A56B_F89B_5667);
+    }
+
+    #[test]
+    fn fingerprint_covers_code_entry_and_data_but_not_label_names() {
+        let base = fingerprint_sample(0, vec![1, 2, 3], "top").fingerprint();
+        assert_ne!(fingerprint_sample(0, vec![1, 2, 4], "top").fingerprint(), base);
+        assert_ne!(fingerprint_sample(0, vec![1, 2, 3, 0], "top").fingerprint(), base);
+        assert_ne!(fingerprint_sample(1, vec![1, 2, 3], "top").fingerprint(), base);
+        assert_eq!(fingerprint_sample(0, vec![1, 2, 3], "loop").fingerprint(), base);
+        let nopped = fingerprint_sample(0, vec![1, 2, 3], "top").with_nops(&[0]);
+        assert_ne!(nopped.fingerprint(), base);
     }
 
     #[test]

@@ -144,7 +144,10 @@ impl MainMemory {
     /// Truncated input or a page payload that is not exactly 4 KiB.
     pub fn restore(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
         let n = d.usz_max(1 << 24)?;
-        let mut pages = HashMap::with_capacity(n);
+        // Reserve only what the section can hold: each page costs its payload
+        // plus at least a key byte and a length byte, so a corrupt count
+        // cannot reserve memory the payload does not back.
+        let mut pages = HashMap::with_capacity(n.min(d.remaining() / (PAGE_BYTES + 2)));
         for _ in 0..n {
             let k = d.uv()?;
             let bytes = d.bytes()?;
@@ -210,6 +213,21 @@ mod tests {
         let mut m = MainMemory::new();
         m.write_bytes(VirtAddr::new(0x3000), &[9, 8, 7]);
         assert_eq!(m.read_bytes(VirtAddr::new(0x3000), 3), vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn restore_of_a_huge_page_count_fails_as_truncated() {
+        // A few bytes claiming 2^24 pages must not reserve a table sized for
+        // them before the first page is read.
+        let mut e = sas_snap::Enc::new();
+        e.usz(1 << 24);
+        e.uv(7);
+        let bytes = e.into_bytes();
+        let mut m = MainMemory::new();
+        m.write(VirtAddr::new(0x40), 8, 5);
+        let mut d = sas_snap::Dec::new(&bytes, "mem");
+        assert_eq!(m.restore(&mut d), Err(sas_snap::SnapError::Truncated("mem")));
+        assert_eq!(m.read(VirtAddr::new(0x40), 8), 5, "a failed restore keeps the old image");
     }
 
     #[test]

@@ -191,7 +191,9 @@ impl TagStorage {
     /// Any malformed field (page size, tag value out of nibble range).
     pub fn restore(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
         let n = d.usz_max(1 << 24)?;
-        let mut pages = HashMap::with_capacity(n);
+        // Reserve only what the section can hold: each page costs its payload
+        // plus at least a key byte and a length byte.
+        let mut pages = HashMap::with_capacity(n.min(d.remaining() / (PAGE_GRANULES + 2)));
         let mut nonzero = 0usize;
         for _ in 0..n {
             let k = d.uv()?;
@@ -311,6 +313,21 @@ mod tests {
         assert_eq!(t.write_count(), 4);
         let _ = t.read_tag(VirtAddr::new(0));
         assert_eq!(t.read_count(), 1);
+    }
+
+    #[test]
+    fn restore_of_a_huge_page_count_fails_as_truncated() {
+        // A few bytes claiming 2^24 pages must not reserve a table sized for
+        // them before the first page is read.
+        let mut e = sas_snap::Enc::new();
+        e.usz(1 << 24);
+        e.uv(7);
+        let bytes = e.into_bytes();
+        let mut t = TagStorage::new();
+        t.set_granule(VirtAddr::new(0x40), TagNibble::new(9));
+        let mut d = sas_snap::Dec::new(&bytes, "mem");
+        assert_eq!(t.restore(&mut d), Err(sas_snap::SnapError::Truncated("mem")));
+        assert_eq!(t.tag_of(VirtAddr::new(0x40)), TagNibble::new(9));
     }
 
     #[test]

@@ -425,7 +425,7 @@ fn heartbeat_file_is_replaced_atomically() {
     assert_eq!(r.exit, RunExit::Halted);
     let text = std::fs::read_to_string(&path).expect("heartbeat file must exist");
     assert!(
-        text.starts_with("{\"cycle\":") && text.trim_end().ends_with('}'),
+        text.starts_with("{\"schema\":\"sas-hb-v2\",\"cycle\":") && text.trim_end().ends_with('}'),
         "heartbeat must be one complete record: {text:?}"
     );
     assert!(!path.with_extension("hb.tmp").exists(), "staging file must not linger");

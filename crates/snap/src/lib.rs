@@ -30,10 +30,11 @@ use std::path::Path;
 /// File magic: "SASNAP" + NUL + format generation.
 pub const MAGIC: [u8; 8] = *b"SASNAP\x00\x01";
 
-/// Current snapshot format version. Readers reject anything newer; older
-/// versions are migrated explicitly (none exist yet — see DESIGN.md §11 for
-/// the migration policy).
-pub const VERSION: u16 = 1;
+/// Current snapshot format version. Readers reject every other version:
+/// anything newer is unknown, and version 1 recorded program fingerprints
+/// over rendered `.sasm` text, which this build no longer computes (see
+/// DESIGN.md §11 for the migration policy).
+pub const VERSION: u16 = 2;
 
 /// Header flag: the snapshot is a warmed-baseline image — caches, predictors
 /// and architectural state warmed under the unprotected baseline. Restoring
@@ -63,11 +64,11 @@ pub enum SnapError {
     Io(String),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's format version is newer than this reader supports.
+    /// The file's format version is not the one this reader supports.
     BadVersion {
         /// Version found in the header.
         found: u16,
-        /// Newest version this build can read.
+        /// The only version this build reads.
         supported: u16,
     },
     /// The header CRC32 does not match the header bytes.
@@ -109,7 +110,8 @@ impl fmt::Display for SnapError {
             SnapError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             SnapError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             SnapError::BadVersion { found, supported } => {
-                write!(f, "snapshot version {found} is newer than supported {supported}")
+                let age = if found > supported { "newer" } else { "older" };
+                write!(f, "snapshot version {found} is {age} than supported version {supported}")
             }
             SnapError::BadHeaderCrc => write!(f, "snapshot header CRC mismatch"),
             SnapError::BadSectionCrc { name } => {
@@ -141,11 +143,14 @@ impl From<std::io::Error> for SnapError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, table-driven)
+// CRC32 (IEEE 802.3, slice-by-8)
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `t[0]` is the classic bytewise table; `t[k][b]` is the CRC contribution
+/// of byte `b` followed by `k` zero bytes, so eight tables fold eight input
+/// bytes per step with independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -154,19 +159,42 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -547,7 +575,7 @@ impl Snapshot {
         if crc32(&buf[..16]) != hcrc {
             return Err(SnapError::BadHeaderCrc);
         }
-        if version > VERSION {
+        if version != VERSION {
             return Err(SnapError::BadVersion { found: version, supported: VERSION });
         }
         let mut sections = Vec::new();
@@ -614,7 +642,8 @@ impl Snapshot {
             .collect()
     }
 
-    /// Verifies every section CRC.
+    /// Verifies every section CRC (for tooling; restore paths check each
+    /// section once through [`Snapshot::section`] instead).
     pub fn verify(&self) -> Result<(), SnapError> {
         for s in &self.sections {
             if crc32(&self.buf[s.frame.clone()]) != s.crc {
@@ -654,10 +683,33 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
+    /// The plain bytewise CRC loop over the first table: the reference the
+    /// slice-by-8 [`crc32`] must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_reference() {
+        sas_ptest::check("slice_by_8_matches_the_bytewise_reference", 512, |rng| {
+            let len = rng.range(0, 258) as usize;
+            let start = rng.range(0, 8) as usize;
+            let buf: Vec<u8> = (0..start + len).map(|_| rng.next_u64() as u8).collect();
+            let data = &buf[start..];
+            assert_eq!(crc32(data), crc32_bytewise(data), "len {len}, offset {start}");
+        });
     }
 
     #[test]
@@ -809,17 +861,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn newer_versions_are_rejected() {
+    /// `sample()` relabelled as format `version`, header CRC recomputed so
+    /// parsing reaches the version check.
+    fn sample_as_version(version: u16) -> Vec<u8> {
         let mut bytes = sample();
-        bytes[8] = (VERSION + 1) as u8;
-        // Header CRC now fails first; recompute it to reach the version check.
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
         let crc = crc32(&bytes[..16]).to_le_bytes();
         bytes[16..20].copy_from_slice(&crc);
-        assert!(matches!(
-            Snapshot::parse(bytes),
-            Err(SnapError::BadVersion { found, .. }) if found == VERSION + 1
-        ));
+        bytes
+    }
+
+    #[test]
+    fn newer_versions_are_rejected() {
+        let err = Snapshot::parse(sample_as_version(VERSION + 1)).err();
+        assert_eq!(err, Some(SnapError::BadVersion { found: VERSION + 1, supported: VERSION }));
+        assert!(err.unwrap().to_string().contains("newer than supported"));
+    }
+
+    #[test]
+    fn version_1_images_are_rejected() {
+        // Version 1 fingerprinted programs over rendered `.sasm`; its images
+        // are rejected (and checkpoints replayed), never misread.
+        let err = Snapshot::parse(sample_as_version(1)).err();
+        assert_eq!(err, Some(SnapError::BadVersion { found: 1, supported: VERSION }));
+        assert!(err.unwrap().to_string().contains("version 1 is older than supported"));
     }
 
     #[test]

@@ -109,7 +109,9 @@ if SAS_RUNNER_CHECKPOINT="$CKPT" SAS_RUNNER_CHECKPOINT_EVERY=5000 \
   exit 1
 fi
 ./target/release/sas-snap verify "$CKPT"
-./target/release/sas-snap inspect "$CKPT" >/dev/null
+# A fresh checkpoint is written in the current format (version 2).
+./target/release/sas-snap inspect "$CKPT" > "$SNAPDIR/inspect.txt"
+grep -qx '  version:  2' "$SNAPDIR/inspect.txt"
 resumed=$(SAS_RUNNER_CHECKPOINT="$CKPT" \
   ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 2>/dev/null)
 echo "$resumed" | grep -q '"restored":true'
