@@ -134,6 +134,9 @@ impl Finding {
     }
 }
 
+/// The workspace JSON escaping rule (`sas_telemetry::json::escape`, which
+/// this crate cannot depend on without a new dependency edge); a property
+/// test pins the two together.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -141,6 +144,8 @@ fn json_escape(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -166,6 +171,15 @@ mod tests {
             "{\"severity\":\"gadget\",\"kind\":\"transmit-load\",\"pc\":7,\
              \"detail\":\"address \\\"X6\\\" is\\nsecret\"}"
         );
+    }
+
+    #[test]
+    fn escaper_matches_the_workspace_json_escape() {
+        let text = sas_ptest::gens::escape_text(24);
+        sas_ptest::check("analyze_escape_matches_json_escape", 256, |rng| {
+            let s = text.sample(rng);
+            assert_eq!(json_escape(&s), sas_telemetry::json::escape(&s), "{s:?}");
+        });
     }
 
     #[test]

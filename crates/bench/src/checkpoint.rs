@@ -2,42 +2,38 @@
 //! forking for supervised bench cells — and for any other host that wants
 //! to drive a [`System`] in resumable, interruptible chunks.
 //!
-//! The protocol has two layers:
+//! [`CheckpointPlan`] + [`run_supervised_with`] are the whole protocol. A
+//! caller (a `sas-runner cell` child, the `sas-serve` daemon's worker pool,
+//! a test harness) describes *where* checkpoints go and *how often*, and
+//! supplies a control callback polled at every cycle-chunk boundary; the
+//! callback can let the run continue, **park** it (write a checkpoint and
+//! stop, so a later run resumes bit-identically — graceful drain), or
+//! **abort** it (stop without a checkpoint — deadline enforcement). Nothing
+//! here reads the environment or any other global state, so concurrent runs
+//! in one process are fully independent.
 //!
-//! * [`CheckpointPlan`] + [`run_supervised_with`] — the parameterized core.
-//!   A caller (the `sas-serve` daemon's worker pool, a test harness)
-//!   describes *where* checkpoints go and *how often*, and supplies a
-//!   control callback polled at every cycle-chunk boundary; the callback can
-//!   let the run continue, **park** it (write a checkpoint and stop, so a
-//!   later run resumes bit-identically — graceful drain), or **abort** it
-//!   (stop without a checkpoint — deadline enforcement). Nothing in this
-//!   layer reads the environment or any other global state, so concurrent
-//!   runs in one process are fully independent.
-//! * [`run_supervised`] — the environment shim the `sas-runner` supervisor
-//!   talks through. It builds the plan from the `SAS_RUNNER_*` variables the
-//!   supervisor sets on the one child it spawns per cell and never
-//!   interrupts; direct `cargo bench` runs leave the variables unset and get
-//!   the plain uninterrupted run.
+//! The plan's fields (the `sas-runner cell` flags that set them):
 //!
-//! The environment protocol:
-//!
-//! * [`CHECKPOINT_ENV`] — path of this cell's checkpoint file. The run is
-//!   chunked on [`CHECKPOINT_EVERY_ENV`]-cycle boundaries (default 1 M) and
-//!   the full machine state is written atomically (temp + rename) at each
-//!   boundary. On startup an existing valid checkpoint is restored and the
-//!   run continues **bit-identically** from it; a checkpoint that fails its
-//!   header/version/CRC checks is deleted and the cell degrades to replay
+//! * [`CheckpointPlan::path`] (`--checkpoint PATH`) — this run's checkpoint
+//!   file. The run is chunked on [`CheckpointPlan::every`]-cycle boundaries
+//!   (`--checkpoint-every N`, default 1 M) and the full machine state is
+//!   written atomically (temp + rename) at each boundary. On startup an
+//!   existing valid checkpoint is restored and the run continues
+//!   **bit-identically** from it; a checkpoint that fails its
+//!   header/version/CRC checks is deleted and the run degrades to replay
 //!   from the start — corrupted state is never resumed.
-//! * [`WARM_BASE_ENV`] — path of the benchmark's warmed-baseline snapshot.
-//!   The `unsafe` baseline cell creates it after [`WARM_CYCLES_ENV`] cycles
-//!   (default 50 000); every other mitigation cell of the same benchmark
-//!   restores it and skips simulating the warmup phase under its own
-//!   policy. Cycle counts stay comparable because restore resumes the
-//!   absolute cycle counter.
-//! * [`EXIT_AFTER_CHECKPOINTS_ENV`] — test hook: exit with the
-//!   environmental-failure code ([`EXIT_AFTER_CODE`]) after writing N
-//!   checkpoints, simulating a mid-cell crash at a deterministic point so
-//!   the supervisor's retry path resumes from the checkpoint.
+//! * [`CheckpointPlan::warm_base`] (`--warm-base PATH`) — the benchmark's
+//!   warmed-baseline snapshot. The `unsafe` baseline cell creates it after
+//!   [`CheckpointPlan::warm_cycles`] cycles (`--warm-cycles N`, default
+//!   50 000); every other mitigation cell of the same benchmark restores it
+//!   and skips simulating the warmup phase under its own policy. Cycle
+//!   counts stay comparable because restore resumes the absolute cycle
+//!   counter.
+//! * [`CheckpointPlan::exit_after`] (`--crash-after-checkpoints N`) — test
+//!   hook: exit with the environmental-failure code ([`EXIT_AFTER_CODE`])
+//!   after writing N checkpoints, simulating a mid-cell crash at a
+//!   deterministic point so the supervisor's retry path resumes from the
+//!   checkpoint.
 //!
 //! Cells that ran from a restored image (checkpoint or warm base) are
 //! tagged `restored: true` in their JSONL/BENCH rows (see [`crate::Cell`]).
@@ -45,22 +41,6 @@
 use sas_pipeline::{RunExit, RunResult, System};
 use specasan::snapshot;
 use std::path::PathBuf;
-
-/// Environment variable naming this cell's checkpoint file.
-pub const CHECKPOINT_ENV: &str = "SAS_RUNNER_CHECKPOINT";
-
-/// Environment variable overriding the checkpoint period, in cycles.
-pub const CHECKPOINT_EVERY_ENV: &str = "SAS_RUNNER_CHECKPOINT_EVERY";
-
-/// Environment variable naming the benchmark's warmed-baseline snapshot.
-pub const WARM_BASE_ENV: &str = "SAS_RUNNER_WARM_BASE";
-
-/// Environment variable overriding the warmup length, in cycles.
-pub const WARM_CYCLES_ENV: &str = "SAS_RUNNER_WARM_CYCLES";
-
-/// Environment variable (test hook): exit with [`EXIT_AFTER_CODE`] after
-/// writing this many checkpoints.
-pub const EXIT_AFTER_CHECKPOINTS_ENV: &str = "SAS_RUNNER_EXIT_AFTER_CHECKPOINTS";
 
 /// Exit code of the simulated mid-cell crash — the supervisor's
 /// *environmental* failure code, so the cell is retried (and resumes).
@@ -91,8 +71,7 @@ pub enum Interrupted {
 }
 
 /// A parameterized description of the checkpoint/warm-fork protocol for one
-/// supervised run. Build one by hand (the `sas-serve` path) or with
-/// [`CheckpointPlan::from_env`] (the `sas-runner` child path).
+/// supervised run.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointPlan {
     /// Checkpoint file for this run; `None` disables checkpointing.
@@ -115,19 +94,6 @@ impl CheckpointPlan {
     /// `sys.run(budget)` (unless `poll_every` is later set).
     pub fn none() -> CheckpointPlan {
         CheckpointPlan::default()
-    }
-
-    /// Builds the plan from the ambient `SAS_RUNNER_*` environment (the
-    /// supervisor child protocol described in the module docs).
-    pub fn from_env() -> CheckpointPlan {
-        CheckpointPlan {
-            path: env_path(CHECKPOINT_ENV),
-            every: env_u64(CHECKPOINT_EVERY_ENV, 0),
-            warm_base: env_path(WARM_BASE_ENV),
-            warm_cycles: env_u64(WARM_CYCLES_ENV, 0),
-            exit_after: env_u64(EXIT_AFTER_CHECKPOINTS_ENV, 0),
-            poll_every: None,
-        }
     }
 
     /// The effective checkpoint period (defaulted).
@@ -163,35 +129,10 @@ pub struct SupervisedRun {
     pub interrupted: Option<Interrupted>,
 }
 
-fn env_path(var: &str) -> Option<PathBuf> {
-    let v = std::env::var(var).ok()?;
-    let v = v.trim();
-    if v.is_empty() {
-        None
-    } else {
-        Some(PathBuf::from(v))
-    }
-}
-
-fn env_u64(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
 /// Whether every core runs the unprotected baseline (the only policy a
 /// warmed-baseline image may be taken under).
 fn is_baseline(sys: &System) -> bool {
     (0..sys.cores()).all(|i| sys.core(i).policy_name() == "unsafe-baseline")
-}
-
-/// Runs `sys` to `budget` cycles under the ambient checkpoint/warm-base
-/// environment protocol described in the module docs. With no relevant
-/// environment set this is exactly `sys.run(budget)`.
-pub fn run_supervised(sys: &mut System, budget: u64) -> SupervisedRun {
-    run_supervised_with(sys, budget, &CheckpointPlan::from_env(), |_| Interrupt::None)
 }
 
 /// Runs `sys` to `budget` cycles under `plan`, polling `control` at every

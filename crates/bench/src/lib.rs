@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use crate::checkpoint::{CheckpointPlan, Interrupt};
 use sas_pipeline::{CpiStack, DelayCause, FaultPlan, RunExit, RunResult, System};
 use sas_workloads::{build_parsec_workload, build_workload, Profile, Workload};
 use specasan::{build_multicore, build_system, Mitigation, SimConfig};
@@ -161,7 +162,7 @@ pub struct Cell {
     /// Fraction of committed instructions restricted by the mitigation.
     pub restricted: f64,
     /// Whether the run resumed from a checkpoint or warmed-baseline image
-    /// rather than a cold reset (see [`checkpoint::run_supervised`]);
+    /// rather than a cold reset (see [`checkpoint::run_supervised_with`]);
     /// tagged in the cell's JSONL/BENCH rows.
     pub restored: bool,
     /// Full run result (stats for ablation reporting).
@@ -224,11 +225,8 @@ pub fn run_spec_checked(
     m: Mitigation,
     iterations: u32,
 ) -> Result<Cell, Box<CellFailure>> {
-    let mut sys = build_spec_system(profile, m, iterations);
-    arm_ambient_faults(&mut sys);
-    let sr = checkpoint::run_supervised(&mut sys, 1_000_000_000);
-    check_clean_exit("spec", profile.name, m, &sr.run)?;
-    Ok(finish(sr.run, sr.restored))
+    let sys = build_spec_system(profile, m, iterations);
+    run_cell_with(sys, "spec", profile.name, m, &CheckpointPlan::none())
 }
 
 /// Runs one SPEC-style (single-core) workload under a mitigation.
@@ -248,11 +246,8 @@ pub fn run_parsec_checked(
     m: Mitigation,
     iterations: u32,
 ) -> Result<Cell, Box<CellFailure>> {
-    let mut sys = build_parsec_system(profile, m, iterations);
-    arm_ambient_faults(&mut sys);
-    let sr = checkpoint::run_supervised(&mut sys, 1_000_000_000);
-    check_clean_exit("parsec", profile.name, m, &sr.run)?;
-    Ok(finish(sr.run, sr.restored))
+    let sys = build_parsec_system(profile, m, iterations);
+    run_cell_with(sys, "parsec", profile.name, m, &CheckpointPlan::none())
 }
 
 /// Runs one PARSEC-style (4-core) workload under a mitigation.
@@ -263,6 +258,23 @@ pub fn run_parsec_checked(
 /// [`run_parsec_checked`] to handle the failure yourself.
 pub fn run_parsec(profile: &Profile, m: Mitigation, iterations: u32) -> Cell {
     run_parsec_checked(profile, m, iterations).unwrap_or_else(|f| panic!("{f}"))
+}
+
+/// Runs a built `bench` cell (`spec`, `parsec`) under a checkpoint/warm-fork
+/// plan — what a `sas-runner cell` child runs — arming the ambient fault
+/// plan and heartbeat first, and returning the failure instead of panicking
+/// on an aborted run.
+pub fn run_cell_with(
+    mut sys: System,
+    bench: &str,
+    benchmark: &str,
+    m: Mitigation,
+    plan: &CheckpointPlan,
+) -> Result<Cell, Box<CellFailure>> {
+    arm_ambient_faults(&mut sys);
+    let sr = checkpoint::run_supervised_with(&mut sys, 1_000_000_000, plan, |_| Interrupt::None);
+    check_clean_exit(bench, benchmark, m, &sr.run)?;
+    Ok(finish(sr.run, sr.restored))
 }
 
 fn arm_ambient_faults(sys: &mut System) {
@@ -319,18 +331,6 @@ pub fn check_clean_exit(
         detail,
         dump: run.dump.as_ref().map(|d| d.to_string()),
     }))
-}
-
-/// The pre-refactor panicking gate, kept for direct `cargo bench` runs
-/// where dying on the first aborted cell *is* the desired policy.
-///
-/// # Panics
-///
-/// Panics with the cell's diagnostic and crash dump on any aborted run.
-pub fn require_clean_exit(bench: &str, benchmark: &str, m: Mitigation, run: &RunResult) {
-    if let Err(f) = check_clean_exit(bench, benchmark, m, run) {
-        panic!("{f}");
-    }
 }
 
 fn finish(run: RunResult, restored: bool) -> Cell {

@@ -3,32 +3,25 @@
 //! checkpoints degrade to replay-from-start, and warmed-baseline images are
 //! created by the baseline cell and forked by every other mitigation.
 //!
-//! The protocol is driven by process-global environment variables, so every
-//! test serializes on one lock and clears its variables before releasing it.
+//! Each test hands its own `CheckpointPlan` to `run_supervised_with`, so
+//! the tests share no process state and run in parallel.
 
-use sas_bench::checkpoint::{
-    self, CHECKPOINT_ENV, CHECKPOINT_EVERY_ENV, WARM_BASE_ENV, WARM_CYCLES_ENV,
-};
+use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, SupervisedRun};
 use sas_pipeline::{RunExit, RunResult, System};
 use specasan::{build_system, chaos, Mitigation, SimConfig};
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 const BUDGET: u64 = 1_000_000_000;
 
-fn env_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+/// Runs `sys` to the budget under `plan`, never interrupting it.
+fn run(sys: &mut System, plan: &CheckpointPlan) -> SupervisedRun {
+    run_supervised_with(sys, BUDGET, plan, |_| Interrupt::None)
 }
 
-/// Clears every checkpoint-protocol variable (panic-safe via Drop).
-struct EnvGuard;
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for var in [CHECKPOINT_ENV, CHECKPOINT_EVERY_ENV, WARM_BASE_ENV, WARM_CYCLES_ENV] {
-            std::env::remove_var(var);
-        }
-    }
+/// A plan that checkpoints to `path` every `every` cycles.
+fn checkpointing(path: &Path, every: u64) -> CheckpointPlan {
+    CheckpointPlan { path: Some(path.to_path_buf()), every, ..CheckpointPlan::none() }
 }
 
 /// A deterministic chaos-schedule program that runs long enough to cross
@@ -75,8 +68,6 @@ fn state_dir(name: &str) -> PathBuf {
 
 #[test]
 fn resume_from_a_mid_run_checkpoint_is_bit_identical() {
-    let _g = env_lock().lock().unwrap();
-    let _env = EnvGuard;
     let seed = subject_seed();
     let reference = subject(seed, Mitigation::Unsafe).run(BUDGET);
     let ckpt = state_dir("resume").join("cell.ckpt.snap");
@@ -88,10 +79,8 @@ fn resume_from_a_mid_run_checkpoint_is_bit_identical() {
     drop(first);
 
     // The retry resumes from the checkpoint and must finish identically.
-    std::env::set_var(CHECKPOINT_ENV, &ckpt);
-    std::env::set_var(CHECKPOINT_EVERY_ENV, "50");
     let mut retry = subject(seed, Mitigation::Unsafe);
-    let sr = checkpoint::run_supervised(&mut retry, BUDGET);
+    let sr = run(&mut retry, &checkpointing(&ckpt, 50));
     assert!(sr.restored, "the retry must restore the checkpoint");
     assert_eq!(digest(&sr.run), digest(&reference), "resumed run must be bit-identical");
     assert!(!ckpt.exists(), "a completed cell must drop its checkpoint");
@@ -99,8 +88,6 @@ fn resume_from_a_mid_run_checkpoint_is_bit_identical() {
 
 #[test]
 fn torn_tmp_only_snapshot_falls_back_to_cold_start_and_cleans_it() {
-    let _g = env_lock().lock().unwrap();
-    let _env = EnvGuard;
     let seed = subject_seed();
     let reference = subject(seed, Mitigation::Unsafe).run(BUDGET);
     let ckpt = state_dir("torn").join("cell.ckpt.snap");
@@ -108,10 +95,8 @@ fn torn_tmp_only_snapshot_falls_back_to_cold_start_and_cleans_it() {
     let tmp = sas_snap::temp_path(&ckpt);
     std::fs::write(&tmp, b"SASNAP\x00\x01 torn mid-write").unwrap();
 
-    std::env::set_var(CHECKPOINT_ENV, &ckpt);
-    std::env::set_var(CHECKPOINT_EVERY_ENV, "100");
     let mut sys = subject(seed, Mitigation::Unsafe);
-    let sr = checkpoint::run_supervised(&mut sys, BUDGET);
+    let sr = run(&mut sys, &checkpointing(&ckpt, 100));
     assert!(!sr.restored, "a torn temp is not a checkpoint — cold start");
     assert!(!tmp.exists(), "the stale temp must be cleaned up");
     assert_eq!(digest(&sr.run), digest(&reference), "fallback must replay from the start");
@@ -119,8 +104,6 @@ fn torn_tmp_only_snapshot_falls_back_to_cold_start_and_cleans_it() {
 
 #[test]
 fn corrupt_checkpoint_degrades_to_replay_from_start() {
-    let _g = env_lock().lock().unwrap();
-    let _env = EnvGuard;
     let seed = subject_seed();
     let reference = subject(seed, Mitigation::Unsafe).run(BUDGET);
     let ckpt = state_dir("corrupt").join("cell.ckpt.snap");
@@ -134,10 +117,8 @@ fn corrupt_checkpoint_degrades_to_replay_from_start() {
     bytes[mid] ^= 0x40;
     std::fs::write(&ckpt, bytes).unwrap();
 
-    std::env::set_var(CHECKPOINT_ENV, &ckpt);
-    std::env::set_var(CHECKPOINT_EVERY_ENV, "100");
     let mut sys = subject(seed, Mitigation::Unsafe);
-    let sr = checkpoint::run_supervised(&mut sys, BUDGET);
+    let sr = run(&mut sys, &checkpointing(&ckpt, 100));
     assert!(!sr.restored, "a corrupt checkpoint must never be resumed");
     assert!(!ckpt.exists(), "the rejected checkpoint must be deleted");
     assert_eq!(digest(&sr.run), digest(&reference), "degraded run must replay from the start");
@@ -145,16 +126,14 @@ fn corrupt_checkpoint_degrades_to_replay_from_start() {
 
 #[test]
 fn warm_baseline_image_is_created_once_and_forked_by_mitigations() {
-    let _g = env_lock().lock().unwrap();
-    let _env = EnvGuard;
     let seed = subject_seed();
     let warm = state_dir("warm").join("warm-subject.snap");
-    std::env::set_var(WARM_BASE_ENV, &warm);
-    std::env::set_var(WARM_CYCLES_ENV, "100");
+    let plan =
+        CheckpointPlan { warm_base: Some(warm.clone()), warm_cycles: 100, ..CheckpointPlan::none() };
 
     // The baseline cell runs warmup cold and writes the shared image.
     let mut base = subject(seed, Mitigation::Unsafe);
-    let base_run = checkpoint::run_supervised(&mut base, BUDGET);
+    let base_run = run(&mut base, &plan);
     assert!(!base_run.restored, "the baseline itself starts cold");
     assert!(matches!(base_run.run.exit, RunExit::Halted), "{:?}", base_run.run.exit);
     assert!(warm.exists(), "the baseline must leave a warm image behind");
@@ -163,7 +142,7 @@ fn warm_baseline_image_is_created_once_and_forked_by_mitigations() {
     // architectural result as its own cold run.
     for m in [Mitigation::SpecAsan, Mitigation::Fence] {
         let mut forked = subject(seed, m);
-        let sr = checkpoint::run_supervised(&mut forked, BUDGET);
+        let sr = run(&mut forked, &plan);
         assert!(sr.restored, "{m:?} must fork from the warm image");
         assert!(matches!(sr.run.exit, RunExit::Halted), "{:?}", sr.run.exit);
         // The fork changes microarchitectural history, never architecture:

@@ -1,15 +1,24 @@
 //! Seeded fault-injection campaigns, as a library.
 //!
 //! One 64-bit seed derives everything about a campaign — the victim program,
-//! the fault plan, the mitigation under test — so the `sas-chaos` CLI, the
-//! `sas-runner` campaign supervisor and its repro bundles all replay the
-//! *same* campaign from the same seed through this one code path (they used
-//! to carry private copies of the construction logic).
+//! the fault plan, the mitigation under test — so `sas-runner chaos`
+//! campaigns, single `sas-runner run --cells chaos/<seed>` replays and repro
+//! bundles all replay the *same* campaign from the same seed through this
+//! one code path.
 //!
-//! A campaign run is judged on four contracts (see `src/bin/sas-chaos.rs`):
-//! corruptions must be detected, perturbations must be architecturally
-//! invisible, replays must match bit-for-bit, and no panic may escape the
-//! `SimError` path.
+//! A campaign run is judged on four contracts (see [`judge`]):
+//!
+//! * every injected *corruption* (tag flip, architectural bit flip, dropped
+//!   fill, snapshot-byte flip) is caught — by an oracle divergence, a fault,
+//!   the deadlock detector, a snapshot CRC rejection, or the post-run
+//!   memory/tag audit; a corruption that produces a clean halt and a clean
+//!   audit is a **silent escape** and fails the campaign;
+//! * every injected *perturbation* (forced mispredicts, squash storms) is
+//!   architecturally invisible: the run must halt cleanly and match the
+//!   oracle exactly;
+//! * every campaign replays bit-for-bit from its seed (the contract
+//!   `SAS_FAULT_SEED` and crash dumps rely on);
+//! * no panic escapes the `SimError` path.
 
 use crate::mitigation::Mitigation;
 use crate::simulator::Simulator;
@@ -103,7 +112,7 @@ pub fn plan_for(seed: u64, class: Class) -> FaultPlan {
     }
 }
 
-/// The seed of the `i`-th campaign in a default `sas-chaos` run: an
+/// The seed of the `i`-th campaign in a default `sas-runner chaos` run: an
 /// odd-multiplier walk that visits every class and mitigation residue.
 /// (The multiplier must be coprime to 5 so the walk reaches every class.)
 pub fn campaign_seed(i: u64) -> u64 {
@@ -310,7 +319,7 @@ pub fn run_campaign_variant(program: &Program, plan: &FaultPlan, m: Mitigation) 
 /// Runs one campaign twice (run + replay) under a panic guard and returns
 /// the failure reasons, if any. An empty vector means the campaign upheld
 /// all four contracts.
-pub fn judge(seed: u64, verbose: bool) -> Vec<String> {
+pub fn judge(seed: u64) -> Vec<String> {
     let class = Class::of(seed);
     let mut failures = Vec::new();
     let run = |label: &str, failures: &mut Vec<String>| -> Option<Outcome> {
@@ -360,22 +369,6 @@ pub fn judge(seed: u64, verbose: bool) -> Vec<String> {
                 "seed {seed:#x} ({}): replay mismatch — first {first:?}, replay {second:?}",
                 class.name()
             ));
-        }
-    }
-    if verbose {
-        println!(
-            "seed {seed:#x}: class {} mitigation {} exit {} cycles {} \
-             corruptions {} perturbations {} audit_clean {}",
-            class.name(),
-            mitigation_for(seed),
-            first.exit,
-            first.cycles,
-            first.corruptions,
-            first.perturbations,
-            first.audit_clean,
-        );
-        if !first.detail.is_empty() {
-            println!("  {}", first.detail);
         }
     }
     failures

@@ -35,7 +35,9 @@ pub use policy::{
     MteOnlyPolicy, NoPolicy, RespDecision,
 };
 pub use predictor::{BranchPredictor, Btb, Gshare, PredictorStats, Rsb};
-pub use sas_telemetry::{CpiBucket, CpiStack, GaugeSeries, Histogram, MetricsRegistry, Timeline};
+pub use sas_telemetry::{
+    json, CpiBucket, CpiStack, GaugeSeries, Histogram, MetricsRegistry, Timeline,
+};
 pub use stats::{CoreStats, DelayTable};
 pub use system::{CrashDump, RunExit, RunResult, System};
 pub use trace::{Trace, TraceEvent};

@@ -1,5 +1,5 @@
 //! Domain generators for the SpecASan workspace: MTE tags, tagged virtual
-//! addresses, and random-but-terminating SAS-IR programs.
+//! addresses, random-but-terminating SAS-IR programs, and escape-heavy text.
 
 use crate::gen::{self, Gen};
 use sas_isa::{AluOp, Cond, Inst, MemWidth, Operand, Program, ProgramBuilder, Reg, TagNibble, VirtAddr};
@@ -35,6 +35,28 @@ pub fn nonzero_tag_not(other: TagNibble) -> Gen<TagNibble> {
         let v = 1 + (other.value() - 1 + 1 + d) % 15;
         TagNibble::new(v)
     })
+}
+
+/// Text that stresses JSON string escaping: up to `max_len` chars drawn
+/// from the C0 controls, `"`, `\`, printable ASCII, and 2-, 3- and 4-byte
+/// UTF-8 scalars.
+///
+/// ```
+/// use sas_ptest::{gens, Rng};
+/// let s = gens::escape_text(16).sample(&mut Rng::new(9));
+/// assert!(s.chars().count() <= 16);
+/// ```
+pub fn escape_text(max_len: usize) -> Gen<String> {
+    let scalar = gen::frequency(vec![
+        (2, gen::u32s(0..0x20)),
+        (1, gen::select(vec!['"' as u32, '\\' as u32])),
+        (3, gen::u32s(0x20..0x7f)),
+        (1, gen::u32s(0x80..0x800)),
+        (1, gen::u32s(0x800..0xd800)),
+        (1, gen::u32s(0x1_0000..0x11_0000)),
+    ])
+    .map(|cp| char::from_u32(cp).expect("surrogates are never drawn"));
+    gen::vec_of(&scalar, 0..max_len + 1).map(|cs| cs.into_iter().collect())
 }
 
 /// An arbitrary 64-bit pointer (key nibble included in the raw bits).

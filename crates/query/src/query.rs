@@ -21,6 +21,8 @@
 //! values. A `group by` without `agg` defaults to `count`.
 
 use crate::index::{fmt_num, intersect, Index, Op, Val};
+use sas_telemetry::json::escape;
+use std::fmt::Write as _;
 
 /// An aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,9 +415,7 @@ impl Table {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            out.push_str(&json_escape(c));
-            out.push('"');
+            let _ = write!(out, "\"{}\"", escape(c));
         }
         out.push_str("],\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
@@ -431,9 +431,7 @@ impl Table {
                     None => out.push_str("null"),
                     Some(Val::Num(n)) => out.push_str(&fmt_num(*n)),
                     Some(Val::Str(s)) => {
-                        out.push('"');
-                        out.push_str(&json_escape(s));
-                        out.push('"');
+                        let _ = write!(out, "\"{}\"", escape(s));
                     }
                 }
             }
@@ -442,23 +440,6 @@ impl Table {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Total order over optional cells: present before missing, numbers

@@ -8,8 +8,9 @@
 //! sas-runner selftest                   [FLAGS]   supervisor self-check
 //! sas-runner replay  <bundle-dir>                 re-check a repro bundle
 //!
-//! child modes (spawned by the supervisor, not for direct use):
-//! sas-runner cell  <id> [--iters N]
+//! child modes (spawned by the supervisor; `cell` is also the way to run
+//! one cell by hand):
+//! sas-runner cell  <id> [--iters N] [CELL FLAGS]
 //! sas-runner probe <id> [--iters N] [--nops 1,5,9] [--plan SPEC]
 //!
 //! FLAGS:
@@ -31,11 +32,18 @@
 //!   --fault-plan SPEC the plan spec to arm (see FaultPlan::from_spec)
 //!   --no-shrink       skip failure minimization
 //!   --repro-dir PATH  repro bundle directory      (default target/repro)
+//!   --crash-after-checkpoints N  test hook: first-attempt children crash
+//!                     after N checkpoints (the retry resumes from one)
+//!
+//! CELL FLAGS (a `CheckpointPlan`, see `sas_bench::checkpoint`):
+//!   --checkpoint PATH  --checkpoint-every N  --warm-base PATH
+//!   --warm-cycles N    --crash-after-checkpoints N
 //! ```
 //!
 //! Exits 0 only when every cell (resumed ones included) is green; any failed
 //! cell makes the campaign exit 1 after printing the failure summary.
 
+use sas_bench::checkpoint::CheckpointPlan;
 use sas_pipeline::FaultPlan;
 use sas_runner::cell::{self, CellId, CellOutcome, SelftestKind};
 use sas_runner::supervisor::{self, Config, EXIT_DETERMINISTIC, EXIT_ENVIRONMENTAL};
@@ -61,31 +69,40 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Builds the supervision config from common flags.
-fn config_from(args: &[String], default_manifest: &str) -> Result<Config, String> {
+fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+    match flag_value(args, flag) {
+        Some(v) => v.parse().map(Some).map_err(|_| format!("{flag}: bad number {v:?}")),
+        None => Ok(None),
+    }
+}
+
+/// Builds the supervision config from common flags; a bad flag is reported
+/// and becomes the usage exit code.
+fn config_from(args: &[String], default_manifest: &str) -> Result<Config, ExitCode> {
+    parse_config(args, default_manifest).map_err(|e| {
+        eprintln!("sas-runner: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn parse_config(args: &[String], default_manifest: &str) -> Result<Config, String> {
     let manifest = flag_value(args, "--manifest")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("target/sas-runner/{default_manifest}.jsonl")));
     let mut cfg = Config::new(manifest);
-    let parse_u64 = |flag: &str| -> Result<Option<u64>, String> {
-        match flag_value(args, flag) {
-            Some(v) => v.parse().map(Some).map_err(|_| format!("{flag}: bad number {v:?}")),
-            None => Ok(None),
-        }
-    };
-    if let Some(j) = parse_u64("--jobs")? {
+    if let Some(j) = flag_u64(args, "--jobs")? {
         cfg.jobs = (j as usize).max(1);
     }
-    if let Some(t) = parse_u64("--timeout-ms")? {
+    if let Some(t) = flag_u64(args, "--timeout-ms")? {
         cfg.timeout = Duration::from_millis(t);
     }
-    if let Some(r) = parse_u64("--retries")? {
+    if let Some(r) = flag_u64(args, "--retries")? {
         cfg.retries = r as u32;
     }
-    if let Some(b) = parse_u64("--backoff-ms")? {
+    if let Some(b) = flag_u64(args, "--backoff-ms")? {
         cfg.backoff = Duration::from_millis(b);
     }
-    if let Some(i) = parse_u64("--iters")? {
+    if let Some(i) = flag_u64(args, "--iters")? {
         cfg.iters = i as u32;
     }
     cfg.resume = has_flag(args, "--resume");
@@ -110,9 +127,10 @@ fn config_from(args: &[String], default_manifest: &str) -> Result<Config, String
                 .unwrap_or_else(|| cfg.manifest_path.with_extension("state")),
         )
     };
-    cfg.checkpoint_every = parse_u64("--checkpoint-every")?;
+    cfg.checkpoint_every = flag_u64(args, "--checkpoint-every")?;
     cfg.warm_fork = has_flag(args, "--warm-fork");
-    cfg.warm_cycles = parse_u64("--warm-cycles")?;
+    cfg.warm_cycles = flag_u64(args, "--warm-cycles")?;
+    cfg.crash_after_checkpoints = flag_u64(args, "--crash-after-checkpoints")?;
     if cfg.warm_fork && cfg.checkpoint_dir.is_none() {
         return Err("--warm-fork needs a snapshot state dir (drop --no-checkpoint \
                     or pass --checkpoint-dir)"
@@ -173,10 +191,7 @@ fn cmd_grid(args: &[String], fig7: bool) -> ExitCode {
     let name = if fig7 { "fig7" } else { "fig6" };
     let cfg = match config_from(args, name) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("sas-runner: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let benchmarks = parse_benchmarks(args);
     let cells = if fig7 {
@@ -190,10 +205,7 @@ fn cmd_grid(args: &[String], fig7: bool) -> ExitCode {
 fn cmd_chaos(args: &[String]) -> ExitCode {
     let cfg = match config_from(args, "chaos") {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("sas-runner: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let n = flag_value(args, "--campaigns").and_then(|v| v.parse().ok()).unwrap_or(60);
     campaign(cell::chaos_cells(n), &cfg, false)
@@ -202,10 +214,7 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
 fn cmd_run(args: &[String]) -> ExitCode {
     let cfg = match config_from(args, "run") {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("sas-runner: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let Some(csv) = flag_value(args, "--cells") else {
         eprintln!("sas-runner: run needs --cells id1,id2,…");
@@ -232,10 +241,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
 fn cmd_selftest(args: &[String]) -> ExitCode {
     let cfg = match config_from(args, "selftest") {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("sas-runner: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let cells = cell::selftest_cells();
     let hang_included = cells.iter().any(|c| matches!(c, CellId::Selftest { kind: SelftestKind::Hang }));
@@ -281,6 +287,18 @@ fn cmd_selftest(args: &[String]) -> ExitCode {
     }
 }
 
+/// The checkpoint plan a `cell` invocation's flags describe.
+fn checkpoint_plan(args: &[String]) -> Result<CheckpointPlan, String> {
+    Ok(CheckpointPlan {
+        path: flag_value(args, "--checkpoint").map(PathBuf::from),
+        every: flag_u64(args, "--checkpoint-every")?.unwrap_or(0),
+        warm_base: flag_value(args, "--warm-base").map(PathBuf::from),
+        warm_cycles: flag_u64(args, "--warm-cycles")?.unwrap_or(0),
+        exit_after: flag_u64(args, "--crash-after-checkpoints")?.unwrap_or(0),
+        poll_every: None,
+    })
+}
+
 /// Child mode: execute one cell in-process, print the result line, and exit
 /// with the supervisor's code taxonomy (0 ok / 10 deterministic /
 /// 11 environmental).
@@ -296,7 +314,14 @@ fn cmd_cell(args: &[String]) -> ExitCode {
     let iters = flag_value(args, "--iters")
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(sas_bench::bench_iterations);
-    let outcome = match catch_unwind(AssertUnwindSafe(|| cell::run_in_process(&cell, iters))) {
+    let plan = match checkpoint_plan(args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("sas-runner: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let outcome = match catch_unwind(AssertUnwindSafe(|| cell::run_in_process(&cell, iters, &plan))) {
         Ok(o) => o,
         Err(payload) => {
             let msg = payload
@@ -304,16 +329,7 @@ fn cmd_cell(args: &[String]) -> ExitCode {
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "panic (non-string payload)".to_string());
-            CellOutcome {
-                cell: cell.to_string(),
-                ok: false,
-                exit: "panic".to_string(),
-                detail: msg,
-                cycles: 0,
-                restored: false,
-                retriable: false,
-                cpi: None,
-            }
+            CellOutcome::failure(&cell, "panic", msg, false)
         }
     };
     println!("{}{}", cell::RESULT_MARKER, outcome.to_json());

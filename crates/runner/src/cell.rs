@@ -7,7 +7,8 @@
 //! [`CellId::parse`] — they key manifest rows, name child-process work, and
 //! appear in failure summaries.
 
-use sas_bench::{run_parsec_checked, run_spec_checked};
+use sas_bench::checkpoint::CheckpointPlan;
+use sas_bench::{build_parsec_system, build_spec_system, run_cell_with};
 use sas_pipeline::FaultPlan;
 use sas_workloads::{build_parsec_workload, build_workload, parsec_suite, spec_suite, Profile};
 use specasan::{build_multicore, build_system, chaos, Mitigation, SimConfig};
@@ -67,7 +68,8 @@ pub enum CellId {
         /// Mitigation column.
         mitigation: Mitigation,
     },
-    /// One seeded chaos campaign (`sas-chaos` semantics).
+    /// One seeded chaos campaign (`specasan::chaos::judge`: every injected
+    /// corruption caught, every perturbation invisible, exact replay).
     Chaos {
         /// The campaign seed.
         seed: u64,
@@ -123,21 +125,11 @@ impl CellId {
                 })
             }
             "chaos" => {
-                let seed = parts.next().ok_or_else(|| format!("{s:?}: missing seed"))?;
-                let seed = seed
-                    .strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16).ok())
-                    .unwrap_or_else(|| seed.parse().ok())
-                    .ok_or_else(|| format!("{s:?}: bad seed"))?;
+                let seed = parse_seed(parts.next()).ok_or_else(|| format!("{s:?}: bad seed"))?;
                 Ok(CellId::Chaos { seed })
             }
             "fuzz" => {
-                let seed = parts.next().ok_or_else(|| format!("{s:?}: missing seed"))?;
-                let seed = seed
-                    .strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16).ok())
-                    .unwrap_or_else(|| seed.parse().ok())
-                    .ok_or_else(|| format!("{s:?}: bad seed"))?;
+                let seed = parse_seed(parts.next()).ok_or_else(|| format!("{s:?}: bad seed"))?;
                 let cases = parts.next().ok_or_else(|| format!("{s:?}: missing case count"))?;
                 let cases = cases.parse().map_err(|_| format!("{s:?}: bad case count"))?;
                 Ok(CellId::Fuzz { seed, cases })
@@ -160,6 +152,15 @@ impl CellId {
     /// fail on purpose; fuzz cells ddmin their own counterexamples).
     pub fn shrinkable(&self) -> bool {
         !matches!(self, CellId::Selftest { .. } | CellId::Fuzz { .. })
+    }
+}
+
+/// A campaign seed, hex (`0x…`) or decimal.
+fn parse_seed(token: Option<&str>) -> Option<u64> {
+    let token = token?;
+    match token.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => token.parse().ok(),
     }
 }
 
@@ -202,7 +203,8 @@ fn grid_cells(
     cells
 }
 
-/// `n` chaos campaigns with the deterministic `sas-chaos` seed schedule.
+/// `n` chaos campaigns with the deterministic `chaos::campaign_seed`
+/// schedule.
 pub fn chaos_cells(n: u64) -> Vec<CellId> {
     (0..n).map(|i| CellId::Chaos { seed: chaos::campaign_seed(i) }).collect()
 }
@@ -270,17 +272,22 @@ impl CellOutcome {
         o
     }
 
-    fn failed(cell: &CellId, exit: &str, detail: String, retriable: bool) -> CellOutcome {
+    /// A failure with no numbers, carrying `detail` verbatim.
+    pub fn failure(cell: &CellId, exit: &str, detail: String, retriable: bool) -> CellOutcome {
         CellOutcome {
             cell: cell.to_string(),
             ok: false,
             exit: exit.to_string(),
-            detail: clip(&detail),
+            detail,
             cycles: 0,
             restored: false,
             retriable,
             cpi: None,
         }
+    }
+
+    fn failed(cell: &CellId, exit: &str, detail: String, retriable: bool) -> CellOutcome {
+        CellOutcome::failure(cell, exit, clip(&detail), retriable)
     }
 
     /// Renders the outcome as the child's one-line JSON payload.
@@ -337,25 +344,23 @@ fn find_profile(suite: &[Profile], name: &str) -> Option<Profile> {
 /// the cell is done, so a later campaign that lands on the same cell id can
 /// never read this run's stale progress.
 fn clear_heartbeat() {
-    let Ok(path) = std::env::var(sas_bench::HEARTBEAT_ENV) else { return };
-    if path.trim().is_empty() {
-        return;
+    if let Some(path) = std::env::var_os(sas_bench::HEARTBEAT_ENV).filter(|p| !p.is_empty()) {
+        crate::heartbeat::remove(std::path::Path::new(&path));
     }
-    let path = std::path::PathBuf::from(path);
-    let _ = std::fs::remove_file(path.with_extension("hb.tmp"));
-    let _ = std::fs::remove_file(path);
 }
 
 /// Executes one cell in the current process and reports its outcome. This is
-/// what `sas-runner cell <id>` calls inside the child; panics are the
-/// *caller's* job to catch (the binary wraps this in `catch_unwind`).
-pub fn run_in_process(cell: &CellId, iters: u32) -> CellOutcome {
-    let outcome = run_cell(cell, iters);
+/// what `sas-runner cell <id>` calls inside the child, with the checkpoint
+/// plan its flags describe (SPEC/PARSEC cells only; other cells ignore it);
+/// panics are the *caller's* job to catch (the binary wraps this in
+/// `catch_unwind`).
+pub fn run_in_process(cell: &CellId, iters: u32, plan: &CheckpointPlan) -> CellOutcome {
+    let outcome = run_cell(cell, iters, plan);
     clear_heartbeat();
     outcome
 }
 
-fn run_cell(cell: &CellId, iters: u32) -> CellOutcome {
+fn run_cell(cell: &CellId, iters: u32, plan: &CheckpointPlan) -> CellOutcome {
     match cell {
         CellId::Spec { benchmark, mitigation } => {
             let Some(p) = find_profile(&spec_suite(), benchmark) else {
@@ -366,7 +371,8 @@ fn run_cell(cell: &CellId, iters: u32) -> CellOutcome {
                     false,
                 );
             };
-            match run_spec_checked(&p, *mitigation, iters) {
+            let sys = build_spec_system(&p, *mitigation, iters);
+            match run_cell_with(sys, "spec", p.name, *mitigation, plan) {
                 Ok(c) => CellOutcome::ok_with_cpi(cell, &c),
                 Err(f) => CellOutcome::failed(cell, f.exit, f.detail, false),
             }
@@ -380,13 +386,14 @@ fn run_cell(cell: &CellId, iters: u32) -> CellOutcome {
                     false,
                 );
             };
-            match run_parsec_checked(&p, *mitigation, iters) {
+            let sys = build_parsec_system(&p, *mitigation, iters);
+            match run_cell_with(sys, "parsec", p.name, *mitigation, plan) {
                 Ok(c) => CellOutcome::ok_with_cpi(cell, &c),
                 Err(f) => CellOutcome::failed(cell, f.exit, f.detail, false),
             }
         }
         CellId::Chaos { seed } => {
-            let failures = chaos::judge(*seed, false);
+            let failures = chaos::judge(*seed);
             if failures.is_empty() {
                 CellOutcome::ok(cell, 0)
             } else {
@@ -667,7 +674,7 @@ mod tests {
         assert!(!cell.shrinkable(), "the fuzzer ddmins its own counterexamples");
         assert!(victim_program(&cell, 1).is_none());
         assert_eq!(probe_signature(&cell, 1, &[], None), "clean");
-        let out = run_in_process(&cell, 1);
+        let out = run_in_process(&cell, 1, &CheckpointPlan::none());
         assert!(out.ok, "fixed-seed smoke campaign must be clean: {}", out.detail);
         assert_eq!(out.exit, "halted");
     }
@@ -687,9 +694,9 @@ mod tests {
         // Attempt semantics are driven by ATTEMPT_ENV; without it the cell
         // reports a retriable failure.
         std::env::remove_var(ATTEMPT_ENV);
-        let first = run_in_process(&flaky, 1);
+        let first = run_in_process(&flaky, 1, &CheckpointPlan::none());
         assert!(!first.ok && first.retriable && first.exit == "flaky");
-        let ok = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1);
+        let ok = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, &CheckpointPlan::none());
         assert!(ok.ok && ok.exit == "halted");
     }
 
@@ -702,7 +709,7 @@ mod tests {
         std::fs::write(&path, "{\"cycle\":1,\"committed\":1}\n").unwrap();
         std::fs::write(path.with_extension("hb.tmp"), "torn").unwrap();
         std::env::set_var(sas_bench::HEARTBEAT_ENV, &path);
-        let out = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1);
+        let out = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, &CheckpointPlan::none());
         std::env::remove_var(sas_bench::HEARTBEAT_ENV);
         assert!(out.ok);
         assert!(!path.exists(), "cell finish must delete the heartbeat file");

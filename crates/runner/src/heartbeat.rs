@@ -6,8 +6,8 @@
 //! torn line). Supervisors — the `sas-runner` watchdog loop, the
 //! `sas-serve` hung-worker monitor, and the `GET /watch/<job>` SSE bridge
 //! — poll that file to distinguish *slow* from *stuck* and to stream
-//! progress. The reader is schema-tolerant: `schema` and `cpi` are
-//! optional, so v1 files (and third-party writers) still parse.
+//! progress. The reader requires `"schema":"sas-hb-v2"`; any other line
+//! (an older writer's, a torn one) is not a sample. `cpi` is optional.
 //!
 //! Heartbeat files are process-scoped scratch state, not durable artifacts:
 //! they are keyed by the supervisor pid so concurrent campaigns never
@@ -15,7 +15,7 @@
 //! [`crate::sweep`] at startup when a SIGKILLed supervisor leaves orphans
 //! behind in a state dir.
 
-use crate::manifest;
+use sas_pipeline::json::{self, Json};
 use std::path::{Path, PathBuf};
 
 /// Prefix of heartbeat file names inside a shared state dir (what
@@ -33,7 +33,7 @@ pub struct Heartbeat {
     /// Instructions committed so far.
     pub committed: u64,
     /// Flat-encoded CPI stack so far (`base=12;fetch_stall=3;…`), when
-    /// the writer is v2+.
+    /// the writer included one.
     pub cpi: Option<String>,
 }
 
@@ -68,11 +68,14 @@ pub fn remove(path: &Path) {
 /// heartbeat (or for work that never runs a pipeline).
 pub fn read(path: &Path) -> Option<Heartbeat> {
     let text = std::fs::read_to_string(path).ok()?;
-    let map = manifest::parse_flat(text.trim())?;
+    let doc = json::parse(&text).ok()?;
+    if doc.get("schema")?.as_str()? != SCHEMA {
+        return None;
+    }
     Some(Heartbeat {
-        cycle: map.get("cycle")?.as_u64()?,
-        committed: map.get("committed")?.as_u64()?,
-        cpi: map.get("cpi").and_then(|v| v.as_str()).map(str::to_string),
+        cycle: doc.get("cycle")?.as_u64()?,
+        committed: doc.get("committed")?.as_u64()?,
+        cpi: doc.get("cpi").and_then(Json::as_str).map(str::to_string),
     })
 }
 
@@ -96,9 +99,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sas-hb-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = path_in(&dir, "unit");
-        // v1 files (no schema/cpi) still parse.
+        // v1 files (no schema tag) are not read.
         std::fs::write(&p, "{\"cycle\":1234,\"committed\":567}\n").unwrap();
-        assert_eq!(read(&p), Some(Heartbeat { cycle: 1234, committed: 567, cpi: None }));
+        assert_eq!(read(&p), None);
         // v2 files carry the schema tag and the flat CPI string.
         std::fs::write(
             &p,

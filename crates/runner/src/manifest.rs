@@ -1,10 +1,9 @@
 //! Crash-safe JSONL campaign manifest.
 //!
-//! One flat JSON object per line, one line per supervised cell. Writes are
-//! torn-write-safe: each record goes down as a **single** `write` (record +
-//! trailing newline) on a descriptor opened in append mode, followed by a
-//! flush — so concurrent workers never interleave inside a row and a
-//! supervisor killed mid-write can tear at most the trailing line.
+//! One flat JSON object per line, one line per supervised cell, kept in
+//! `sas_bench::jsonl`'s durable log: each record is a single append of the
+//! row and its newline, so concurrent workers never interleave inside a row
+//! and a supervisor killed mid-write can tear at most the trailing line.
 //!
 //! The manifest doubles as the campaign checkpoint: [`load_and_repair`]
 //! parses it back, truncates a torn trailing line in place, and returns the
@@ -12,10 +11,11 @@
 //! (failed rows count as completed — a deterministic failure would only
 //! reproduce).
 
-use std::collections::HashMap;
+use sas_bench::jsonl;
+use sas_pipeline::json::{self, escape, Json};
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::fs::File;
+use std::io;
 use std::path::Path;
 
 /// One supervised cell's outcome — a manifest row.
@@ -41,30 +41,32 @@ pub struct Record {
     /// Repro-bundle directory written by the shrinker, if any.
     pub repro: Option<String>,
     /// The child's final commit-time CPI stack, flat-encoded
-    /// (`CpiStack::encode_flat`: `base=12;fetch_stall=3;...`) so it stays a
-    /// scalar string through the flat-only manifest parser.
+    /// (`CpiStack::encode_flat`: `base=12;fetch_stall=3;...`) so every
+    /// manifest field stays a scalar.
     pub cpi: Option<String>,
 }
 
 impl Record {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "cell", &self.cell, true);
-        push_raw_field(&mut out, "ok", &self.ok.to_string());
-        push_str_field(&mut out, "exit", &self.exit, false);
-        push_str_field(&mut out, "detail", &self.detail, false);
-        push_raw_field(&mut out, "attempts", &self.attempts.to_string());
-        push_raw_field(&mut out, "cycles", &self.cycles.to_string());
+        let mut out = format!(
+            "{{\"cell\":\"{}\",\"ok\":{},\"exit\":\"{}\",\"detail\":\"{}\",\"attempts\":{},\"cycles\":{}",
+            escape(&self.cell),
+            self.ok,
+            escape(&self.exit),
+            escape(&self.detail),
+            self.attempts,
+            self.cycles
+        );
         if self.restored {
-            push_raw_field(&mut out, "restored", "true");
+            out.push_str(",\"restored\":true");
         }
-        push_raw_field(&mut out, "duration_ms", &self.duration_ms.to_string());
+        let _ = write!(out, ",\"duration_ms\":{}", self.duration_ms);
         if let Some(r) = &self.repro {
-            push_str_field(&mut out, "repro", r, false);
+            let _ = write!(out, ",\"repro\":\"{}\"", escape(r));
         }
         if let Some(c) = &self.cpi {
-            push_str_field(&mut out, "cpi", c, false);
+            let _ = write!(out, ",\"cpi\":\"{}\"", escape(c));
         }
         out.push('}');
         out
@@ -72,178 +74,26 @@ impl Record {
 
     /// Parses a record from one manifest line.
     pub fn from_json(line: &str) -> Option<Record> {
-        let map = parse_flat(line)?;
+        let doc = json::parse(line).ok()?;
+        let text = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
+        let count = |key: &str| doc.get(key).and_then(Json::as_u64);
         Some(Record {
-            cell: map.get("cell")?.as_str()?.to_string(),
-            ok: map.get("ok")?.as_bool()?,
-            exit: map.get("exit")?.as_str()?.to_string(),
-            detail: map.get("detail")?.as_str()?.to_string(),
-            attempts: map.get("attempts")?.as_u64()? as u32,
-            cycles: map.get("cycles")?.as_u64()?,
-            restored: map.get("restored").and_then(|v| v.as_bool()).unwrap_or(false),
-            duration_ms: map.get("duration_ms")?.as_u64()?,
-            repro: map.get("repro").and_then(|v| v.as_str()).map(str::to_string),
-            cpi: map.get("cpi").and_then(|v| v.as_str()).map(str::to_string),
+            cell: text("cell")?,
+            ok: doc.get("ok")?.as_bool()?,
+            exit: text("exit")?,
+            detail: text("detail")?,
+            attempts: count("attempts")? as u32,
+            cycles: count("cycles")?,
+            restored: doc.get("restored").and_then(Json::as_bool).unwrap_or(false),
+            duration_ms: count("duration_ms")?,
+            repro: text("repro"),
+            cpi: text("cpi"),
         })
     }
 }
 
-fn push_str_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    let _ = write!(out, "\"{key}\":");
-    push_escaped(out, value);
-}
-
-fn push_raw_field(out: &mut String, key: &str, raw: &str) {
-    let _ = write!(out, ",\"{key}\":{raw}");
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A scalar value in a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    /// A JSON string.
-    Str(String),
-    /// A non-negative JSON number.
-    Num(u64),
-    /// A JSON boolean.
-    Bool(bool),
-}
-
-impl Scalar {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Scalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"k":scalar,...}`; no nesting, no arrays,
-/// no floats) — the exact shape every runner record uses. Returns `None` on
-/// any syntax it does not understand, which is how torn manifest lines are
-/// detected.
-pub fn parse_flat(line: &str) -> Option<HashMap<String, Scalar>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut map = HashMap::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
-        }
-        if *chars.peek()? == '}' {
-            chars.next();
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next()? != ':' {
-            return None;
-        }
-        let value = match *chars.peek()? {
-            '"' => Scalar::Str(parse_string(&mut chars)?),
-            't' | 'f' => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next()?);
-                }
-                match word.as_str() {
-                    "true" => Scalar::Bool(true),
-                    "false" => Scalar::Bool(false),
-                    _ => return None,
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut num = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    num.push(chars.next()?);
-                }
-                Scalar::Num(num.parse().ok()?)
-            }
-            _ => return None,
-        };
-        map.insert(key, value);
-    }
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(map)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Append-mode manifest writer; every [`Writer::append`] is one atomic-ish
-/// `write` + flush (see module docs).
+/// Append-mode manifest writer; every [`Writer::append`] is one
+/// `jsonl::append` (see module docs).
 #[derive(Debug)]
 pub struct Writer {
     file: File,
@@ -252,56 +102,32 @@ pub struct Writer {
 impl Writer {
     /// Opens (creating if needed) `path` for appending.
     pub fn open(path: &Path) -> io::Result<Writer> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Writer { file })
+        Ok(Writer { file: jsonl::open(path)? })
     }
 
     /// Appends one record as a single write, then flushes.
     pub fn append(&mut self, record: &Record) -> io::Result<()> {
-        let mut line = record.to_json();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()
+        jsonl::append(&mut self.file, &record.to_json())
     }
 }
 
-/// Loads a manifest, repairing torn state in place: parsing stops at the
-/// first line that is incomplete (no trailing newline) or unparsable, the
-/// file is truncated to the end of the last good line, and the good records
-/// are returned. A missing manifest is an empty campaign, not an error.
+/// Loads a manifest, repairing torn state in place: a trailing line without
+/// its newline is truncated, parsing stops at the first complete line that
+/// is not a record and the file is cut back to the rows before it, and the
+/// good records are returned. A missing manifest is an empty campaign, not
+/// an error.
 pub fn load_and_repair(path: &Path) -> io::Result<Vec<Record>> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    drop(file);
-    let mut records = Vec::new();
-    let mut good_len = 0usize;
-    let mut start = 0usize;
-    while start < bytes.len() {
-        let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') else {
-            break; // torn trailing line: no newline
-        };
-        let line = String::from_utf8_lossy(&bytes[start..start + nl]);
-        match Record::from_json(&line) {
-            Some(r) => {
-                records.push(r);
-                start += nl + 1;
-                good_len = start;
+    let rows = jsonl::read(path)?;
+    let mut records = Vec::with_capacity(rows.lines.len());
+    for line in &rows.lines {
+        match Record::from_json(line) {
+            Some(r) => records.push(r),
+            None => {
+                // Corrupt: stop trusting the rest.
+                jsonl::truncate_rows(path, records.len())?;
+                break;
             }
-            None => break, // torn or corrupt: stop trusting the rest
         }
-    }
-    if good_len < bytes.len() {
-        OpenOptions::new().write(true).open(path)?.set_len(good_len as u64)?;
     }
     Ok(records)
 }
@@ -339,6 +165,13 @@ mod tests {
         for r in [sample("spec/505.mcf_r/stt", true), sample("chaos/0xc4a05eed", false)] {
             assert_eq!(Record::from_json(&r.to_json()), Some(r));
         }
+        // Rows keep their exact bytes: optional fields are omitted, not null.
+        assert_eq!(
+            sample("chaos/0xc4a05eed", false).to_json(),
+            "{\"cell\":\"chaos/0xc4a05eed\",\"ok\":false,\"exit\":\"deadlock\",\
+             \"detail\":\"MSHR wedged \\\"hard\\\"\\nline2\",\"attempts\":2,\"cycles\":123456,\
+             \"duration_ms\":78,\"repro\":\"target/repro/x\"}"
+        );
     }
 
     #[test]
@@ -352,27 +185,8 @@ mod tests {
         assert_eq!(load_and_repair(&path).unwrap(), vec![a, b]);
     }
 
-    #[test]
-    fn torn_trailing_line_is_truncated_in_place() {
-        let path = tmp("torn");
-        let mut w = Writer::open(&path).unwrap();
-        let a = sample("spec/505.mcf_r/stt", true);
-        w.append(&a).unwrap();
-        // Simulate a supervisor killed mid-write: a partial row, no newline.
-        use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"cell\":\"spec/505.mcf_r/fe").unwrap();
-        drop(f);
-        let records = load_and_repair(&path).unwrap();
-        assert_eq!(records, vec![a.clone()]);
-        // The file itself was repaired: loading again sees the same rows and
-        // appending continues cleanly.
-        let mut w = Writer::open(&path).unwrap();
-        let b = sample("spec/505.mcf_r/fence", false);
-        w.append(&b).unwrap();
-        assert_eq!(load_and_repair(&path).unwrap(), vec![a, b]);
-    }
-
+    /// The manifest's policy for a complete line that is not a record:
+    /// stop there and cut the file back to the rows before it.
     #[test]
     fn corrupt_middle_line_stops_the_parse() {
         let path = tmp("corrupt");
@@ -382,11 +196,5 @@ mod tests {
         assert_eq!(records[0].cell, "a");
         // Everything after the corruption was discarded from the file too.
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
-    }
-
-    #[test]
-    fn missing_manifest_is_an_empty_campaign() {
-        let path = tmp("missing").with_file_name("never-written.jsonl");
-        assert_eq!(load_and_repair(&path).unwrap(), Vec::new());
     }
 }

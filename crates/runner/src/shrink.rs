@@ -26,6 +26,7 @@
 
 use crate::cell::{self, CellId};
 use crate::supervisor::Config;
+use sas_pipeline::json::{self, escape, Json};
 use std::io::Read as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -81,13 +82,6 @@ impl Prober<'_> {
             .env_remove(sas_bench::FAULT_PLAN_ENV)
             .env_remove(sas_bench::CELL_ENV)
             .env_remove(cell::ATTEMPT_ENV)
-            // Probes must never checkpoint, warm-fork, or crash-on-cue —
-            // shield them from any ambient supervisor/test environment.
-            .env_remove(sas_bench::checkpoint::CHECKPOINT_ENV)
-            .env_remove(sas_bench::checkpoint::CHECKPOINT_EVERY_ENV)
-            .env_remove(sas_bench::checkpoint::WARM_BASE_ENV)
-            .env_remove(sas_bench::checkpoint::WARM_CYCLES_ENV)
-            .env_remove(sas_bench::checkpoint::EXIT_AFTER_CHECKPOINTS_ENV)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
@@ -130,7 +124,7 @@ impl Prober<'_> {
         }
         let stdout = String::from_utf8_lossy(&reader.join().ok()?).into_owned();
         let line = stdout.lines().rev().find_map(|l| l.trim().strip_prefix(cell::RESULT_MARKER))?;
-        crate::manifest::parse_flat(line)?.get("signature")?.as_str().map(str::to_string)
+        json::parse(line).ok()?.get("signature")?.as_str().map(str::to_string)
     }
 }
 
@@ -302,21 +296,17 @@ fn write_bundle(
 ) -> std::io::Result<()> {
     use std::fmt::Write as _;
     std::fs::create_dir_all(&out.dir)?;
-    let mut meta = String::from("{");
-    let field = |meta: &mut String, key: &str, val: &str, first: bool| {
-        if !first {
-            meta.push(',');
-        }
-        let _ = write!(meta, "\"{key}\":\"{}\"", val.replace('\\', "\\\\").replace('"', "\\\""));
-    };
-    field(&mut meta, "cell", &cell.to_string(), true);
-    field(&mut meta, "signature", &out.signature, false);
-    let _ = write!(meta, ",\"iters\":{}", cfg.iters);
-    let _ = write!(meta, ",\"total_insts\":{}", out.total_insts);
-    let _ = write!(meta, ",\"probes\":{}", out.probes);
-    field(&mut meta, "nops", &csv(&out.nops), false);
+    let mut meta = format!(
+        "{{\"cell\":\"{}\",\"signature\":\"{}\",\"iters\":{},\"total_insts\":{},\"probes\":{},\"nops\":\"{}\"",
+        escape(&cell.to_string()),
+        escape(&out.signature),
+        cfg.iters,
+        out.total_insts,
+        out.probes,
+        csv(&out.nops)
+    );
     if let Some(p) = &out.plan {
-        field(&mut meta, "plan", p, false);
+        let _ = write!(meta, ",\"plan\":\"{}\"", escape(p));
     }
     if let Some(c) = out.tail_cycle {
         let _ = write!(meta, ",\"tail_cycle\":{c}");
@@ -367,8 +357,8 @@ pub fn load_bundle(dir: &std::path::Path) -> Result<BundleMeta, String> {
     bundle_name(dir)?;
     let text = std::fs::read_to_string(dir.join("meta.json"))
         .map_err(|e| format!("{}: {e}", dir.join("meta.json").display()))?;
-    let map = crate::manifest::parse_flat(text.trim()).ok_or("meta.json: unparsable")?;
-    let get = |k: &str| map.get(k).and_then(|v| v.as_str()).map(str::to_string);
+    let doc = json::parse(&text).map_err(|e| format!("meta.json: {e}"))?;
+    let get = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
     let cell = CellId::parse(&get("cell").ok_or("meta.json: missing cell")?)?;
     let nops_csv = get("nops").unwrap_or_default();
     let nops: Vec<usize> = if nops_csv.is_empty() {
@@ -382,13 +372,10 @@ pub fn load_bundle(dir: &std::path::Path) -> Result<BundleMeta, String> {
     Ok(BundleMeta {
         cell,
         signature: get("signature").ok_or("meta.json: missing signature")?,
-        iters: map
-            .get("iters")
-            .and_then(|v| v.as_u64())
-            .ok_or("meta.json: missing iters")? as u32,
+        iters: doc.get("iters").and_then(Json::as_u64).ok_or("meta.json: missing iters")? as u32,
         nops,
         plan: get("plan"),
-        tail_cycle: map.get("tail_cycle").and_then(|v| v.as_u64()),
+        tail_cycle: doc.get("tail_cycle").and_then(Json::as_u64),
     })
 }
 

@@ -13,7 +13,7 @@
 //!
 //! With a [`Config::checkpoint_dir`] armed, each SPEC/PARSEC child also
 //! writes periodic **mid-cell snapshots** (`sas-bench`'s checkpoint
-//! protocol): a child killed mid-measurement — watchdog, OOM, operator, or
+//! protocol, handed over as `sas-runner cell --checkpoint …` flags): a child killed mid-measurement — watchdog, OOM, operator, or
 //! a supervisor SIGKILL — resumes *within* the cell from its newest valid
 //! checkpoint on the next attempt or `--resume`, instead of replaying from
 //! cycle zero. [`Config::warm_fork`] additionally shares one warmed
@@ -78,6 +78,10 @@ pub struct Config {
     pub warm_fork: bool,
     /// Warmup length override, in cycles (`None` = the bench default).
     pub warm_cycles: Option<u64>,
+    /// Test hook: first-attempt bench children exit as if crashed right
+    /// after writing this many checkpoints (`sas-runner cell
+    /// --crash-after-checkpoints`), so the retry resumes from one.
+    pub crash_after_checkpoints: Option<u64>,
 }
 
 impl Config {
@@ -107,6 +111,7 @@ impl Config {
             checkpoint_every: None,
             warm_fork: false,
             warm_cycles: None,
+            crash_after_checkpoints: None,
         }
     }
 }
@@ -381,16 +386,7 @@ pub fn backoff_delay(base: Duration, attempt: u32, seed: u64) -> Duration {
 }
 
 fn env_failure(cell: &CellId, exit: &str, detail: String) -> CellOutcome {
-    CellOutcome {
-        cell: cell.to_string(),
-        ok: false,
-        exit: exit.to_string(),
-        detail,
-        cycles: 0,
-        restored: false,
-        retriable: true,
-        cpi: None,
-    }
+    CellOutcome::failure(cell, exit, detail, true)
 }
 
 /// How often the supervisor reports child heartbeats on stderr.
@@ -405,7 +401,6 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
         None => heartbeat::default_path(&id),
     };
     heartbeat::remove(&hb_path);
-    use sas_bench::checkpoint as ckpt;
     let mut cmd = Command::new(&cfg.child_exe);
     cmd.arg("cell")
         .arg(&id)
@@ -413,31 +408,26 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
         .arg(cfg.iters.to_string())
         .env_remove(sas_bench::FAULT_PLAN_ENV)
         .env_remove(sas_bench::CELL_ENV)
-        .env_remove(ckpt::CHECKPOINT_ENV)
-        .env_remove(ckpt::CHECKPOINT_EVERY_ENV)
-        .env_remove(ckpt::WARM_BASE_ENV)
-        .env_remove(ckpt::WARM_CYCLES_ENV)
         .env(cell::ATTEMPT_ENV, attempt.to_string())
         .env(sas_bench::HEARTBEAT_ENV, &hb_path)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
-    // The simulated-crash test hook may only fire on the first attempt:
-    // retries must be able to resume past it and finish the cell.
-    if attempt > 1 {
-        cmd.env_remove(ckpt::EXIT_AFTER_CHECKPOINTS_ENV);
-    }
-    if let (Some(dir), Some(_)) = (&cfg.checkpoint_dir, bench_target(cell)) {
-        cmd.env(ckpt::CHECKPOINT_ENV, checkpoint_path(dir, cell));
+    if let (Some(dir), Some((suite, benchmark))) = (&cfg.checkpoint_dir, bench_target(cell)) {
+        cmd.arg("--checkpoint").arg(checkpoint_path(dir, cell));
         if let Some(every) = cfg.checkpoint_every {
-            cmd.env(ckpt::CHECKPOINT_EVERY_ENV, every.to_string());
+            cmd.arg("--checkpoint-every").arg(every.to_string());
         }
         if cfg.warm_fork {
-            let (suite, benchmark) = bench_target(cell).expect("bench cell");
-            cmd.env(ckpt::WARM_BASE_ENV, warm_base_path(dir, suite, benchmark));
+            cmd.arg("--warm-base").arg(warm_base_path(dir, suite, benchmark));
             if let Some(w) = cfg.warm_cycles {
-                cmd.env(ckpt::WARM_CYCLES_ENV, w.to_string());
+                cmd.arg("--warm-cycles").arg(w.to_string());
             }
+        }
+        // The simulated-crash test hook may only fire on the first attempt:
+        // retries must be able to resume past it and finish the cell.
+        if let Some(n) = cfg.crash_after_checkpoints.filter(|_| attempt == 1) {
+            cmd.arg("--crash-after-checkpoints").arg(n.to_string());
         }
     }
     if let (Some(fault_cell), Some(plan)) = (&cfg.fault_cell, &cfg.fault_plan) {
@@ -516,11 +506,9 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
                 "child exited 0 without an ok result line".to_string(),
             )),
         },
-        Some(EXIT_DETERMINISTIC) => ChildEnd::Deterministic(reported.unwrap_or_else(|| {
-            let mut o = env_failure(cell, "failed", tail(&stderr));
-            o.retriable = false;
-            o
-        })),
+        Some(EXIT_DETERMINISTIC) => ChildEnd::Deterministic(
+            reported.unwrap_or_else(|| CellOutcome::failure(cell, "failed", tail(&stderr), false)),
+        ),
         Some(EXIT_ENVIRONMENTAL) => ChildEnd::Environmental(
             reported.unwrap_or_else(|| env_failure(cell, "environmental", tail(&stderr))),
         ),
@@ -528,16 +516,7 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
         // simulator and harnesses are seeded, so re-running reproduces it.
         Some(code) => {
             let exit = if code == 101 { "panic".to_string() } else { format!("exit:{code}") };
-            ChildEnd::Deterministic(CellOutcome {
-                cell: id,
-                ok: false,
-                exit,
-                detail: tail(&stderr),
-                cycles: 0,
-                restored: false,
-                retriable: false,
-                cpi: None,
-            })
+            ChildEnd::Deterministic(CellOutcome::failure(cell, &exit, tail(&stderr), false))
         }
         // Killed by a signal (OOM killer, operator): environmental.
         None => ChildEnd::Environmental(env_failure(cell, "signal", tail(&stderr))),

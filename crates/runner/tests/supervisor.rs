@@ -32,12 +32,7 @@ fn runner(args: &[&str]) -> Command {
         .env_remove("SAS_RUNNER_FAULT_PLAN")
         .env_remove("SAS_RUNNER_CELL")
         .env_remove("SAS_FAULT_SEED")
-        .env_remove("SAS_RUNNER_SELFTEST")
-        .env_remove("SAS_RUNNER_CHECKPOINT")
-        .env_remove("SAS_RUNNER_CHECKPOINT_EVERY")
-        .env_remove("SAS_RUNNER_WARM_BASE")
-        .env_remove("SAS_RUNNER_WARM_CYCLES")
-        .env_remove("SAS_RUNNER_EXIT_AFTER_CHECKPOINTS");
+        .env_remove("SAS_RUNNER_SELFTEST");
     cmd
 }
 
@@ -355,12 +350,11 @@ fn checkpointed_cell_resumes_bit_identically_after_crash_and_sigkill() {
     let state = dir.join("state-crash");
     let mut args = common(&crash_manifest);
     args.extend(
-        ["--retries", "2", "--backoff-ms", "10", "--checkpoint-dir", state.to_str().unwrap(), "--checkpoint-every", &every]
+        ["--retries", "2", "--backoff-ms", "10", "--checkpoint-dir", state.to_str().unwrap(), "--checkpoint-every", &every, "--crash-after-checkpoints", "1"]
             .map(String::from),
     );
     let args_crash: Vec<&str> = args.iter().map(String::as_str).collect();
     let out = runner(&args_crash)
-        .env("SAS_RUNNER_EXIT_AFTER_CHECKPOINTS", "1")
         .output()
         .expect("spawn supervisor");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -380,12 +374,11 @@ fn checkpointed_cell_resumes_bit_identically_after_crash_and_sigkill() {
     let ckpt = sas_runner::supervisor::checkpoint_path(&state, &CellId::parse(cell).unwrap());
     let mut args = common(&kill_manifest);
     args.extend(
-        ["--retries", "2", "--backoff-ms", "120000", "--checkpoint-dir", state.to_str().unwrap(), "--checkpoint-every", &every]
+        ["--retries", "2", "--backoff-ms", "120000", "--checkpoint-dir", state.to_str().unwrap(), "--checkpoint-every", &every, "--crash-after-checkpoints", "1"]
             .map(String::from),
     );
     let args_kill: Vec<&str> = args.iter().map(String::as_str).collect();
     let mut child = runner(&args_kill)
-        .env("SAS_RUNNER_EXIT_AFTER_CHECKPOINTS", "1")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()

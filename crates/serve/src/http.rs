@@ -158,22 +158,9 @@ pub fn stream_head(stream: &mut TcpStream, content_type: &str) -> std::io::Resul
     stream.flush()
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON document: the workspace's one
+/// escaper, `sas_telemetry::json::escape`, under this crate's name for it.
+pub use sas_telemetry::json::escape as json_escape;
 
 #[cfg(test)]
 mod tests {
@@ -215,10 +202,5 @@ mod tests {
             Err(ReadError::TooLarge)
         ));
         assert!(matches!(round_trip(b""), Err(ReadError::Closed)));
-    }
-
-    #[test]
-    fn json_escape_handles_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -14,11 +14,10 @@ use crate::queue::Priority;
 use sas_attacks::spectre::spectre_v1_program;
 use sas_attacks::{layout, GadgetFlavor};
 use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, Interrupted};
-use sas_pipeline::{CpiStack, DelayCause, RunExit, RunResult, System};
-use sas_runner::manifest::Scalar;
+use sas_pipeline::{DelayCause, RunExit, RunResult, System};
+use sas_telemetry::json::Json;
 use sas_workloads::spec_suite;
 use specasan::{build_system, Mitigation, SimConfig};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -179,19 +178,19 @@ impl JobSpec {
         fields
     }
 
-    /// Reparses a journal row's flat fields (inverse of
+    /// Reparses a journal row's fields (inverse of
     /// [`JobSpec::journal_fields`]).
-    pub fn from_journal(map: &HashMap<String, Scalar>) -> Option<JobSpec> {
-        let kind = map.get("kind")?.as_str()?;
+    pub fn from_journal(row: &Json) -> Option<JobSpec> {
+        let kind = row.get("kind")?.as_str()?;
         let target = || {
             Target::from_fields(
-                map.get("target").and_then(Scalar::as_str),
-                map.get("program").and_then(Scalar::as_str),
+                row.get("target").and_then(Json::as_str),
+                row.get("program").and_then(Json::as_str),
             )
             .ok()
         };
-        let mitigation = || Mitigation::parse(map.get("mitigation")?.as_str()?);
-        let iters = || map.get("iters")?.as_u64().map(|n| n as u32);
+        let mitigation = || Mitigation::parse(row.get("mitigation")?.as_str()?);
+        let iters = || row.get("iters")?.as_u64().map(|n| n as u32);
         match kind {
             "simulate" => Some(JobSpec::Simulate {
                 target: target()?,
@@ -202,13 +201,13 @@ impl JobSpec {
                 target: target()?,
                 mitigation: mitigation()?,
                 iters: iters()?,
-                chrome: map.get("chrome")?.as_bool()?,
+                chrome: row.get("chrome")?.as_bool()?,
             }),
             "lint" => Some(JobSpec::Lint {
-                program: map.get("program")?.as_str()?.to_string(),
-                suggest: map.get("suggest")?.as_bool()?,
+                program: row.get("program")?.as_str()?.to_string(),
+                suggest: row.get("suggest")?.as_bool()?,
             }),
-            "spin" => Some(JobSpec::Spin { millis: map.get("millis")?.as_u64()? }),
+            "spin" => Some(JobSpec::Spin { millis: row.get("millis")?.as_u64()? }),
             _ => None,
         }
     }
@@ -281,14 +280,6 @@ fn build_sim(target: &Target, m: Mitigation, iters: u32) -> Result<System, Strin
             Ok(build_system(&cfg, program, m))
         }
     }
-}
-
-fn cpi_json(run: &RunResult) -> String {
-    let mut cpi = CpiStack::default();
-    for s in &run.core_stats {
-        cpi.merge(&s.cpi);
-    }
-    cpi.to_json(&DelayCause::ALL.map(|c| c.name()))
 }
 
 fn exit_failure(run: &RunResult) -> JobEnd {
@@ -394,7 +385,7 @@ fn run_sim(
         sr.run.cycles,
         sr.run.committed(),
         sr.restored,
-        cpi_json(&sr.run)
+        sas_bench::cpi_breakdown(&sr.run).to_json(&DelayCause::ALL.map(|c| c.name()))
     );
     if trace == Some(true) {
         let timelines: Vec<(usize, &sas_telemetry::Timeline)> =
@@ -452,15 +443,12 @@ fn run_spin(millis: u64) -> JobEnd {
 /// queue metadata (priority, deadline budget).
 pub fn parse_request(
     method: &str,
-    params: &sas_telemetry::json::Json,
+    params: &Json,
 ) -> Result<(JobSpec, Priority, Option<u64>), String> {
     let get_str = |key: &str| params.get(key).and_then(|v| v.as_str());
     let get_u64 = |key: &str| params.get(key).and_then(|v| v.as_num()).map(|n| n as u64);
     let get_bool = |key: &str| {
-        params.get(key).map(|v| match v {
-            sas_telemetry::json::Json::Bool(b) => Ok(*b),
-            _ => Err(format!("\"{key}\" must be a boolean")),
-        })
+        params.get(key).map(|v| v.as_bool().ok_or_else(|| format!("\"{key}\" must be a boolean")))
     };
     let mitigation = match get_str("mitigation") {
         None => Mitigation::SpecAsan,
@@ -493,7 +481,6 @@ pub fn parse_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sas_runner::manifest::parse_flat;
 
     /// A well-formed program that never halts: only cooperative
     /// interruption (cancel / deadline / park) can end its simulation.
@@ -505,8 +492,8 @@ mod tests {
             row.push_str(&format!(",\"{k}\":{v}"));
         }
         row.push('}');
-        let map = parse_flat(&row).unwrap_or_else(|| panic!("unparseable row {row}"));
-        JobSpec::from_journal(&map).unwrap_or_else(|| panic!("undecodable row {row}"))
+        let doc = sas_telemetry::json::parse(&row).unwrap_or_else(|e| panic!("row {row}: {e}"));
+        JobSpec::from_journal(&doc).unwrap_or_else(|| panic!("undecodable row {row}"))
     }
 
     #[test]

@@ -2,21 +2,27 @@
 //!
 //! Every *accepted* job is appended to a JSONL journal **before** it is
 //! enqueued, and every terminal outcome (done / failed / cancelled) is
-//! appended when the job resolves. The file discipline is the same as the
-//! `sas-runner` manifest (DESIGN.md §8): one `write_all` + flush per row so
-//! a crash can tear at most the final line, and recovery truncates a torn
-//! trailing line in place instead of refusing the file.
+//! appended when the job resolves. The file is a `sas_bench::jsonl` durable
+//! log, the same one the `sas-runner` manifest uses (DESIGN.md §8): one
+//! write + flush per row, so a crash can tear at most the final line, and
+//! recovery truncates that line in place instead of refusing the file. A
+//! row exists once its newline is on disk: a last line without one is torn
+//! even if it parses, because its append never returned and so the row was
+//! never acknowledged.
 //!
 //! On startup [`Journal::open`] replays the journal: rows that parse, pair
 //! up, and an accepted job without a terminal row is **pending** — the
 //! daemon re-enqueues it, and if the job's `sas-snap` checkpoint survived
-//! the crash the simulation resumes mid-run instead of replaying. The
-//! journal is then compacted (rewritten with only the pending rows, via
+//! the crash the simulation resumes mid-run instead of replaying. A
+//! complete row that does not parse makes the file refused, not repaired.
+//! The journal is then compacted (rewritten with only the pending rows, via
 //! temp + rename) so it cannot grow without bound across restarts.
 
+use crate::http::json_escape;
 use crate::job::JobSpec;
 use crate::queue::Priority;
-use sas_runner::manifest::parse_flat;
+use sas_bench::jsonl;
+use sas_telemetry::json::{self, Json};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -34,6 +40,35 @@ pub struct PendingJob {
     pub deadline_ms: u64,
     /// The submitting client tag.
     pub client: String,
+}
+
+impl PendingJob {
+    /// The job's `accepted` journal row.
+    fn accepted_row(&self) -> String {
+        let mut row = format!(
+            "{{\"event\":\"accepted\",\"job\":{},\"priority\":\"{}\",\"deadline_ms\":{},\"client\":\"{}\"",
+            self.id,
+            self.priority.token(),
+            self.deadline_ms,
+            json_escape(&self.client)
+        );
+        for (key, value) in self.spec.journal_fields() {
+            row.push_str(&format!(",\"{key}\":{value}"));
+        }
+        row.push('}');
+        row
+    }
+
+    /// Decodes an `accepted` row (inverse of [`PendingJob::accepted_row`]).
+    fn from_row(id: u64, row: &Json) -> Option<PendingJob> {
+        Some(PendingJob {
+            id,
+            priority: Priority::parse(row.get("priority")?.as_str()?)?,
+            spec: JobSpec::from_journal(row)?,
+            deadline_ms: row.get("deadline_ms")?.as_u64()?,
+            client: row.get("client")?.as_str()?.to_string(),
+        })
+    }
 }
 
 /// What replaying the journal found.
@@ -61,7 +96,7 @@ impl Journal {
     /// any existing contents first.
     pub fn open(path: &Path) -> std::io::Result<(Journal, Recovery)> {
         let recovery = replay_and_compact(path)?;
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let file = jsonl::open(path)?;
         Ok((Journal { file, path: path.to_path_buf() }, recovery))
     }
 
@@ -74,94 +109,55 @@ impl Journal {
     /// journal never saw would be lost by a crash, while a journaled job
     /// that never ran is merely re-run.
     pub fn accepted(&mut self, job: &PendingJob) -> std::io::Result<()> {
-        let mut row = format!(
-            "{{\"event\":\"accepted\",\"job\":{},\"priority\":\"{}\",\"deadline_ms\":{},\"client\":\"{}\"",
-            job.id,
-            job.priority.token(),
-            job.deadline_ms,
-            crate::http::json_escape(&job.client)
-        );
-        for (key, value) in job.spec.journal_fields() {
-            row.push_str(&format!(",\"{key}\":{value}"));
-        }
-        row.push('}');
-        self.append_line(&row)
+        jsonl::append(&mut self.file, &job.accepted_row())
     }
 
     /// Records a terminal outcome for a job.
     pub fn resolved(&mut self, id: u64, outcome: &str) -> std::io::Result<()> {
-        self.append_line(&format!(
-            "{{\"event\":\"resolved\",\"job\":{id},\"outcome\":\"{}\"}}",
-            crate::http::json_escape(outcome)
-        ))
-    }
-
-    fn append_line(&mut self, row: &str) -> std::io::Result<()> {
-        // One write, one flush: a crash tears at most this line, and
-        // recovery drops a torn line.
-        self.file.write_all(format!("{row}\n").as_bytes())?;
-        self.file.flush()
+        jsonl::append(
+            &mut self.file,
+            &format!(
+                "{{\"event\":\"resolved\",\"job\":{id},\"outcome\":\"{}\"}}",
+                json_escape(outcome)
+            ),
+        )
     }
 }
 
 fn replay_and_compact(path: &Path) -> std::io::Result<Recovery> {
-    let mut recovery = Recovery::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(recovery),
-        Err(e) => return Err(e),
+    let rows = jsonl::read(path)?;
+    let mut recovery = Recovery { truncated: rows.torn, ..Recovery::default() };
+    if rows.lines.is_empty() {
+        return Ok(recovery);
+    }
+    let invalid = |msg: String| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {msg}", path.display()))
     };
     let mut pending: Vec<PendingJob> = Vec::new();
-    let mut rows = 0usize;
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
+    let mut replayed = 0usize;
+    for (i, line) in rows.lines.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = parse_flat(line).and_then(|map| {
-            let event = map.get("event")?.as_str()?.to_string();
-            let id = map.get("job")?.as_u64()?;
-            Some((event, id, map))
+        let row = json::parse(line).ok();
+        let parsed = row.as_ref().and_then(|row| {
+            Some((row, row.get("event")?.as_str()?, row.get("job")?.as_u64()?))
         });
-        let Some((event, id, map)) = parsed else {
-            if i + 1 == lines.len() && !text.ends_with('\n') {
-                // Torn trailing line from a crash mid-append.
-                recovery.truncated = true;
-                continue;
-            }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: corrupt journal row {}: {line:?}", path.display(), i + 1),
-            ));
+        let Some((row, event, id)) = parsed else {
+            return Err(invalid(format!("corrupt journal row {}: {line:?}", i + 1)));
         };
-        rows += 1;
+        replayed += 1;
         recovery.next_job_id = recovery.next_job_id.max(id + 1);
-        match event.as_str() {
-            "accepted" => {
-                let job = (|| {
-                    Some(PendingJob {
-                        id,
-                        priority: Priority::parse(map.get("priority")?.as_str()?)?,
-                        spec: JobSpec::from_journal(&map)?,
-                        deadline_ms: map.get("deadline_ms")?.as_u64()?,
-                        client: map.get("client")?.as_str()?.to_string(),
-                    })
-                })();
-                match job {
-                    Some(j) => pending.push(j),
-                    None => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("{}: unreadable accepted row {}", path.display(), i + 1),
-                        ))
-                    }
-                }
-            }
+        match event {
+            "accepted" => match PendingJob::from_row(id, row) {
+                Some(job) => pending.push(job),
+                None => return Err(invalid(format!("unreadable accepted row {}", i + 1))),
+            },
             "resolved" => pending.retain(|j| j.id != id),
             _ => {} // forward compatibility: unknown events are ignored
         }
     }
-    recovery.compacted = rows.saturating_sub(pending.len());
+    recovery.compacted = replayed.saturating_sub(pending.len());
     recovery.pending = pending;
 
     // Compact: rewrite only the pending accepted rows (atomic temp+rename),
@@ -170,18 +166,7 @@ fn replay_and_compact(path: &Path) -> std::io::Result<Recovery> {
     {
         let mut f = std::fs::File::create(&tmp)?;
         for job in &recovery.pending {
-            let mut row = format!(
-                "{{\"event\":\"accepted\",\"job\":{},\"priority\":\"{}\",\"deadline_ms\":{},\"client\":\"{}\"",
-                job.id,
-                job.priority.token(),
-                job.deadline_ms,
-                crate::http::json_escape(&job.client)
-            );
-            for (key, value) in job.spec.journal_fields() {
-                row.push_str(&format!(",\"{key}\":{value}"));
-            }
-            row.push('}');
-            writeln!(f, "{row}")?;
+            writeln!(f, "{}", job.accepted_row())?;
         }
         f.flush()?;
     }
@@ -235,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn a_torn_trailing_line_is_dropped_not_fatal() {
+    fn a_last_row_without_its_newline_is_torn_even_if_it_parses() {
         let path = dir().join("j2.jsonl");
         let _ = std::fs::remove_file(&path);
         let (mut j, _) = Journal::open(&path).unwrap();
@@ -248,10 +233,12 @@ mod tests {
         };
         j.accepted(&a).unwrap();
         drop(j);
-        // Simulate a crash mid-append: garbage without a trailing newline.
-        use std::io::Write;
+        // A crash before the newline landed: the row is complete JSON, but
+        // its append never returned, so job 7 was never acknowledged as
+        // resolved.
+        use std::io::Write as _;
         let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"event\":\"resolved\",\"jo").unwrap();
+        f.write_all(b"{\"event\":\"resolved\",\"job\":7,\"outcome\":\"completed\"}").unwrap();
         drop(f);
         let (_, r) = Journal::open(&path).unwrap();
         assert!(r.truncated);

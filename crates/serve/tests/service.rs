@@ -173,6 +173,21 @@ fn smoke_simulate_trace_lint_status_healthz() {
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
 }
 
+#[test]
+fn a_deeply_nested_body_is_a_parse_error_not_a_crash() {
+    // Without the parser's depth cap, 10 KB of `[` overflows the connection
+    // thread's stack and aborts the whole daemon.
+    let server = Server::start(small_config("deep")).unwrap();
+    let port = server.port();
+    let (status, _, doc) = rpc(port, &"[".repeat(10_000));
+    assert_eq!(status, 400, "{doc:?}");
+    let code = doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_num);
+    assert_eq!(code, Some(-32700.0), "{doc:?}");
+    let (status, _, doc) = http(port, "GET", "/healthz", "", "test");
+    assert_eq!(status, 200);
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
+}
+
 fn json_string(s: &str) -> String {
     format!("\"{}\"", sas_serve::http::json_escape(s))
 }

@@ -5,6 +5,7 @@
 //! reported in the format's microsecond field — so "1 µs" in the UI is one
 //! simulated cycle. Load the output at <https://ui.perfetto.dev>.
 
+use crate::json::escape;
 use crate::registry::GaugeSeries;
 use crate::timeline::Timeline;
 
@@ -13,31 +14,18 @@ use crate::timeline::Timeline;
 const STAGE_TRACKS: [&str; 5] =
     ["fetch/decode", "dispatch/wait", "execute", "commit-wait", "squashed"];
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn slice(out: &mut Vec<String>, name: &str, pid: usize, tid: usize, ts: u64, end: u64) {
     let dur = end.saturating_sub(ts).max(1);
     out.push(format!(
         "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur}}}",
-        esc(name)
+        escape(name)
     ));
 }
 
 fn meta(out: &mut Vec<String>, kind: &str, pid: usize, tid: usize, label: &str) {
     out.push(format!(
         "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-        esc(label)
+        escape(label)
     ));
 }
 
@@ -84,7 +72,7 @@ pub fn export(
             for &(cycle, value) in series.points() {
                 ev.push(format!(
                     "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":1000,\"tid\":{tid},\"ts\":{cycle},\"args\":{{\"value\":{value}}}}}",
-                    esc(name)
+                    escape(name)
                 ));
             }
         }

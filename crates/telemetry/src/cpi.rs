@@ -161,8 +161,9 @@ impl CpiStack {
     }
 
     /// Renders the stack as a JSON object (nested `mitigation` object keyed
-    /// by cause name, zero-valued causes omitted). Suitable for bench JSONL
-    /// rows — *not* for the runner manifest, whose parser is flat-only.
+    /// by cause name, zero-valued causes omitted), for bench JSONL rows;
+    /// runner manifest rows keep every field a scalar and carry
+    /// [`CpiStack::encode_flat`] instead.
     pub fn to_json(&self, cause_names: &[&str]) -> String {
         let mut s = String::from("{");
         for (name, v) in self.fixed_buckets() {
@@ -186,7 +187,7 @@ impl CpiStack {
 
     /// Encodes the stack as a single flat token string
     /// (`base=12;fetch_stall=3;...;TaintedAddress=9`), safe to carry as a
-    /// scalar string field through the runner's flat-JSON manifest.
+    /// scalar string field in a runner manifest row.
     pub fn encode_flat(&self, cause_names: &[&str]) -> String {
         let mut parts: Vec<String> = self
             .fixed_buckets()

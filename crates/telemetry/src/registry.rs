@@ -9,6 +9,8 @@
 //! which renders to JSONL for `sas-trace --metrics` and to Chrome counter
 //! tracks for `--chrome`.
 
+use crate::json::escape;
+
 /// Number of log2 buckets: bucket 0 holds value 0, bucket `i` holds values
 /// with `bit_length == i`, so 65 buckets cover all of `u64`.
 pub const HIST_BUCKETS: usize = 65;
@@ -308,22 +310,6 @@ enum MetricValue {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     entries: Vec<(String, MetricValue)>,
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl MetricsRegistry {

@@ -27,16 +27,6 @@ echo "== tier1: bench smoke (fig6 grid via sas-runner, 75 isolated cells) =="
 ./target/release/sas-runner fig6 --iters 2 --jobs 2 --timeout-ms 120000 \
   --manifest target/sas-runner/tier1-fig6.jsonl
 
-echo "== tier1: perf trajectory (sas-perf -> BENCH_fig6.json) =="
-# Re-times the fig6 grid in-process and rewrites the committed trajectory
-# file: per-cell wall time and sim-instructions/sec, suite totals, and the
-# speedup versus the recorded pre-overhaul baseline (carried forward from
-# the existing file). A >20% sim-ips drop versus the previous trajectory
-# prints a WARNING but does not (yet) gate — perf trends are reviewed on the
-# committed file, not enforced blind on shared CI hardware.
-./target/release/sas-perf --iters 2 --out BENCH_fig6.json
-./target/release/sas-perf --validate BENCH_fig6.json
-
 echo "== tier1: telemetry exports (sas-trace on spectre-v1, every mitigation) =="
 # For each mitigation, one telemetry-enabled spectre-v1 run must export a
 # Chrome trace that passes the checked-in trace_event validator, a Konata
@@ -102,9 +92,8 @@ SNAP_CELL="spec/505.mcf_r/unsafe"
 result_cycles() { sed -n 's/^SAS_RUNNER_RESULT .*"cycles":\([0-9]*\).*/\1/p'; }
 ref=$(./target/release/sas-runner cell "$SNAP_CELL" --iters 25 | result_cycles)
 [ -n "$ref" ] && [ "$ref" -gt 10000 ]
-if SAS_RUNNER_CHECKPOINT="$CKPT" SAS_RUNNER_CHECKPOINT_EVERY=5000 \
-   SAS_RUNNER_EXIT_AFTER_CHECKPOINTS=1 \
-   ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 >/dev/null 2>&1; then
+if ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" \
+   --checkpoint-every 5000 --crash-after-checkpoints 1 >/dev/null 2>&1; then
   echo "tier1: FAIL — checkpoint crash hook did not fire" >&2
   exit 1
 fi
@@ -112,14 +101,12 @@ fi
 # A fresh checkpoint is written in the current format (version 2).
 ./target/release/sas-snap inspect "$CKPT" > "$SNAPDIR/inspect.txt"
 grep -qx '  version:  2' "$SNAPDIR/inspect.txt"
-resumed=$(SAS_RUNNER_CHECKPOINT="$CKPT" \
-  ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 2>/dev/null)
+resumed=$(./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" 2>/dev/null)
 echo "$resumed" | grep -q '"restored":true'
 [ "$(echo "$resumed" | result_cycles)" = "$ref" ]
 [ ! -e "$CKPT" ] # completed cells drop their checkpoint
-SAS_RUNNER_CHECKPOINT="$CKPT" SAS_RUNNER_CHECKPOINT_EVERY=5000 \
-  SAS_RUNNER_EXIT_AFTER_CHECKPOINTS=1 \
-  ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 >/dev/null 2>&1 || true
+./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" \
+  --checkpoint-every 5000 --crash-after-checkpoints 1 >/dev/null 2>&1 || true
 size=$(wc -c < "$CKPT"); off=$((size / 2))
 byte=$(od -An -tu1 -j"$off" -N1 "$CKPT" | tr -d ' ')
 printf "$(printf '\\%03o' $((byte ^ 64)))" \
@@ -128,8 +115,7 @@ if ./target/release/sas-snap verify "$CKPT" 2>/dev/null; then
   echo "tier1: FAIL — sas-snap verify accepted a flipped byte" >&2
   exit 1
 fi
-degraded=$(SAS_RUNNER_CHECKPOINT="$CKPT" \
-  ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 2>/dev/null)
+degraded=$(./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" 2>/dev/null)
 ! echo "$degraded" | grep -q '"restored":true'
 [ "$(echo "$degraded" | result_cycles)" = "$ref" ]
 ./target/release/sas-runner run --cells chaos/0x9e3779ba43eadb04 --no-shrink \

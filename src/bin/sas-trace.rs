@@ -144,7 +144,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
         let rows_per_sec = if index_ms > 0.0 { stats.rows as f64 / (index_ms / 1e3) } else { 0.0 };
         let doc = format!(
             "{{\n  \"schema\": \"sas-bench-query-v1\",\n  \"query\": \"{}\",\n  \"files\": {},\n  \"rows\": {},\n  \"skipped_lines\": {},\n  \"index_ms\": {index_ms:.3},\n  \"index_rows_per_sec\": {rows_per_sec:.0},\n  \"query_ms\": {query_ms:.4},\n  \"result_rows\": {}\n}}\n",
-            sas_query::query::json_escape(&expr),
+            sas_telemetry::json::escape(&expr),
             stats.files,
             stats.rows,
             stats.skipped_lines,
