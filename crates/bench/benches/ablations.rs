@@ -35,7 +35,7 @@ impl MitigationPolicy for DelayAllTagged {
         "delay-all-tagged"
     }
 
-    fn on_load_issue(&mut self, ctx: &LoadIssueCtx) -> IssueDecision {
+    fn on_load_issue(&self, ctx: &LoadIssueCtx) -> IssueDecision {
         if (ctx.spec_branch || ctx.spec_mdu) && ctx.key != TagNibble::ZERO {
             IssueDecision::Delay(DelayCause::UnsafeAccessWait)
         } else {

@@ -18,6 +18,11 @@
 //!   harnesses, and [`SimConfig`]/[`build_system`] to assemble a ready
 //!   [`sas_pipeline::System`].
 //!
+//! Every policy is a stateless unit struct answering the nine `&self`
+//! hooks of [`sas_pipeline::MitigationPolicy`]; what a policy caused is
+//! counted by the core, so policies export no metrics and carry no
+//! snapshot state.
+//!
 //! ```
 //! use specasan::{build_system, Mitigation, SimConfig};
 //! use sas_isa::{ProgramBuilder, Reg};

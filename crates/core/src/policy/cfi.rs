@@ -11,22 +11,8 @@ use sas_pipeline::{IndirectKind, MitigationPolicy};
 /// the RSB prediction agrees with the protected shadow stack. Otherwise the
 /// front end stalls until the branch resolves — closing the
 /// attacker-controlled-gadget redirection that Spectre-BTB/RSB/BHB rely on.
-#[derive(Debug, Clone, Default)]
-pub struct SpecCfiPolicy {
-    stalls: u64,
-}
-
-impl SpecCfiPolicy {
-    /// Creates the policy.
-    pub fn new() -> SpecCfiPolicy {
-        SpecCfiPolicy::default()
-    }
-
-    /// Indirect-speculation requests that were refused.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpecCfiPolicy;
 
 impl MitigationPolicy for SpecCfiPolicy {
     fn name(&self) -> &'static str {
@@ -34,67 +20,14 @@ impl MitigationPolicy for SpecCfiPolicy {
     }
 
     fn allow_indirect_speculation(
-        &mut self,
+        &self,
         kind: IndirectKind,
         target_has_bti: bool,
         rsb_match: bool,
     ) -> bool {
-        let ok = match kind {
+        match kind {
             IndirectKind::Jump | IndirectKind::Call => target_has_bti,
             IndirectKind::Return => rsb_match,
-        };
-        if !ok {
-            self.stalls += 1;
         }
-        ok
-    }
-
-    fn snapshot_state(&self, e: &mut sas_snap::Enc) {
-        e.uv(self.stalls);
-    }
-
-    fn restore_state(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        self.stalls = d.uv()?;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn jumps_and_calls_need_landing_pads() {
-        let mut p = SpecCfiPolicy::new();
-        assert!(p.allow_indirect_speculation(IndirectKind::Jump, true, false));
-        assert!(!p.allow_indirect_speculation(IndirectKind::Jump, false, true));
-        assert!(p.allow_indirect_speculation(IndirectKind::Call, true, false));
-        assert!(!p.allow_indirect_speculation(IndirectKind::Call, false, true));
-        assert_eq!(p.stalls(), 2);
-    }
-
-    #[test]
-    fn returns_need_shadow_stack_agreement() {
-        let mut p = SpecCfiPolicy::new();
-        assert!(p.allow_indirect_speculation(IndirectKind::Return, false, true));
-        assert!(!p.allow_indirect_speculation(IndirectKind::Return, true, false));
-    }
-
-    #[test]
-    fn does_not_touch_memory_path() {
-        use sas_isa::TagNibble;
-        use sas_mem::FillMode;
-        use sas_pipeline::{IssueDecision, LoadIssueCtx};
-        let mut p = SpecCfiPolicy::new();
-        let ctx = LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: true,
-            spec_mdu: false,
-            addr_tainted: false,
-            faulting: false,
-            key: TagNibble::ZERO,
-        };
-        assert_eq!(p.on_load_issue(&ctx), IssueDecision::Proceed(FillMode::Install));
     }
 }

@@ -11,100 +11,39 @@ use sas_pipeline::{
 /// for the data path *and* validated speculative control flow, covering the
 /// Spectre-BTB/RSB/BHB variants SpecASan alone only partially mitigates
 /// (Table 1's right-most column; Figure 9's "SpecASan+CFI" bars).
-#[derive(Debug, Clone, Default)]
-pub struct SpecAsanCfiPolicy {
-    asan: SpecAsanPolicy,
-    cfi: SpecCfiPolicy,
-}
-
-impl SpecAsanCfiPolicy {
-    /// Creates the combined policy.
-    pub fn new() -> SpecAsanCfiPolicy {
-        SpecAsanCfiPolicy::default()
-    }
-
-    /// The memory-safety half.
-    pub fn asan(&self) -> &SpecAsanPolicy {
-        &self.asan
-    }
-
-    /// The control-flow half.
-    pub fn cfi(&self) -> &SpecCfiPolicy {
-        &self.cfi
-    }
-}
+///
+/// The data-path hooks are [`SpecAsanPolicy`]'s, the control-flow hook is
+/// [`SpecCfiPolicy`]'s.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpecAsanCfiPolicy;
 
 impl MitigationPolicy for SpecAsanCfiPolicy {
     fn name(&self) -> &'static str {
         "specasan+cfi"
     }
 
-    fn on_load_issue(&mut self, ctx: &LoadIssueCtx) -> IssueDecision {
-        self.asan.on_load_issue(ctx)
+    fn on_load_issue(&self, ctx: &LoadIssueCtx) -> IssueDecision {
+        SpecAsanPolicy.on_load_issue(ctx)
     }
 
-    fn on_load_response(&mut self, ctx: &LoadRespCtx) -> RespDecision {
-        self.asan.on_load_response(ctx)
+    fn on_load_response(&self, ctx: &LoadRespCtx) -> RespDecision {
+        SpecAsanPolicy.on_load_response(ctx)
     }
 
-    fn allow_stl_forward(
-        &mut self,
-        load_key: TagNibble,
-        store_key: TagNibble,
-        speculative: bool,
-    ) -> bool {
-        self.asan.allow_stl_forward(load_key, store_key, speculative)
+    fn allow_stl_forward(&self, load_key: TagNibble, store_key: TagNibble) -> bool {
+        SpecAsanPolicy.allow_stl_forward(load_key, store_key)
     }
 
     fn holds_tagged_mdu_results(&self) -> bool {
-        self.asan.holds_tagged_mdu_results()
+        SpecAsanPolicy.holds_tagged_mdu_results()
     }
 
     fn allow_indirect_speculation(
-        &mut self,
+        &self,
         kind: IndirectKind,
         target_has_bti: bool,
         rsb_match: bool,
     ) -> bool {
-        self.cfi.allow_indirect_speculation(kind, target_has_bti, rsb_match)
-    }
-
-    fn snapshot_state(&self, e: &mut sas_snap::Enc) {
-        self.asan.snapshot_state(e);
-        self.cfi.snapshot_state(e);
-    }
-
-    fn restore_state(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        self.asan.restore_state(d)?;
-        self.cfi.restore_state(d)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sas_mem::FillMode;
-    use sas_mte::TagCheckOutcome;
-
-    #[test]
-    fn combines_both_halves() {
-        let mut p = SpecAsanCfiPolicy::new();
-        let ictx = LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: true,
-            spec_mdu: false,
-            addr_tainted: false,
-            faulting: false,
-            key: TagNibble::new(2),
-        };
-        assert_eq!(p.on_load_issue(&ictx), IssueDecision::Proceed(FillMode::SuppressIfUnsafe));
-        let rctx =
-            LoadRespCtx { seq: 1, outcome: TagCheckOutcome::Unsafe, speculative: true, data_returned: true };
-        assert_eq!(p.on_load_response(&rctx), RespDecision::Block);
-        assert!(!p.allow_indirect_speculation(IndirectKind::Jump, false, true));
-        assert!(!p.allow_stl_forward(TagNibble::new(1), TagNibble::new(2), true));
-        assert_eq!(p.asan().unsafe_waits(), 1);
-        assert_eq!(p.cfi().stalls(), 1);
+        SpecCfiPolicy.allow_indirect_speculation(kind, target_has_bti, rsb_match)
     }
 }

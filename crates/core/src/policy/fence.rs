@@ -10,31 +10,16 @@ use sas_pipeline::{DelayCause, IssueDecision, LoadIssueCtx, MitigationPolicy};
 /// translates to disabling the speculative execution entirely".
 ///
 /// Strongest security of the delay-based designs, and by far the slowest.
-#[derive(Debug, Clone, Default)]
-pub struct FencePolicy {
-    delayed: u64,
-}
-
-impl FencePolicy {
-    /// Creates the policy.
-    pub fn new() -> FencePolicy {
-        FencePolicy::default()
-    }
-
-    /// Load-issue attempts that were delayed.
-    pub fn delayed(&self) -> u64 {
-        self.delayed
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FencePolicy;
 
 impl MitigationPolicy for FencePolicy {
     fn name(&self) -> &'static str {
         "spec-barriers"
     }
 
-    fn on_load_issue(&mut self, ctx: &LoadIssueCtx) -> IssueDecision {
+    fn on_load_issue(&self, ctx: &LoadIssueCtx) -> IssueDecision {
         if ctx.spec_branch || ctx.spec_mdu {
-            self.delayed += 1;
             IssueDecision::Delay(DelayCause::BarrierSpecLoad)
         } else {
             IssueDecision::Proceed(FillMode::Install)
@@ -43,47 +28,5 @@ impl MitigationPolicy for FencePolicy {
 
     fn blocks_full_speculation(&self) -> bool {
         true
-    }
-
-    fn snapshot_state(&self, e: &mut sas_snap::Enc) {
-        e.uv(self.delayed);
-    }
-
-    fn restore_state(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        self.delayed = d.uv()?;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sas_isa::TagNibble;
-
-    fn ctx(spec_branch: bool, spec_mdu: bool) -> LoadIssueCtx {
-        LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch,
-            spec_mdu,
-            addr_tainted: false,
-            faulting: false,
-            key: TagNibble::ZERO,
-        }
-    }
-
-    #[test]
-    fn speculative_loads_are_delayed() {
-        let mut p = FencePolicy::new();
-        assert!(matches!(p.on_load_issue(&ctx(true, false)), IssueDecision::Delay(_)));
-        assert!(matches!(p.on_load_issue(&ctx(false, true)), IssueDecision::Delay(_)));
-        assert_eq!(p.delayed(), 2);
-    }
-
-    #[test]
-    fn non_speculative_loads_proceed() {
-        let mut p = FencePolicy::new();
-        assert_eq!(p.on_load_issue(&ctx(false, false)), IssueDecision::Proceed(FillMode::Install));
-        assert_eq!(p.delayed(), 0);
     }
 }

@@ -15,75 +15,19 @@ use sas_pipeline::{IssueDecision, LoadIssueCtx, MitigationPolicy};
 /// Overhead comes from ghost-buffer capacity (speculative reuse misses) and
 /// the extra cycle on ghost hits — small, matching the paper's observation
 /// that GhostMinion and SpecASan perform similarly (Figure 6).
-#[derive(Debug, Clone, Default)]
-pub struct GhostMinionPolicy {
-    ghost_issues: u64,
-}
-
-impl GhostMinionPolicy {
-    /// Creates the policy.
-    pub fn new() -> GhostMinionPolicy {
-        GhostMinionPolicy::default()
-    }
-
-    /// Loads issued in ghost mode.
-    pub fn ghost_issues(&self) -> u64 {
-        self.ghost_issues
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GhostMinionPolicy;
 
 impl MitigationPolicy for GhostMinionPolicy {
     fn name(&self) -> &'static str {
         "ghostminion"
     }
 
-    fn on_load_issue(&mut self, ctx: &LoadIssueCtx) -> IssueDecision {
+    fn on_load_issue(&self, ctx: &LoadIssueCtx) -> IssueDecision {
         if ctx.spec_branch || ctx.spec_mdu {
-            self.ghost_issues += 1;
             IssueDecision::Proceed(FillMode::Ghost)
         } else {
             IssueDecision::Proceed(FillMode::Install)
         }
-    }
-
-    fn snapshot_state(&self, e: &mut sas_snap::Enc) {
-        e.uv(self.ghost_issues);
-    }
-
-    fn restore_state(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        self.ghost_issues = d.uv()?;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sas_isa::TagNibble;
-
-    fn ctx(spec: bool) -> LoadIssueCtx {
-        LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: spec,
-            spec_mdu: false,
-            addr_tainted: false,
-            faulting: false,
-            key: TagNibble::ZERO,
-        }
-    }
-
-    #[test]
-    fn speculative_loads_go_ghost() {
-        let mut p = GhostMinionPolicy::new();
-        assert_eq!(p.on_load_issue(&ctx(true)), IssueDecision::Proceed(FillMode::Ghost));
-        assert_eq!(p.on_load_issue(&ctx(false)), IssueDecision::Proceed(FillMode::Install));
-        assert_eq!(p.ghost_issues(), 1);
-    }
-
-    #[test]
-    fn loads_are_never_delayed() {
-        let mut p = GhostMinionPolicy::new();
-        assert!(matches!(p.on_load_issue(&ctx(true)), IssueDecision::Proceed(_)));
     }
 }

@@ -3,9 +3,7 @@
 use sas_isa::TagNibble;
 use sas_mem::FillMode;
 use sas_mte::TagCheckOutcome;
-use sas_pipeline::{
-    IssueDecision, LoadIssueCtx, LoadRespCtx, MetricsRegistry, MitigationPolicy, RespDecision,
-};
+use sas_pipeline::{IssueDecision, LoadIssueCtx, LoadRespCtx, MitigationPolicy, RespDecision};
 
 /// Speculative Address Sanitization (§3).
 ///
@@ -26,45 +24,24 @@ use sas_pipeline::{
 ///   raised — the access was a genuine memory-safety violation; if it was a
 ///   misprediction, the squash erases the access without a trace.
 ///
-/// Statistics: [`SpecAsanPolicy::unsafe_waits`] counts mismatching
-/// speculative accesses that were delayed, and
-/// [`SpecAsanPolicy::forwards_blocked`] counts refused SQ forwards.
+/// The core counts what the policy caused: `unsafe_spec_accesses` and the
+/// `UnsafeAccessWait` delay rows for blocked accesses, `stl_blocked` for
+/// refused forwards.
 ///
 /// ```
 /// use specasan::SpecAsanPolicy;
 /// use sas_pipeline::MitigationPolicy;
-/// let p = SpecAsanPolicy::new();
-/// assert_eq!(p.name(), "specasan");
+/// assert_eq!(SpecAsanPolicy.name(), "specasan");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct SpecAsanPolicy {
-    unsafe_waits: u64,
-    forwards_blocked: u64,
-}
-
-impl SpecAsanPolicy {
-    /// Creates the policy.
-    pub fn new() -> SpecAsanPolicy {
-        SpecAsanPolicy::default()
-    }
-
-    /// Mismatching speculative accesses that were selectively delayed.
-    pub fn unsafe_waits(&self) -> u64 {
-        self.unsafe_waits
-    }
-
-    /// Store-to-load forwards refused because tags mismatched.
-    pub fn forwards_blocked(&self) -> u64 {
-        self.forwards_blocked
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpecAsanPolicy;
 
 impl MitigationPolicy for SpecAsanPolicy {
     fn name(&self) -> &'static str {
         "specasan"
     }
 
-    fn on_load_issue(&mut self, _ctx: &LoadIssueCtx) -> IssueDecision {
+    fn on_load_issue(&self, _ctx: &LoadIssueCtx) -> IssueDecision {
         // Never delay up front — the selective-delay decision is made by the
         // tag check travelling with the access. (Tagged loads under
         // memory-dependence speculation issue too — §4.1: "a memory access
@@ -78,98 +55,17 @@ impl MitigationPolicy for SpecAsanPolicy {
         true
     }
 
-    fn on_load_response(&mut self, ctx: &LoadRespCtx) -> RespDecision {
+    fn on_load_response(&self, ctx: &LoadRespCtx) -> RespDecision {
         match ctx.outcome {
-            TagCheckOutcome::Unsafe => {
-                // tcs -> unsafe, SSA = 0: wait for speculation to resolve.
-                self.unsafe_waits += 1;
-                RespDecision::Block
-            }
+            // tcs -> unsafe, SSA = 0: wait for speculation to resolve.
+            TagCheckOutcome::Unsafe => RespDecision::Block,
             _ => RespDecision::Forward,
         }
     }
 
-    fn allow_stl_forward(
-        &mut self,
-        load_key: TagNibble,
-        store_key: TagNibble,
-        _speculative: bool,
-    ) -> bool {
+    fn allow_stl_forward(&self, load_key: TagNibble, store_key: TagNibble) -> bool {
         // Forwarding only between identically-tagged accesses; an untagged
         // load may consume an untagged store.
-        let ok = load_key == store_key;
-        if !ok {
-            self.forwards_blocked += 1;
-        }
-        ok
-    }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("policy.specasan.unsafe_waits", self.unsafe_waits);
-        reg.counter("policy.specasan.forwards_blocked", self.forwards_blocked);
-    }
-
-    fn snapshot_state(&self, e: &mut sas_snap::Enc) {
-        e.uv(self.unsafe_waits);
-        e.uv(self.forwards_blocked);
-    }
-
-    fn restore_state(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        self.unsafe_waits = d.uv()?;
-        self.forwards_blocked = d.uv()?;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loads_issue_with_suppression_under_branch_speculation() {
-        let mut p = SpecAsanPolicy::new();
-        let ctx = LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: true,
-            spec_mdu: false,
-            addr_tainted: true,
-            faulting: true,
-            key: TagNibble::new(5),
-        };
-        assert_eq!(p.on_load_issue(&ctx), IssueDecision::Proceed(FillMode::SuppressIfUnsafe));
-    }
-
-    #[test]
-    fn tagged_load_results_wait_out_memory_dependence_speculation() {
-        let p = SpecAsanPolicy::new();
-        assert!(p.holds_tagged_mdu_results());
-    }
-
-    #[test]
-    fn unsafe_response_blocks_and_counts() {
-        let mut p = SpecAsanPolicy::new();
-        let mk = |outcome| LoadRespCtx { seq: 1, outcome, speculative: true, data_returned: true };
-        assert_eq!(p.on_load_response(&mk(TagCheckOutcome::Safe)), RespDecision::Forward);
-        assert_eq!(p.on_load_response(&mk(TagCheckOutcome::Unchecked)), RespDecision::Forward);
-        assert_eq!(p.on_load_response(&mk(TagCheckOutcome::Unsafe)), RespDecision::Block);
-        assert_eq!(p.unsafe_waits(), 1);
-    }
-
-    #[test]
-    fn forwarding_requires_matching_tags() {
-        let mut p = SpecAsanPolicy::new();
-        assert!(p.allow_stl_forward(TagNibble::new(3), TagNibble::new(3), true));
-        assert!(p.allow_stl_forward(TagNibble::ZERO, TagNibble::ZERO, true));
-        assert!(!p.allow_stl_forward(TagNibble::new(3), TagNibble::new(4), true));
-        assert!(!p.allow_stl_forward(TagNibble::ZERO, TagNibble::new(4), false));
-        assert_eq!(p.forwards_blocked(), 2);
-    }
-
-    #[test]
-    fn enforces_mte_architecturally() {
-        let p = SpecAsanPolicy::new();
-        assert!(p.enforces_mte_at_commit());
-        assert!(!p.taints_speculative_loads());
+        load_key == store_key
     }
 }

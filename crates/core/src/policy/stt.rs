@@ -1,7 +1,7 @@
 //! The Speculative Taint Tracking (STT) baseline.
 
 use sas_mem::FillMode;
-use sas_pipeline::{DelayCause, IssueDecision, LoadIssueCtx, MetricsRegistry, MitigationPolicy};
+use sas_pipeline::{DelayCause, IssueDecision, LoadIssueCtx, MitigationPolicy};
 
 /// STT (Yu et al., MICRO'19), the paper's dynamic information-flow baseline.
 ///
@@ -16,31 +16,16 @@ use sas_pipeline::{DelayCause, IssueDecision, LoadIssueCtx, MetricsRegistry, Mit
 /// Taint propagation itself is performed by the pipeline's dataflow tracker
 /// (`taint_root`); this policy just switches it on and supplies the delay
 /// decisions.
-#[derive(Debug, Clone, Default)]
-pub struct SttPolicy {
-    transmit_delays: u64,
-}
-
-impl SttPolicy {
-    /// Creates the policy.
-    pub fn new() -> SttPolicy {
-        SttPolicy::default()
-    }
-
-    /// Transmit instructions (tainted-address loads) that were delayed.
-    pub fn transmit_delays(&self) -> u64 {
-        self.transmit_delays
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SttPolicy;
 
 impl MitigationPolicy for SttPolicy {
     fn name(&self) -> &'static str {
         "stt"
     }
 
-    fn on_load_issue(&mut self, ctx: &LoadIssueCtx) -> IssueDecision {
+    fn on_load_issue(&self, ctx: &LoadIssueCtx) -> IssueDecision {
         if ctx.addr_tainted {
-            self.transmit_delays += 1;
             IssueDecision::Delay(DelayCause::TaintedAddress)
         } else {
             IssueDecision::Proceed(FillMode::Install)
@@ -49,69 +34,5 @@ impl MitigationPolicy for SttPolicy {
 
     fn taints_speculative_loads(&self) -> bool {
         true
-    }
-
-    fn blocks_tainted_branches(&self) -> bool {
-        true
-    }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("policy.stt.transmit_delays", self.transmit_delays);
-    }
-
-    fn snapshot_state(&self, e: &mut sas_snap::Enc) {
-        e.uv(self.transmit_delays);
-    }
-
-    fn restore_state(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        self.transmit_delays = d.uv()?;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sas_isa::TagNibble;
-
-    #[test]
-    fn tainted_addresses_are_delayed() {
-        let mut p = SttPolicy::new();
-        let mut ctx = LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: true,
-            spec_mdu: false,
-            addr_tainted: true,
-            faulting: false,
-            key: TagNibble::ZERO,
-        };
-        assert!(matches!(p.on_load_issue(&ctx), IssueDecision::Delay(_)));
-        ctx.addr_tainted = false;
-        assert_eq!(p.on_load_issue(&ctx), IssueDecision::Proceed(FillMode::Install));
-        assert_eq!(p.transmit_delays(), 1);
-    }
-
-    #[test]
-    fn enables_taint_machinery() {
-        let p = SttPolicy::new();
-        assert!(p.taints_speculative_loads());
-        assert!(p.blocks_tainted_branches());
-    }
-
-    #[test]
-    fn access_instructions_are_never_delayed() {
-        // STT's defining property: the first (access) load always executes.
-        let mut p = SttPolicy::new();
-        let ctx = LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: true,
-            spec_mdu: true,
-            addr_tainted: false,
-            faulting: true,
-            key: TagNibble::new(7),
-        };
-        assert_eq!(p.on_load_issue(&ctx), IssueDecision::Proceed(FillMode::Install));
     }
 }

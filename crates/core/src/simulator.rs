@@ -233,14 +233,14 @@ impl Simulator {
     ///
     /// The image covers everything `run` touches — architectural memory and
     /// MTE tags, caches/MSHRs/LFBs, predictors, the full out-of-order window,
-    /// mitigation-policy counters, statistics, fault-stream cursors and RNG
-    /// state — so a restored simulator continues **bit-identically**.
+    /// statistics, fault-stream cursors and RNG state — so a restored
+    /// simulator continues **bit-identically**. Policies are stateless, so
+    /// the image holds none.
     ///
     /// With `warm_base` the image is marked as a warmed-*baseline* fork
-    /// point: restoring it skips the mitigation-policy fingerprint check and
-    /// keeps the target's own (fresh) policy state, so one baseline image
-    /// warmed past a benchmark's setup phase can seed cells for *any*
-    /// mitigation.
+    /// point: restoring it skips the mitigation-policy name check, so one
+    /// baseline image warmed past a benchmark's setup phase can seed cells
+    /// for *any* mitigation.
     pub fn snapshot(&self, warm_base: bool) -> SnapshotBuilder {
         crate::snapshot::snapshot_system(&self.system, warm_base)
     }

@@ -10,17 +10,18 @@
 //! * `mem` — architectural memory, MTE tags, every cache/LFB/MSHR, the
 //!   prefetchers, ghost buffers, fault-stream cursors and memory stats.
 //! * `cores` — each core's full pipeline state (ROB, rename, fetch,
-//!   predictors, IRG RNG, stats, traces, policy counters), concatenated.
+//!   predictors, IRG RNG, stats, traces), concatenated. Policies are
+//!   stateless, so no section carries policy state.
 //!
 //! Restore rebuilds the derived scheduler indices (ready queue, completion
 //! heap, waiter chains) from the restored ROB rather than trusting the
 //! image, so a restored machine continues **bit-identically** — proven by
 //! `crates/core/tests/snapshot_prop.rs` across every mitigation.
 //!
-//! A *warmed-baseline* snapshot ([`FLAG_WARM_BASE`]) relaxes the policy
-//! fingerprint and discards the image's policy-state blob on restore: one
-//! image warmed under the unprotected baseline forks measurement cells for
-//! any mitigation past the warmup phase.
+//! A *warmed-baseline* snapshot ([`FLAG_WARM_BASE`]) only relaxes the
+//! policy-name check; it restores through the same path as any other
+//! image. One image warmed under the unprotected baseline forks
+//! measurement cells for any mitigation past the warmup phase.
 //!
 //! [`Program::fingerprint`]: sas_isa::Program::fingerprint
 
@@ -135,7 +136,7 @@ pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapEr
     mem.finish()?;
 
     for i in 0..cores {
-        system.restore_core(i, &mut cs, !warm)?;
+        system.restore_core(i, &mut cs)?;
     }
     cs.finish()?;
     Ok(())

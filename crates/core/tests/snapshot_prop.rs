@@ -120,9 +120,8 @@ fn corrupted_snapshots_are_rejected_never_silently_restored() {
 }
 
 /// A warmed-baseline snapshot (taken under `Unsafe`) forks into *any*
-/// mitigation: the policy fingerprint check is relaxed, the target keeps its
-/// own fresh policy state, and the continuation retires the same
-/// architectural result as a cold run of that mitigation.
+/// mitigation: the policy name check is relaxed, and the continuation
+/// retires the same architectural result as a cold run of that mitigation.
 #[test]
 fn warm_baseline_snapshot_forks_into_every_mitigation() {
     check("warm_baseline_snapshot_forks_into_every_mitigation", 4, |rng| {

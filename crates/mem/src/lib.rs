@@ -47,4 +47,4 @@ pub use lfb::{LfbEntry, LineFillBuffer};
 pub use mshr::{MshrEntry, MshrFile};
 pub use prefetch::{PrefetchConfig, PrefetchStats, StridePrefetcher};
 pub use req::{AccessKind, FillMode, LoadResult, ServicePoint, StoreResult};
-pub use system::{GhostToken, MemConfig, MemSystem, MemSystemStats};
+pub use system::{MemConfig, MemSystem, MemSystemStats};

@@ -54,10 +54,6 @@ impl MemFaults {
     }
 }
 
-/// Epoch marker used to roll back ghost-buffer allocations on a squash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GhostToken(u64);
-
 /// Configuration of the whole memory system (Table 2 defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
@@ -151,7 +147,6 @@ pub struct MemSystemStats {
 struct GhostEntry {
     line_addr: u64,
     locks: [TagNibble; 4],
-    epoch: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -205,7 +200,6 @@ pub struct MemSystem {
     ghosts: Vec<GhostBuffer>,
     prefetchers: Vec<StridePrefetcher>,
     tag_hints: std::collections::VecDeque<(u64, [TagNibble; 4])>,
-    ghost_epoch: u64,
     protected: Vec<(u64, u64)>, // [base, base+len) unprivileged-fault ranges
     faults: Option<MemFaults>,
     stats: MemSystemStats,
@@ -234,7 +228,6 @@ impl MemSystem {
             ghosts: (0..cores).map(|_| GhostBuffer::new(cfg.ghost_entries)).collect(),
             prefetchers: (0..cores).map(|_| StridePrefetcher::new(cfg.prefetch)).collect(),
             tag_hints: std::collections::VecDeque::new(),
-            ghost_epoch: 0,
             protected: Vec::new(),
             faults: None,
             stats: MemSystemStats { l1d: vec![CacheStats::default(); cores], ..Default::default() },
@@ -597,12 +590,10 @@ impl MemSystem {
             }
             match mode {
                 FillMode::Ghost => {
-                    self.ghost_epoch += 1;
                     self.stats.ghost_fills += 1;
                     self.ghosts[core].insert(GhostEntry {
                         line_addr: addr.line_base().raw(),
                         locks: hit.locks,
-                        epoch: self.ghost_epoch,
                     });
                 }
                 _ => {
@@ -668,12 +659,10 @@ impl MemSystem {
         }
         match mode {
             FillMode::Ghost => {
-                self.ghost_epoch += 1;
                 self.stats.ghost_fills += 1;
                 self.ghosts[core].insert(GhostEntry {
                     line_addr: addr.line_base().raw(),
                     locks: resp.line_locks,
-                    epoch: self.ghost_epoch,
                 });
                 Ok(LoadResult {
                     latency: path_latency,
@@ -824,12 +813,6 @@ impl MemSystem {
 
     // ---- GhostMinion support --------------------------------------------
 
-    /// Current ghost epoch; capture before speculating, pass to
-    /// [`MemSystem::drop_ghosts_since`] on a squash.
-    pub fn ghost_mark(&self) -> GhostToken {
-        GhostToken(self.ghost_epoch)
-    }
-
     /// Promotes the ghost line containing `addr` (if any) into the committed
     /// hierarchy (L1 + L2) — called when the speculative load that fetched
     /// it commits. Without the L2 install, every speculative reuse would
@@ -854,13 +837,6 @@ impl MemSystem {
         } else {
             false
         }
-    }
-
-    /// Drops every ghost entry allocated after `mark` (squash recovery).
-    pub fn drop_ghosts_since(&mut self, core: usize, mark: GhostToken) {
-        let before = self.ghosts[core].entries.len();
-        self.ghosts[core].entries.retain(|e| e.epoch <= mark.0);
-        self.stats.ghost_drops += (before - self.ghosts[core].entries.len()) as u64;
     }
 
     // ---- observability (leak oracle & tests) ------------------------------
@@ -1008,7 +984,6 @@ impl MemSystem {
                 for t in en.locks {
                     e.u8(t.value());
                 }
-                e.uv(en.epoch);
             });
         }
         for p in &self.prefetchers {
@@ -1021,7 +996,6 @@ impl MemSystem {
                 e.u8(t.value());
             }
         });
-        e.uv(self.ghost_epoch);
         e.seq(&self.protected, |e, (lo, hi)| {
             e.uv(*lo);
             e.uv(*hi);
@@ -1088,8 +1062,7 @@ impl MemSystem {
                 for t in &mut locks {
                     *t = decode_nibble(d, "ghost lock nibble")?;
                 }
-                let epoch = d.uv()?;
-                Ok(GhostEntry { line_addr, locks, epoch })
+                Ok(GhostEntry { line_addr, locks })
             })?;
         }
         for p in &mut self.prefetchers {
@@ -1104,7 +1077,6 @@ impl MemSystem {
             Ok((la, locks))
         })?;
         self.tag_hints = hints.into_iter().collect();
-        self.ghost_epoch = d.uv()?;
         self.protected = d.seq(1 << 16, |d| Ok((d.uv()?, d.uv()?)))?;
         let has_faults = d.bool()?;
         if has_faults != self.faults.is_some() {
@@ -1261,7 +1233,6 @@ mod tests {
     fn ghost_promote_and_drop() {
         let mut m = sys();
         let a = VirtAddr::new(0x2000);
-        let mark = m.ghost_mark();
         m.load(0, a, 8, 0, FillMode::Ghost, false).unwrap();
         assert!(m.promote_ghost(0, a, 10));
         assert!(m.is_cached(0, a));
@@ -1269,7 +1240,7 @@ mod tests {
 
         let b = VirtAddr::new(0x4000);
         m.load(0, b, 8, 20, FillMode::Ghost, false).unwrap();
-        m.drop_ghosts_since(0, mark);
+        assert!(m.drop_ghost_line(0, b));
         assert!(!m.is_ghost_cached(0, b));
         assert_eq!(m.stats().ghost_drops, 1);
         assert_eq!(m.stats().ghost_promotions, 1);

@@ -220,7 +220,8 @@ fn dec_commit_record(
 impl Core {
     /// Serializes the complete mutable core state: architectural registers,
     /// fetch/rename/ROB/LSQ contents, predictors, trace and fault cursors,
-    /// statistics, the IRG RNG and policy-internal state.
+    /// statistics and the IRG RNG. Policies are stateless, so nothing of
+    /// the policy is written: the image restores under any policy.
     ///
     /// Instructions are *not* serialized — every in-flight entry is rebuilt
     /// from the (identical) program at restore. Scheduler indices (ready
@@ -296,16 +297,10 @@ impl Core {
         self.stats.encode(e);
         self.pred.encode(e);
         self.irg.encode(e);
-        // Policy-internal state rides as a length-prefixed blob, so a
-        // warmed-baseline restore into a *different* mitigation can skip it
-        // without desynchronizing the stream.
-        let mut pe = sas_snap::Enc::new();
-        self.policy.snapshot_state(&mut pe);
-        e.bytes(&pe.into_bytes());
     }
 
     /// Restores state serialized by [`Core::encode`] into a core built from
-    /// the same configuration, program and policy.
+    /// the same configuration and program.
     ///
     /// # Errors
     ///
@@ -313,15 +308,7 @@ impl Core {
     /// core's configuration, or a fault-arming / telemetry-arming mismatch
     /// (the snapshot and the restore target must agree on whether fault
     /// injection and deep telemetry are enabled).
-    ///
-    /// With `apply_policy` false the policy-state blob is skipped and the
-    /// target policy keeps its fresh zeroed counters — the warmed-baseline
-    /// fork path, where the snapshot's policy differs from this core's.
-    pub(crate) fn restore(
-        &mut self,
-        d: &mut sas_snap::Dec,
-        apply_policy: bool,
-    ) -> Result<(), sas_snap::SnapError> {
+    pub(crate) fn restore(&mut self, d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
         let bad = |what: &'static str, value: u64| sas_snap::SnapError::BadValue { what, value };
         for r in self.regs.iter_mut() {
             *r = d.uv()?;
@@ -433,12 +420,6 @@ impl Core {
         self.stats.restore(d)?;
         self.pred.restore(d)?;
         self.irg.restore(d)?;
-        let pb = d.bytes()?;
-        if apply_policy {
-            let mut pd = sas_snap::Dec::new(pb, "policy state");
-            self.policy.restore_state(&mut pd)?;
-            pd.finish()?;
-        }
         self.rebuild_scheduler_state();
         Ok(())
     }
@@ -532,10 +513,3 @@ impl Core {
     }
 }
 
-// `writeback` (without mem) retained for unit tests of the TSH logic.
-#[allow(dead_code)]
-fn _assert_send() {
-    fn is_send<T: Send>() {}
-    // Core contains Box<dyn MitigationPolicy> which is not necessarily Send;
-    // the multi-threaded harness uses one System per thread instead.
-}

@@ -9,6 +9,21 @@ use sas_mte::TagCheckOutcome;
 use sas_oracle::CommitRecord;
 
 impl Core {
+    /// Raises a precise fault at `cycle` unless one is already pending. The
+    /// core halts `fault_window` cycles later; in-flight micro-ops keep
+    /// executing until then.
+    fn raise_fault(&mut self, kind: FaultKind, pc: usize, addr: Option<VirtAddr>, cycle: u64) {
+        if self.pending_fault.is_some() {
+            return;
+        }
+        let info = FaultInfo { kind, pc, addr, cycle };
+        self.pending_fault = Some((info, cycle + self.cfg.fault_window));
+        match kind {
+            FaultKind::TagCheck => self.stats.tag_faults += 1,
+            FaultKind::Permission => self.stats.arch_faults += 1,
+        }
+    }
+
     pub(super) fn commit(&mut self, cycle: u64, mem: &mut MemSystem) -> Result<(), SimError> {
         self.drain_slots.retain(|d| d.done_at > cycle);
         let mut committed = 0;
@@ -18,10 +33,6 @@ impl Core {
 
             match head.state {
                 UopState::BlockedUnsafe => {
-                    let (hpc, haddr) = (head.pc, head.addr);
-                    if self.trace_loads {
-                        eprintln!("[fault?] BlockedUnsafe head pc={} outcome={:?} fwd={:?} ff={}", head.pc, head.outcome, head.forwarded_from, head.false_forward);
-                    }
                     // Fig. 4: if speculation resolved in the access's favour
                     // and the tag check failed, raise a tag-check fault. The
                     // pipeline flush takes `fault_window` cycles, like any
@@ -29,16 +40,8 @@ impl Core {
                     // data, so nothing secret can transmit meanwhile.
                     if !self.has_older_unresolved_branch(seq)
                         && !self.has_older_unknown_store(seq)
-                        && self.pending_fault.is_none()
                     {
-                        let info = FaultInfo {
-                            kind: FaultKind::TagCheck,
-                            pc: hpc,
-                            addr: haddr,
-                            cycle,
-                        };
-                        self.pending_fault = Some((info, cycle + self.cfg.fault_window));
-                        self.stats.tag_faults += 1;
+                        self.raise_fault(FaultKind::TagCheck, head.pc, head.addr, cycle);
                     }
                     break;
                 }
@@ -46,15 +49,11 @@ impl Core {
                 _ => break,
             }
 
-            let Some(head) = self.rob.front() else { break };
-
             // A false (4K-alias) forward that survived to commit replays
             // from this load — before any tag judgement: the forwarded data
             // (and its tag comparison) came from the wrong address.
             if head.is_load() && head.false_forward && !head.faulting {
-                let seq = head.seq;
-                let pc = head.pc;
-                self.squash_after(seq - 1, pc, cycle + 1, None);
+                self.squash_after(head.seq - 1, head.pc, cycle + 1, None);
                 break;
             }
 
@@ -65,39 +64,16 @@ impl Core {
             if self.policy.enforces_mte_at_commit()
                 && head.outcome == Some(TagCheckOutcome::Unsafe)
             {
-                if self.trace_loads {
-                    eprintln!("[fault?] MTE-unsafe head pc={} fwd={:?} ff={} addr={:?}", head.pc, head.forwarded_from, head.false_forward, head.addr);
-                }
-                if self.pending_fault.is_none() {
-                    let info = FaultInfo {
-                        kind: FaultKind::TagCheck,
-                        pc: head.pc,
-                        addr: head.addr,
-                        cycle,
-                    };
-                    self.pending_fault = Some((info, cycle + self.cfg.fault_window));
-                    self.stats.tag_faults += 1;
-                }
+                self.raise_fault(FaultKind::TagCheck, head.pc, head.addr, cycle);
                 break;
             }
             // Permission fault (protected range reached the committed path).
+            // The fault is raised at retirement, but the flush takes
+            // `fault_window` cycles — in-flight transients keep executing
+            // (the Meltdown/MDS race).
             if head.faulting {
-                {
-                    // The fault is raised at retirement, but the flush takes
-                    // `fault_window` cycles — in-flight transients keep
-                    // executing (the Meltdown/MDS race).
-                    if self.pending_fault.is_none() {
-                        let info = FaultInfo {
-                            kind: FaultKind::Permission,
-                            pc: head.pc,
-                            addr: head.addr,
-                            cycle,
-                        };
-                        self.pending_fault = Some((info, cycle + self.cfg.fault_window));
-                        self.stats.arch_faults += 1;
-                    }
-                    break;
-                }
+                self.raise_fault(FaultKind::Permission, head.pc, head.addr, cycle);
+                break;
             }
 
             // Stores: a committing store needs a drain slot. The MTE check
@@ -117,16 +93,7 @@ impl Core {
                     && res.outcome == TagCheckOutcome::Unsafe
                     && !matches!(inst, Inst::Stg { .. } | Inst::St2g { .. })
                 {
-                    if self.pending_fault.is_none() {
-                        let info = FaultInfo {
-                            kind: FaultKind::TagCheck,
-                            pc: head.pc,
-                            addr: Some(addr),
-                            cycle,
-                        };
-                        self.pending_fault = Some((info, cycle + self.cfg.fault_window));
-                        self.stats.tag_faults += 1;
-                    }
+                    self.raise_fault(FaultKind::TagCheck, head.pc, Some(addr), cycle);
                     break;
                 }
                 match inst {

@@ -232,7 +232,7 @@ impl Core {
                         continue;
                     }
                     // STT implicit channel: tainted branch operands delay.
-                    if self.policy.blocks_tainted_branches() {
+                    if self.policy.taints_speculative_loads() {
                         let root = self.operand_taint_root(&self.rob[idx]);
                         if self.root_tainted(root) {
                             self.charge_delay(idx, DelayCause::TaintedBranch, 1);
@@ -460,7 +460,6 @@ impl Core {
         self.note_issued(seq);
         self.completion.push(Reverse((cycle + self.cfg.alu_latency, seq)));
         self.trace.emit(TraceEvent::BranchResolved { cycle, seq, mispredicted });
-        self.policy.on_branch_resolved(seq, mispredicted);
         Ok(())
     }
 

@@ -59,7 +59,6 @@ impl Core {
         // Youngest older store with a known overlapping address.
         let mut candidate: Option<(u64, VirtAddr, u64, Option<u64>)> = None; // (seq, addr, width, value)
         let mut partial_alias: Option<(u64, Option<u64>, VirtAddr)> = None;
-        let _ = &self.drain_slots; // searched below for store-buffer sampling
         for &sseq in self.store_seqs.iter() {
             if sseq >= lseq {
                 break; // ascending: nothing older follows
@@ -92,8 +91,7 @@ impl Core {
             let Some(sv) = svalue else {
                 return Err(DelayCause::MemDepWait); // data not ready yet
             };
-            let allowed =
-                self.policy.allow_stl_forward(laddr.key(), saddr.key(), speculative);
+            let allowed = self.policy.allow_stl_forward(laddr.key(), saddr.key());
             let outcome = if laddr.key() == TagNibble::ZERO {
                 TagCheckOutcome::Unchecked
             } else if laddr.key() == saddr.key() {
@@ -131,9 +129,7 @@ impl Core {
             }
             if let Some((sseq, svalue, saddr)) = partial_alias {
                 if let Some(sv) = svalue {
-                    let allowed =
-                        self.policy.allow_stl_forward(laddr.key(), saddr.key(), speculative);
-                    if !allowed {
+                    if !self.policy.allow_stl_forward(laddr.key(), saddr.key()) {
                         // A refused *false* forward is not a violation — the
                         // full addresses differ; the load simply proceeds to
                         // memory (this is how the tagged SQ kills Fallout).
@@ -242,21 +238,20 @@ impl Core {
         // from the SQ nor touches memory.
         let addr_root = self.operand_taint_root(&self.rob[idx]);
         let addr_tainted = self.root_tainted(addr_root);
-        let ctx = LoadIssueCtx {
-            seq,
-            pc,
-            spec_branch,
-            spec_mdu,
-            addr_tainted,
-            faulting,
-            key: addr.key(),
-        };
+        let ctx = LoadIssueCtx { spec_branch, spec_mdu, addr_tainted, key: addr.key() };
         let mode = match self.policy.on_load_issue(&ctx) {
             IssueDecision::Proceed(m) => m,
             IssueDecision::Delay(cause) => {
                 self.charge_delay(idx, cause, 1);
                 return Ok(false);
             }
+        };
+        // STT: a speculative load's result is tainted at its own root;
+        // otherwise it inherits its address operand's taint.
+        let taint_root = if self.policy.taints_speculative_loads() && speculative {
+            Some(seq)
+        } else {
+            addr_root
         };
 
         // Store-to-load forwarding / Fallout false forward. A faulting load
@@ -268,8 +263,6 @@ impl Core {
                 return Ok(false);
             }
             Ok(Some((value, sseq, false_fwd, outcome))) => {
-                let taint_root = self.operand_taint_root(&self.rob[idx]);
-                let taints = self.policy.taints_speculative_loads();
                 let u = &mut self.rob[idx];
                 u.forwarded_from = Some(sseq);
                 u.false_forward = false_fwd;
@@ -282,11 +275,7 @@ impl Core {
                             TagCheckOutcome::Unsafe => Tcs::Unsafe,
                             _ => Tcs::Safe,
                         };
-                        u.taint_root = if taints && speculative {
-                            Some(seq)
-                        } else {
-                            taint_root
-                        };
+                        u.taint_root = taint_root;
                         u.state = UopState::Executing(cycle + 1);
                     }
                     None => {
@@ -308,9 +297,6 @@ impl Core {
         }
 
         // Access memory (AGU = 1 cycle, then the hierarchy).
-        if self.trace_loads {
-            eprintln!("[load] cycle={cycle} seq={seq} pc={pc} addr={addr} spec_branch={spec_branch}");
-        }
         if self.trace.enabled() {
             self.trace.emit(TraceEvent::LoadIssue { cycle, seq, addr, speculative });
         }
@@ -338,7 +324,6 @@ impl Core {
                 _ => mem.read_arch(addr, self.rob[idx].width.max(1)),
             }
         };
-        let taints = self.policy.taints_speculative_loads();
         if self.trace.enabled() {
             self.trace.emit(TraceEvent::TagCheck { cycle, seq, outcome: res.outcome });
         }
@@ -347,7 +332,7 @@ impl Core {
         u.fill_mode_used = Some(mode);
         u.outcome = Some(res.outcome);
         u.tcs = Tcs::Wait;
-        u.taint_root = if taints && speculative { Some(seq) } else { addr_root };
+        u.taint_root = taint_root;
         if res.data_returned {
             u.result = Some(value);
             u.state = UopState::Executing(cycle + 1 + res.latency);

@@ -336,7 +336,6 @@ pub struct Core {
     scratch_due: Vec<u64>,
     scratch_candidates: Vec<u64>,
 
-    trace_loads: bool,
     trace: Trace,
 
     // robustness hooks
@@ -418,7 +417,6 @@ impl Core {
             waiters: Slab::new(),
             scratch_due: Vec::new(),
             scratch_candidates: Vec::new(),
-            trace_loads: std::env::var_os("SAS_TRACE_LOADS").is_some(),
             trace: Trace::default(),
             faults: None,
             record_commits: false,
@@ -631,7 +629,7 @@ impl Core {
         if self.finished {
             return Ok(());
         }
-        self.writeback_with_mem(cycle, mem);
+        self.writeback(cycle, mem);
         self.issue(cycle, mem)?;
         self.dispatch(cycle);
         self.fetch(cycle);
@@ -776,10 +774,5 @@ impl Core {
                 );
             }
         }
-    }
-
-    /// Exports the active policy's internal counters (`policy.*` names).
-    pub fn export_policy_metrics(&self, reg: &mut MetricsRegistry) {
-        self.policy.export_metrics(reg);
     }
 }

@@ -6,6 +6,11 @@ use crate::trace::TraceEvent;
 use sas_mem::{FillMode, MemSystem};
 
 impl Core {
+    /// Squashes every micro-op younger than `after_seq` and redirects fetch
+    /// to `redirect_pc` from cycle `resume_at`. With `mem`, the squashed
+    /// loads' ghost fills are dropped (GhostMinion's rollback): writeback
+    /// passes it for mispredicts; order-violation and false-forward replays
+    /// pass `None` and leave their ghost lines to be promoted or evicted.
     pub(super) fn squash_after(
         &mut self,
         after_seq: u64,
@@ -90,18 +95,5 @@ impl Core {
         self.fetch_stalled_on = None;
         self.fetch_pc = Some(redirect_pc);
         self.fetch_resume_at = resume_at;
-        self.policy.on_squash(after_seq);
-    }
-
-    /// The squash entry point used when a mispredicted branch resolves and
-    /// ghost state must be rolled back.
-    pub(super) fn squash_after_with_mem(
-        &mut self,
-        after_seq: u64,
-        redirect_pc: usize,
-        resume_at: u64,
-        mem: &mut MemSystem,
-    ) {
-        self.squash_after(after_seq, redirect_pc, resume_at, Some(mem));
     }
 }

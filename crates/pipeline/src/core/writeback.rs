@@ -59,93 +59,69 @@ impl Core {
         self.scratch_due.dedup();
     }
 
-    pub(super) fn writeback_with_mem(&mut self, cycle: u64, mem: &mut MemSystem) {
-        // Same as writeback() but routes squashes through ghost rollback.
+    /// Completes every micro-op due at `cycle`, then squashes behind the
+    /// oldest mispredicted branch among them, dropping the squashed loads'
+    /// ghost fills.
+    pub(super) fn writeback(&mut self, cycle: u64, mem: &mut MemSystem) {
         self.collect_due(cycle);
         let due = std::mem::take(&mut self.scratch_due);
         // Oldest completing mispredicted branch wins the redirect; `due` is
-        // ascending, so the first qualifying entry is it.
+        // ascending, so the first one completed is it.
         let mut redirect: Option<(u64, usize)> = None;
         for &seq in &due {
-            if redirect.is_some() {
-                break;
+            let Some(i) = self.rob_index(seq) else { continue };
+            let UopState::Executing(done) = self.rob[i].state else { continue };
+            if done > cycle {
+                continue;
             }
-            if let Some(u) = self.find(seq) {
-                if let UopState::Executing(done) = u.state {
-                    if done <= cycle && u.is_branch() && u.mispredicted {
-                        redirect = Some((u.seq, u.predicted_next));
-                    }
+            let is_load = self.rob[i].is_load();
+            // SpecASan's STL rule: a tagged load that bypassed
+            // unresolved-address stores holds its completed result
+            // until those addresses resolve.
+            if is_load
+                && self.policy.holds_tagged_mdu_results()
+                && self.rob[i].addr.is_some_and(|a| a.key() != TagNibble::ZERO)
+                && self.has_older_unknown_store(seq)
+            {
+                self.charge_delay(i, DelayCause::TaggedMduWait, 1);
+                // Still `Executing(done <= cycle)`: re-arm the heap so
+                // next cycle's writeback revisits the held result.
+                self.completion.push(Reverse((cycle + 1, seq)));
+                continue;
+            }
+            if is_load && self.rob[i].tcs == Tcs::Wait {
+                let outcome = self.rob[i].outcome.unwrap_or(TagCheckOutcome::Unchecked);
+                if self.policy.on_load_response(&LoadRespCtx { outcome }) == RespDecision::Block {
+                    let u = &mut self.rob[i];
+                    u.tcs = Tcs::Unsafe;
+                    u.result = None;
+                    u.state = UopState::BlockedUnsafe;
+                    self.stats.unsafe_spec_accesses += 1;
+                    self.charge_delay(i, DelayCause::UnsafeAccessWait, 1);
+                    continue;
+                }
+                self.rob[i].tcs = match outcome {
+                    TagCheckOutcome::Unsafe => Tcs::Unsafe,
+                    _ => Tcs::Safe,
+                };
+            } else {
+                let u = &self.rob[i];
+                if u.inst == Inst::SpecBarrier && self.active_barrier == Some(seq) {
+                    self.active_barrier = None;
+                }
+                if redirect.is_none() && u.is_branch() && u.mispredicted {
+                    redirect = Some((seq, u.predicted_next));
                 }
             }
+            self.rob[i].state = UopState::Done;
+            self.on_done(i);
+            if let Some(t) = self.telemetry.as_mut() {
+                t.timeline.on_complete(seq, cycle);
+            }
         }
-        self.writeback_complete_only(cycle, &due);
         self.scratch_due = due;
         if let Some((bseq, target)) = redirect {
-            self.squash_after_with_mem(bseq, target, cycle + self.cfg.mispredict_penalty, mem);
-        }
-    }
-
-    fn writeback_complete_only(&mut self, cycle: u64, due: &[u64]) {
-        for &dseq in due {
-            let Some(i) = self.rob_index(dseq) else { continue };
-            if let UopState::Executing(done) = self.rob[i].state {
-                if done <= cycle {
-                    // SpecASan's STL rule: a tagged load that bypassed
-                    // unresolved-address stores holds its completed result
-                    // until those addresses resolve.
-                    if self.rob[i].is_load()
-                        && self.policy.holds_tagged_mdu_results()
-                        && self.rob[i].addr.map_or(false, |a| a.key() != TagNibble::ZERO)
-                        && self.has_older_unknown_store(self.rob[i].seq)
-                    {
-                        self.charge_delay(i, DelayCause::TaggedMduWait, 1);
-                        // Still `Executing(done <= cycle)`: re-arm the heap so
-                        // next cycle's writeback revisits the held result.
-                        let seq = self.rob[i].seq;
-                        self.completion.push(Reverse((cycle + 1, seq)));
-                        continue;
-                    }
-                    if self.rob[i].is_load() && self.rob[i].tcs == Tcs::Wait {
-                        let seq = self.rob[i].seq;
-                        let outcome = self.rob[i].outcome.unwrap_or(TagCheckOutcome::Unchecked);
-                        let speculative = self.has_older_unresolved_branch(seq)
-                            || self.has_older_unknown_store(seq);
-                        let ctx = LoadRespCtx { seq, outcome, speculative, data_returned: true };
-                        match self.policy.on_load_response(&ctx) {
-                            RespDecision::Forward => {
-                                self.rob[i].tcs = match outcome {
-                                    TagCheckOutcome::Unsafe => Tcs::Unsafe,
-                                    _ => Tcs::Safe,
-                                };
-                                self.rob[i].state = UopState::Done;
-                                self.on_done(i);
-                                if let Some(t) = self.telemetry.as_mut() {
-                                    t.timeline.on_complete(seq, cycle);
-                                }
-                            }
-                            RespDecision::Block => {
-                                self.rob[i].tcs = Tcs::Unsafe;
-                                self.rob[i].result = None;
-                                self.rob[i].state = UopState::BlockedUnsafe;
-                                self.stats.unsafe_spec_accesses += 1;
-                                self.charge_delay(i, DelayCause::UnsafeAccessWait, 1);
-                            }
-                        }
-                    } else {
-                        self.rob[i].state = UopState::Done;
-                        if self.rob[i].inst == Inst::SpecBarrier
-                            && self.active_barrier == Some(self.rob[i].seq)
-                        {
-                            self.active_barrier = None;
-                        }
-                        self.on_done(i);
-                        let seq = self.rob[i].seq;
-                        if let Some(t) = self.telemetry.as_mut() {
-                            t.timeline.on_complete(seq, cycle);
-                        }
-                    }
-                }
-            }
+            self.squash_after(bseq, target, cycle + self.cfg.mispredict_penalty, Some(mem));
         }
     }
 }

@@ -3,9 +3,11 @@
 //! The pipeline is mitigation-agnostic: at every decision point a transient
 //! execution defense could intervene — load issue, load response,
 //! store-to-load forwarding, indirect-branch speculation — it consults an
-//! object-safe [`MitigationPolicy`]. The concrete policies (SpecASan, fences,
-//! STT, GhostMinion, SpecCFI, …) live in the `specasan` crate; this module
-//! only defines the vocabulary plus the do-nothing [`NoPolicy`] baseline.
+//! object-safe [`MitigationPolicy`], plus four capability flags. Policies
+//! are stateless: every hook takes `&self`. The concrete policies (SpecASan,
+//! fences, STT, GhostMinion, SpecCFI, …) live in the `specasan` crate; this
+//! module only defines the vocabulary plus the unprotected [`NoPolicy`] and
+//! MTE-only [`MteOnlyPolicy`] baselines.
 
 use sas_isa::TagNibble;
 use sas_mem::FillMode;
@@ -86,10 +88,6 @@ impl DelayCause {
 /// Everything a policy may inspect when a load wants to issue to memory.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadIssueCtx {
-    /// Global sequence number of the load.
-    pub seq: u64,
-    /// Fetch PC.
-    pub pc: usize,
     /// An older unresolved branch exists (branch speculation window).
     pub spec_branch: bool,
     /// The load bypassed an older store with an unresolved address (memory
@@ -97,8 +95,6 @@ pub struct LoadIssueCtx {
     pub spec_mdu: bool,
     /// The address operand derives from a still-speculative load (taint).
     pub addr_tainted: bool,
-    /// The load architecturally faults (protected-range access).
-    pub faulting: bool,
     /// Address tag carried by the pointer.
     pub key: TagNibble,
 }
@@ -113,17 +109,11 @@ pub enum IssueDecision {
     Delay(DelayCause),
 }
 
-/// Everything a policy may inspect when a memory response returns.
+/// Everything a policy may inspect when a load's memory response returns.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadRespCtx {
-    /// Global sequence number of the load.
-    pub seq: u64,
     /// Tag-check outcome reported by the memory system.
     pub outcome: TagCheckOutcome,
-    /// The load is still speculative (branch or memory-dependence window).
-    pub speculative: bool,
-    /// Whether the memory system returned data.
-    pub data_returned: bool,
 }
 
 /// Verdict for a returned load response.
@@ -149,6 +139,12 @@ pub enum IndirectKind {
 
 /// A transient-execution mitigation, consulted by the pipeline.
 ///
+/// A policy is a pure function of its inputs: every method takes `&self`
+/// and no policy holds state, so a policy never appears in a snapshot and
+/// any image restores under any policy. What a policy caused is counted by
+/// the core (`CoreStats::delay_events`, `delay_cycles`, `stl_blocked`,
+/// `unsafe_spec_accesses`).
+///
 /// The default method bodies implement the unprotected baseline, so a policy
 /// only overrides the decision points it cares about.
 pub trait MitigationPolicy {
@@ -156,36 +152,19 @@ pub trait MitigationPolicy {
     fn name(&self) -> &'static str;
 
     /// May this load issue to memory now, and under which fill mode?
-    fn on_load_issue(&mut self, _ctx: &LoadIssueCtx) -> IssueDecision {
+    fn on_load_issue(&self, _ctx: &LoadIssueCtx) -> IssueDecision {
         IssueDecision::Proceed(FillMode::Install)
     }
 
     /// The memory response arrived; may its data be forwarded to dependents?
-    fn on_load_response(&mut self, _ctx: &LoadRespCtx) -> RespDecision {
+    fn on_load_response(&self, _ctx: &LoadRespCtx) -> RespDecision {
         RespDecision::Forward
     }
 
-    /// May the SQ forward this store's data to a load? `speculative` is true
-    /// when the load is still under branch/memory speculation.
-    fn allow_stl_forward(
-        &mut self,
-        _load_key: TagNibble,
-        _store_key: TagNibble,
-        _speculative: bool,
-    ) -> bool {
+    /// May the SQ forward a store carrying `store_key` to a load carrying
+    /// `load_key`?
+    fn allow_stl_forward(&self, _load_key: TagNibble, _store_key: TagNibble) -> bool {
         true
-    }
-
-    /// Whether results of speculative loads are tainted and tracked through
-    /// dataflow (STT).
-    fn taints_speculative_loads(&self) -> bool {
-        false
-    }
-
-    /// Whether a branch whose condition/target operand is tainted must wait
-    /// for the taint to clear (STT's implicit-channel protection).
-    fn blocks_tainted_branches(&self) -> bool {
-        false
     }
 
     /// May fetch speculate past an indirect branch to a predicted target?
@@ -193,7 +172,7 @@ pub trait MitigationPolicy {
     /// landing pad valid for `kind`; `rsb_match` whether a `RET` target
     /// matches the shadow stack (SpecCFI).
     fn allow_indirect_speculation(
-        &mut self,
+        &self,
         _kind: IndirectKind,
         _target_has_bti: bool,
         _rsb_match: bool,
@@ -224,29 +203,12 @@ pub trait MitigationPolicy {
         false
     }
 
-    /// Notification: a branch resolved (`mispredicted` tells how).
-    fn on_branch_resolved(&mut self, _seq: u64, _mispredicted: bool) {}
-
-    /// Notification: everything younger than `seq` was squashed.
-    fn on_squash(&mut self, _after_seq: u64) {}
-
-    /// Exports policy-internal counters into the metrics registry under
-    /// `policy.*` names. The baseline has nothing to report.
-    fn export_metrics(&self, _reg: &mut sas_telemetry::MetricsRegistry) {}
-
-    /// Serializes policy-internal mutable state into a snapshot. Stateless
-    /// policies (the baselines) write nothing; stateful policies must
-    /// override both this and [`MitigationPolicy::restore_state`] with
-    /// matching codecs.
-    fn snapshot_state(&self, _e: &mut sas_snap::Enc) {}
-
-    /// Restores state written by [`MitigationPolicy::snapshot_state`].
-    ///
-    /// # Errors
-    ///
-    /// Implementations report truncated or malformed input.
-    fn restore_state(&mut self, _d: &mut sas_snap::Dec) -> Result<(), sas_snap::SnapError> {
-        Ok(())
+    /// Whether results of speculative loads are tainted and tracked through
+    /// dataflow (STT). A tainting policy also holds every branch whose
+    /// operand is tainted until the taint clears (STT's implicit-channel
+    /// protection).
+    fn taints_speculative_loads(&self) -> bool {
+        false
     }
 }
 
@@ -272,43 +234,5 @@ pub struct MteOnlyPolicy;
 impl MitigationPolicy for MteOnlyPolicy {
     fn name(&self) -> &'static str {
         "arm-mte"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn no_policy_is_fully_permissive() {
-        let mut p = NoPolicy;
-        let ctx = LoadIssueCtx {
-            seq: 1,
-            pc: 0,
-            spec_branch: true,
-            spec_mdu: true,
-            addr_tainted: true,
-            faulting: true,
-            key: TagNibble::new(3),
-        };
-        assert_eq!(p.on_load_issue(&ctx), IssueDecision::Proceed(FillMode::Install));
-        assert!(p.allow_stl_forward(TagNibble::new(1), TagNibble::new(2), true));
-        assert!(!p.enforces_mte_at_commit());
-        assert!(p.allow_indirect_speculation(IndirectKind::Return, false, false));
-    }
-
-    #[test]
-    fn mte_only_checks_at_commit() {
-        let p = MteOnlyPolicy;
-        assert!(p.enforces_mte_at_commit());
-        assert!(!p.taints_speculative_loads());
-    }
-
-    #[test]
-    fn policy_is_object_safe() {
-        let policies: Vec<Box<dyn MitigationPolicy>> =
-            vec![Box::new(NoPolicy), Box::new(MteOnlyPolicy)];
-        assert_eq!(policies[0].name(), "unsafe-baseline");
-        assert_eq!(policies[1].name(), "arm-mte");
     }
 }

@@ -304,8 +304,7 @@ impl System {
 
     /// Exports every layer's metrics — per-core pipeline counters, delay
     /// tables, CPI stacks and histograms; occupancy gauges; memory-system
-    /// and MTE tag-storage counters; and finally any `policy.*` counters
-    /// the active mitigation reports.
+    /// and MTE tag-storage counters.
     pub fn export_metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for c in &self.cores {
@@ -316,9 +315,6 @@ impl System {
         }
         self.mem.export_metrics(&mut reg);
         self.mem.tags.export_metrics(&mut reg);
-        for c in &self.cores {
-            c.export_policy_metrics(&mut reg);
-        }
         reg
     }
 
@@ -636,8 +632,6 @@ impl System {
     }
 
     /// Restores core `i` from state serialized by [`System::encode_core`].
-    /// `apply_policy` false skips the policy-state blob (warmed-baseline
-    /// forks restore into a different mitigation whose fresh state is kept).
     ///
     /// # Errors
     ///
@@ -647,8 +641,7 @@ impl System {
         &mut self,
         i: usize,
         d: &mut sas_snap::Dec,
-        apply_policy: bool,
     ) -> Result<(), sas_snap::SnapError> {
-        self.cores[i].restore(d, apply_policy)
+        self.cores[i].restore(d)
     }
 }

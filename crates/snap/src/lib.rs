@@ -31,15 +31,16 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"SASNAP\x00\x01";
 
 /// Current snapshot format version. Readers reject every other version:
-/// anything newer is unknown, and version 1 recorded program fingerprints
-/// over rendered `.sasm` text, which this build no longer computes (see
-/// DESIGN.md §11 for the migration policy).
-pub const VERSION: u16 = 2;
+/// anything newer is unknown, version 1 recorded program fingerprints over
+/// rendered `.sasm` text, which this build no longer computes, and version 2
+/// carried per-core policy-state blobs and ghost-buffer epochs, which no
+/// longer exist (see DESIGN.md §11 for the migration policy).
+pub const VERSION: u16 = 3;
 
 /// Header flag: the snapshot is a warmed-baseline image — caches, predictors
 /// and architectural state warmed under the unprotected baseline. Restoring
-/// relaxes the policy fingerprint check and discards the (empty) policy-state
-/// blob, so one image forks cells for *any* mitigation.
+/// relaxes the policy-name check, so one image forks cells for *any*
+/// mitigation.
 pub const FLAG_WARM_BASE: u16 = 1 << 0;
 
 /// Header flag: the snapshotted system had telemetry attached.
@@ -879,12 +880,16 @@ mod tests {
     }
 
     #[test]
-    fn version_1_images_are_rejected() {
-        // Version 1 fingerprinted programs over rendered `.sasm`; its images
-        // are rejected (and checkpoints replayed), never misread.
-        let err = Snapshot::parse(sample_as_version(1)).err();
-        assert_eq!(err, Some(SnapError::BadVersion { found: 1, supported: VERSION }));
-        assert!(err.unwrap().to_string().contains("version 1 is older than supported"));
+    fn older_versions_are_rejected() {
+        // Version 1 fingerprinted programs over rendered `.sasm`; version 2
+        // carried policy-state blobs and ghost epochs. Their images are
+        // rejected (and checkpoints replayed), never misread.
+        for found in [1, 2] {
+            let err = Snapshot::parse(sample_as_version(found)).err();
+            assert_eq!(err, Some(SnapError::BadVersion { found, supported: VERSION }));
+            let msg = err.unwrap().to_string();
+            assert!(msg.contains(&format!("version {found} is older than supported")), "{msg}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ echo "== tier1: telemetry exports (sas-trace on spectre-v1, every mitigation) ==
 # Chrome trace that passes the checked-in trace_event validator, a Konata
 # log covering every committed instruction, a CPI stack whose buckets sum
 # exactly to the cycle count (--verify checks all three), and a metrics
-# JSONL whose non-policy key schema matches the checked-in golden list.
+# JSONL whose key schema matches the checked-in golden list.
 mkdir -p target/sas-trace
 for m in unsafe mte fence stt ghostminion specasan speccfi specasan+cfi; do
   safe=${m//+/-}
@@ -98,9 +98,9 @@ if ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT"
   exit 1
 fi
 ./target/release/sas-snap verify "$CKPT"
-# A fresh checkpoint is written in the current format (version 2).
+# A fresh checkpoint is written in the current format (version 3).
 ./target/release/sas-snap inspect "$CKPT" > "$SNAPDIR/inspect.txt"
-grep -qx '  version:  2' "$SNAPDIR/inspect.txt"
+grep -qx '  version:  3' "$SNAPDIR/inspect.txt"
 resumed=$(./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" 2>/dev/null)
 echo "$resumed" | grep -q '"restored":true'
 [ "$(echo "$resumed" | result_cycles)" = "$ref" ]

@@ -54,7 +54,7 @@ FLAGS:
   --cpi-stack                 print the commit-time CPI stack table
   --verify                    validate the exports (Chrome JSON well-formedness,
                               Konata retirement coverage, CPI-sum invariant)
-  --golden FILE               diff metric keys (minus policy.*) against FILE
+  --golden FILE               diff metric keys against FILE
 
 QUERY FLAGS:
   --from FILE                 artifact to index (repeatable: manifests,
@@ -166,14 +166,13 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Verifies the golden metric-key list: every non-`policy.*` registry key
-/// must appear in the golden file and vice versa.
-fn verify_golden(keys: &[&str], golden_path: &str) -> Result<(), String> {
+/// Verifies the golden metric-key list: every registry key must appear in
+/// the golden file and vice versa.
+fn verify_golden(got: &[&str], golden_path: &str) -> Result<(), String> {
     let golden = std::fs::read_to_string(golden_path)
         .map_err(|e| format!("cannot read golden file {golden_path}: {e}"))?;
     let want: Vec<&str> =
         golden.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
-    let got: Vec<&str> = keys.iter().copied().filter(|k| !k.starts_with("policy.")).collect();
     let missing: Vec<&str> = want.iter().copied().filter(|k| !got.contains(k)).collect();
     let extra: Vec<&str> = got.iter().copied().filter(|k| !want.contains(k)).collect();
     if missing.is_empty() && extra.is_empty() {
