@@ -7,15 +7,22 @@
 //! hot-loop overhaul. Any simulator change that alters a single cycle or
 //! shifts one CPI bucket in any cell fails this test.
 //!
+//! A second test runs the same grid with interval-1 telemetry sampling,
+//! which forbids quiescent skip-ahead on every cycle, and asserts the same
+//! fixture: the tick-by-tick reference for skip equivalence across all five
+//! Figure 6 columns.
+//!
 //! Re-recording (only legitimate when an intentional semantic change lands,
 //! with the diff reviewed cell by cell):
 //!
 //! ```text
-//! SAS_GOLDEN_RECORD=1 cargo test -p sas-bench --test golden_fig6
+//! SAS_GOLDEN_RECORD=1 cargo test -p sas-bench --test golden_fig6 fig6_grid_is_cycle_exact
 //! ```
 
-use sas_bench::{cpi_json, run_spec};
-use sas_workloads::spec_suite;
+use sas_bench::checkpoint::CheckpointPlan;
+use sas_bench::{build_spec_system, cpi_json, run_cell_with, run_spec, Cell};
+use sas_pipeline::{DelayCause, RunExit};
+use sas_workloads::{spec_suite, Profile};
 use specasan::Mitigation;
 use std::sync::Mutex;
 
@@ -39,7 +46,7 @@ fn grid() -> Vec<(usize, &'static str, Mitigation)> {
 /// Runs the whole grid on a small worker pool (cells are independent
 /// single-core sims; parallelism cannot affect their results — that is
 /// itself asserted by the determinism property test in `sas-core`).
-fn run_grid() -> Vec<String> {
+fn run_grid(run: impl Fn(&Profile, Mitigation) -> Cell + Sync) -> Vec<String> {
     let cells = grid();
     let work = Mutex::new(cells.clone().into_iter());
     let mut lines: Vec<(usize, String)> = Vec::with_capacity(cells.len());
@@ -51,7 +58,7 @@ fn run_grid() -> Vec<String> {
                 let next = work.lock().unwrap().next();
                 let Some((i, bench, m)) = next else { break };
                 let profile = spec_suite().into_iter().find(|p| p.name == bench).unwrap();
-                let cell = run_spec(&profile, m, ITERS);
+                let cell = run(&profile, m);
                 let line = format!(
                     "{}/{} cycles={} committed={} cpi={}",
                     bench,
@@ -68,15 +75,8 @@ fn run_grid() -> Vec<String> {
     lines.into_iter().map(|(_, l)| l).collect()
 }
 
-#[test]
-fn fig6_grid_is_cycle_exact() {
-    let lines = run_grid();
-    let body = lines.join("\n") + "\n";
-    if std::env::var("SAS_GOLDEN_RECORD").is_ok_and(|v| v == "1") {
-        std::fs::write(FIXTURE, &body).unwrap();
-        eprintln!("recorded {} cells into {FIXTURE}", lines.len());
-        return;
-    }
+/// Asserts `lines` match the fixture, cell by cell.
+fn assert_matches_fixture(lines: &[String]) {
     let golden = std::fs::read_to_string(FIXTURE)
         .unwrap_or_else(|e| panic!("missing golden fixture {FIXTURE}: {e}"));
     let golden_lines: Vec<&str> = golden.lines().collect();
@@ -88,7 +88,7 @@ fn fig6_grid_is_cycle_exact() {
         lines.len()
     );
     let mut diffs = Vec::new();
-    for (want, got) in golden_lines.iter().zip(&lines) {
+    for (want, got) in golden_lines.iter().zip(lines) {
         if want != got {
             diffs.push(format!("  - {want}\n  + {got}"));
         }
@@ -100,4 +100,53 @@ fn fig6_grid_is_cycle_exact() {
         lines.len(),
         diffs.join("\n")
     );
+}
+
+#[test]
+fn fig6_grid_is_cycle_exact() {
+    let lines = run_grid(|p, m| run_spec(p, m, ITERS));
+    if std::env::var("SAS_GOLDEN_RECORD").is_ok_and(|v| v == "1") {
+        let body = lines.join("\n") + "\n";
+        std::fs::write(FIXTURE, &body).unwrap();
+        eprintln!("recorded {} cells into {FIXTURE}", lines.len());
+        return;
+    }
+    assert_matches_fixture(&lines);
+}
+
+/// Interval-1 sampling clamps every quiescent window to zero cycles, so
+/// this grid is ticked cycle by cycle: it must still match the fixture.
+#[test]
+fn fig6_grid_ticked_cycle_by_cycle_matches_golden() {
+    let lines = run_grid(|p, m| {
+        let mut sys = build_spec_system(p, m, ITERS);
+        sys.enable_telemetry(1, 1);
+        run_cell_with(sys, "fig6", p.name, m, &CheckpointPlan::none())
+            .unwrap_or_else(|f| panic!("{f}"))
+    });
+    assert_matches_fixture(&lines);
+}
+
+/// Skip-ahead charges the retries of a skipped window in bulk; the
+/// per-cause delay histograms must still read as if every retry had been
+/// observed on its own cycle. Interval 4096 leaves long windows to skip,
+/// interval 1 ticks every cycle.
+#[test]
+fn delay_histograms_match_between_ticked_and_skipped_runs() {
+    for m in [Mitigation::Fence, Mitigation::Stt] {
+        for p in spec_suite() {
+            let histograms = |interval: u64| {
+                let mut sys = build_spec_system(&p, m, ITERS);
+                sys.enable_telemetry(interval, 1);
+                let r = sys.run(1_000_000_000);
+                assert_eq!(r.exit, RunExit::Halted, "{}/{m:?}", p.name);
+                let reg = sys.export_metrics();
+                DelayCause::ALL.map(|c| {
+                    let name = format!("pipeline.core0.hist.delay.{}", c.name());
+                    reg.histogram_value(&name).cloned().unwrap_or_else(|| panic!("no {name}"))
+                })
+            };
+            assert_eq!(histograms(1), histograms(4096), "{}/{m:?}", p.name);
+        }
+    }
 }

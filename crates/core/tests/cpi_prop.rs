@@ -4,11 +4,24 @@
 //! bucket, so the buckets sum *exactly* to the core's cycle count — and the
 //! mitigation-delay bucket is the same accounting as the stats-side
 //! `total_delay_cycles()`, by construction. Both must hold for arbitrary
-//! programs under every mitigation, telemetry on or off.
+//! programs under every mitigation, telemetry on or off. The same file pins
+//! quiescent skip-ahead against a run ticked every cycle.
 //! A failing case prints its seed; `SAS_PTEST_SEED=<seed>` replays it.
 
+use sas_isa::{Operand, Program, ProgramBuilder, Reg};
 use sas_ptest::{check, gens};
 use specasan::{Mitigation, Simulator};
+
+/// Core 0's encoded state after running `program` under `m` up to cycle
+/// `stop`, with telemetry sampled every `interval` cycles.
+fn core_image(program: &Program, m: Mitigation, interval: u64, stop: u64) -> Vec<u8> {
+    let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
+    sim.system_mut().enable_telemetry(interval, 4096);
+    sim.system_mut().run(stop);
+    let mut e = sas_snap::Enc::new();
+    sim.system().encode_core(0, &mut e);
+    e.into_bytes()
+}
 
 /// CPI buckets sum exactly to `cycles`, and the mitigation-delay bucket
 /// equals `total_delay_cycles()`, across random programs × all mitigations.
@@ -40,8 +53,9 @@ fn cpi_buckets_sum_exactly_to_cycles_under_every_mitigation() {
 /// End-to-end determinism: the same program produces bit-identical cycles,
 /// CPI stack and retired-instruction stream on every run — telemetry on or
 /// off, serial or on four concurrent threads — across every mitigation.
-/// Telemetry sampling bounds the simulator's quiescent skip-ahead, so the
-/// on/off comparison also pins skip-vs-no-skip cycle equivalence.
+/// Interval-16 sampling only shortens quiescent skips (skips of up to 15
+/// cycles still happen); the tick-by-tick reference is
+/// `skip_ahead_matches_ticking_every_cycle_under_every_mitigation`.
 #[test]
 fn runs_are_deterministic_across_telemetry_and_concurrency() {
     check("runs_are_deterministic_across_telemetry_and_concurrency", 6, |rng| {
@@ -71,6 +85,84 @@ fn runs_are_deterministic_across_telemetry_and_concurrency() {
             });
         }
     });
+}
+
+/// Quiescent skip-ahead is invisible: a plain run and an interval-1
+/// telemetry run — which samples every cycle and so never skips — agree on
+/// cycles, the full `CoreStats` (delay tables, CPI stack, restricted and
+/// tainted counts), the memory statistics and the retired stream.
+#[test]
+fn skip_ahead_matches_ticking_every_cycle_under_every_mitigation() {
+    check("skip_ahead_matches_ticking_every_cycle_under_every_mitigation", 16, |rng| {
+        let program = gens::terminating_program(8..40).sample(rng);
+        for m in Mitigation::all() {
+            let run = |tick_every_cycle: bool| {
+                let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
+                sim.system_mut().core_mut(0).set_record_commits(true);
+                if tick_every_cycle {
+                    sim.system_mut().enable_telemetry(1, 1);
+                }
+                let rep = sim.run();
+                assert!(rep.halted_cleanly(), "{m:?}: {}", rep.summary());
+                let retired = sim.system_mut().core_mut(0).take_retired();
+                let r = rep.result;
+                (r.cycles, r.core_stats, r.mem_stats, retired)
+            };
+            assert_eq!(run(false), run(true), "{m:?}: skip-ahead must equal ticking every cycle");
+        }
+    });
+}
+
+/// Skip-ahead leaves no trace in the machine state either: stopped at the
+/// same cycle, a core that skipped quiescent windows (interval-4096
+/// sampling) encodes byte-identically to one ticked every cycle (interval
+/// 1).
+#[test]
+fn skipped_windows_leave_core_state_identical() {
+    check("skipped_windows_leave_core_state_identical", 32, |rng| {
+        let program = gens::terminating_program(8..40).sample(rng);
+        for m in Mitigation::all() {
+            let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
+            let total = sim.run().result.cycles;
+            for stop in [total / 4, total / 2, 3 * total / 4] {
+                assert!(
+                    core_image(&program, m, 1, stop) == core_image(&program, m, 4096, stop),
+                    "{m:?}: core state differs at {stop}"
+                );
+            }
+        }
+    });
+}
+
+/// A load whose first issue attempt falls in a skipped window latches its
+/// address there, as that attempt would have. The load is ready at
+/// dispatch, held by the fence policy behind a store whose address waits on
+/// a cold miss, and the machine goes quiet the cycle after: 29 adds on the
+/// miss fill the issue queue, so `HALT` cannot dispatch.
+#[test]
+fn skipped_first_attempt_latches_the_load_address() {
+    const BASE: u64 = 0x4000;
+    let mut asm = ProgramBuilder::new();
+    asm.mov_imm64(Reg::x(6), BASE);
+    asm.ldr(Reg::x(1), Reg::x(6), 0x100);
+    asm.and(Reg::x(2), Reg::x(1), Operand::imm(0));
+    asm.str_idx(Reg::x(3), Reg::x(6), Reg::x(2));
+    for _ in 0..29 {
+        asm.add(Reg::x(4), Reg::x(1), Operand::imm(1));
+    }
+    asm.ldr(Reg::x(5), Reg::x(6), 8);
+    asm.halt();
+    asm.data_segment(BASE, vec![0; 0x200]);
+    let program = asm.build().expect("assembles");
+    let m = Mitigation::Fence;
+    let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
+    let total = sim.run().result.cycles;
+    for stop in 1..total {
+        assert!(
+            core_image(&program, m, 1, stop) == core_image(&program, m, 4096, stop),
+            "core state differs at {stop}"
+        );
+    }
 }
 
 /// The invariants are telemetry-independent: enabling timelines, histograms

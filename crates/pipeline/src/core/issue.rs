@@ -1,12 +1,55 @@
 //! Issue / execute: operand reads, STT taint, the per-cycle issue loop
 //! and the ALU, branch, store-data and atomic execution units.
 
+use super::lsq::LoadPlan;
 use super::{sorted_remove, Core, InFlight, Tcs, UopState};
 use crate::policy::DelayCause;
 use crate::trace::TraceEvent;
 use sas_isa::{AluOp, AmoOp, Flags, Inst, Operand, Reg, VirtAddr};
 use sas_mem::{FillMode, MemSystem, SimError};
 use std::cmp::Reverse;
+
+/// Issue ports taken so far in one cycle's issue loop.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct PortUse {
+    alu: usize,
+    load: usize,
+    store: usize,
+}
+
+/// What one issue attempt of a `Waiting` uop would do
+/// ([`Core::classify_issue`]).
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Attempt {
+    /// Nothing happens: barred behind a barrier, operands missing, a fence
+    /// draining, an atomic off the head, a port taken, the divider busy.
+    Idle,
+    /// The attempt only charges a one-cycle mitigation delay. `latch` is a
+    /// load address generated on the way, which the attempt records.
+    Retry { cause: DelayCause, latch: Option<VirtAddr> },
+    /// A speculation barrier issues.
+    Barrier,
+    /// A memory fence issues.
+    Fence,
+    /// An atomic executes at the head.
+    Amo,
+    /// A load passed the MDU and the mitigation; it forwards or accesses
+    /// memory.
+    Load(LoadPlan),
+    /// A store resolves its address (`resolve`, when not yet known) and
+    /// executes its data half.
+    Store { resolve: Option<VirtAddr> },
+    /// A branch executes.
+    Branch,
+    /// An ALU / MTE register op executes, on the divider when `div`.
+    Alu { div: bool },
+}
+
+impl Attempt {
+    fn retry(cause: DelayCause) -> Attempt {
+        Attempt::Retry { cause, latch: None }
+    }
+}
 
 impl Core {
     fn reg_value(&self, reg: Reg, producer: Option<u64>) -> Option<u64> {
@@ -110,16 +153,91 @@ impl Core {
         best
     }
 
-    pub(super) fn issue(&mut self, cycle: u64, mem: &mut MemSystem) -> Result<(), SimError> {
-        let mut issued = 0;
-        let mut alu_used = 0;
-        let mut load_used = 0;
-        let mut store_used = 0;
-
-        let head_seq = self.rob.front().map(|u| u.seq);
+    /// What an issue attempt of the uop at `idx` would do at `cycle`, with
+    /// `ports` already taken this cycle: the pure prefix of the issue
+    /// decision. [`Core::issue`] acts on it and [`Core::quiescent_wake`]
+    /// asks it whether a cycle would only re-charge delays, so the two
+    /// cannot drift apart.
+    pub(super) fn classify_issue(&self, idx: usize, cycle: u64, ports: PortUse) -> Attempt {
+        let u = &self.rob[idx];
+        let seq = u.seq;
+        if !matches!(u.state, UopState::Waiting) {
+            return Attempt::Idle;
+        }
         // Any speculation barrier that has not completed (issued or not)
         // blocks every younger instruction.
-        let barrier_active = self.pending_barriers.first().copied().or(self.active_barrier);
+        if self.pending_barriers.first().copied().or(self.active_barrier).is_some_and(|b| seq > b) {
+            return Attempt::Idle;
+        }
+        if !self.sources_ready(u) {
+            return Attempt::Idle;
+        }
+        let spec_branch = self.has_older_unresolved_branch(seq);
+        // Fence-style serialization: nothing executes speculatively.
+        if spec_branch && self.policy.blocks_full_speculation() {
+            return Attempt::retry(DelayCause::BarrierSpecLoad);
+        }
+        match u.inst {
+            Inst::SpecBarrier if spec_branch => Attempt::retry(DelayCause::ExplicitBarrier),
+            Inst::SpecBarrier => Attempt::Barrier,
+            Inst::Fence => {
+                let older_mem_pending = self.pending_mem.first().is_some_and(|&m| m < seq);
+                if older_mem_pending || spec_branch {
+                    Attempt::Idle
+                } else {
+                    Attempt::Fence
+                }
+            }
+            // Atomics execute only at the ROB head, fully non-speculative.
+            Inst::Amo { .. } if idx == 0 && ports.load < self.cfg.load_ports => Attempt::Amo,
+            Inst::Amo { .. } => Attempt::Idle,
+            _ if u.is_load() => {
+                if ports.load >= self.cfg.load_ports {
+                    return Attempt::Idle;
+                }
+                self.classify_load(u, spec_branch)
+            }
+            _ if u.is_store() => {
+                if ports.store >= self.cfg.store_ports {
+                    return Attempt::Idle;
+                }
+                match u.addr {
+                    Some(_) => Attempt::Store { resolve: None },
+                    None => match self.compute_address(u) {
+                        Some(a) => Attempt::Store { resolve: Some(a) },
+                        None => Attempt::Idle,
+                    },
+                }
+            }
+            _ if u.is_branch() => {
+                if ports.alu >= self.cfg.alu_ports {
+                    return Attempt::Idle;
+                }
+                // STT implicit channel: tainted branch operands delay.
+                if self.policy.taints_speculative_loads()
+                    && self.root_tainted(self.operand_taint_root(u))
+                {
+                    return Attempt::retry(DelayCause::TaintedBranch);
+                }
+                Attempt::Branch
+            }
+            // Non-pipelined divider (SpectreRewind target): no ALU port.
+            Inst::Alu { op: AluOp::UDiv | AluOp::SDiv, .. } => {
+                if self.div_busy_until > cycle {
+                    Attempt::Idle
+                } else {
+                    Attempt::Alu { div: true }
+                }
+            }
+            // plain ALU / MTE register ops
+            _ if ports.alu >= self.cfg.alu_ports => Attempt::Idle,
+            _ => Attempt::Alu { div: false },
+        }
+    }
+
+    pub(super) fn issue(&mut self, cycle: u64, mem: &mut MemSystem) -> Result<(), SimError> {
+        let mut issued = 0;
+        let mut ports = PortUse::default();
 
         // Snapshot the ready list (ascending seq = ROB order). Source
         // readiness is frozen across the issue loop — nothing transitions to
@@ -139,133 +257,63 @@ impl Core {
             let Some(idx) = self.rob_index(seq) else {
                 continue;
             };
-            if !matches!(self.rob[idx].state, UopState::Waiting) {
-                continue;
-            }
-
-            // A speculation barrier blocks all younger instructions.
-            if let Some(b) = barrier_active {
-                if seq > b {
+            match self.classify_issue(idx, cycle, ports) {
+                Attempt::Idle => continue,
+                Attempt::Retry { cause, latch } => {
+                    self.charge_retries(idx, cause, latch, 1);
+                    self.cycle_delay.get_or_insert(cause);
                     continue;
                 }
-            }
-
-            if !self.sources_ready(&self.rob[idx]) {
-                continue;
-            }
-
-            let inst = self.rob[idx].inst;
-            let spec_branch = self.has_older_unresolved_branch(seq);
-
-            // Fence-style serialization: nothing executes speculatively.
-            if spec_branch && self.policy.blocks_full_speculation() {
-                self.charge_delay(idx, DelayCause::BarrierSpecLoad, 1);
-                continue;
-            }
-
-            match inst {
-                Inst::SpecBarrier => {
-                    if spec_branch {
-                        self.charge_delay(idx, DelayCause::ExplicitBarrier, 1);
-                        continue;
-                    }
+                Attempt::Barrier => {
                     self.rob[idx].state = UopState::Executing(cycle + 1);
                     self.note_issued(seq);
                     self.completion.push(Reverse((cycle + 1, seq)));
                     self.active_barrier = Some(seq);
                     issued += 1;
                 }
-                Inst::Fence => {
-                    let older_mem_pending = self.pending_mem.first().is_some_and(|&m| m < seq);
-                    if older_mem_pending || spec_branch {
-                        continue;
-                    }
+                Attempt::Fence => {
                     self.rob[idx].state = UopState::Executing(cycle + 1);
                     self.note_issued(seq);
                     self.completion.push(Reverse((cycle + 1, seq)));
                     issued += 1;
                 }
-                Inst::Amo { .. } => {
-                    // Atomics execute only at the ROB head, fully
-                    // non-speculative.
-                    if head_seq != Some(seq) {
-                        continue;
-                    }
-                    if load_used >= self.cfg.load_ports {
-                        continue;
-                    }
+                Attempt::Amo => {
                     self.execute_amo(idx, cycle, mem)?;
-                    load_used += 1;
+                    ports.load += 1;
                     issued += 1;
                 }
-                _ if inst.is_load() => {
-                    if load_used >= self.cfg.load_ports {
-                        continue;
-                    }
-                    if self.try_issue_load(idx, cycle, mem, spec_branch)? {
-                        load_used += 1;
+                Attempt::Load(plan) => {
+                    if self.issue_load(idx, cycle, mem, plan)? {
+                        ports.load += 1;
                         issued += 1;
                     }
                 }
-                _ if inst.is_store() => {
-                    if store_used >= self.cfg.store_ports {
-                        continue;
-                    }
+                Attempt::Store { resolve } => {
                     // Store-address and store-data resolve independently
                     // (split micro-ops): the address unblocks the memory
                     // dependence of younger loads as early as possible.
-                    if self.rob[idx].addr.is_none() {
-                        if let Some(addr) = self.compute_address(&self.rob[idx]) {
-                            self.resolve_store_address(idx, addr, cycle);
-                            store_used += 1;
-                        } else {
-                            continue;
-                        }
+                    if let Some(addr) = resolve {
+                        self.resolve_store_address(idx, addr, cycle);
+                        ports.store += 1;
                     }
-                    if self.sources_ready(&self.rob[idx]) {
-                        self.execute_store_data(idx, cycle);
-                        issued += 1;
-                    }
-                }
-                _ if inst.is_branch() => {
-                    if alu_used >= self.cfg.alu_ports {
-                        continue;
-                    }
-                    // STT implicit channel: tainted branch operands delay.
-                    if self.policy.taints_speculative_loads() {
-                        let root = self.operand_taint_root(&self.rob[idx]);
-                        if self.root_tainted(root) {
-                            self.charge_delay(idx, DelayCause::TaintedBranch, 1);
-                            continue;
-                        }
-                    }
-                    self.execute_branch(idx, cycle)?;
-                    alu_used += 1;
+                    self.execute_store_data(idx, cycle);
                     issued += 1;
                 }
-                _ => {
-                    // plain ALU / MTE register ops
-                    let is_div = matches!(
-                        inst,
-                        Inst::Alu { op: AluOp::UDiv, .. } | Inst::Alu { op: AluOp::SDiv, .. }
-                    );
-                    if is_div {
-                        // Non-pipelined divider (SpectreRewind target).
-                        if self.div_busy_until > cycle {
-                            continue;
-                        }
-                    } else if alu_used >= self.cfg.alu_ports {
-                        continue;
-                    }
+                Attempt::Branch => {
+                    self.execute_branch(idx, cycle)?;
+                    ports.alu += 1;
+                    issued += 1;
+                }
+                Attempt::Alu { div } => {
                     self.execute_alu(idx, cycle, mem)?;
-                    if is_div {
+                    if div {
                         // Occupy the non-pipelined divider until the result
                         // is ready (data-dependent latency set above).
                         if let UopState::Executing(done) = self.rob[idx].state {
                             self.div_busy_until = done;
                         }
                     } else {
-                        alu_used += 1;
+                        ports.alu += 1;
                     }
                     issued += 1;
                 }
@@ -290,23 +338,50 @@ impl Core {
     /// Charges a mitigation delay against the instruction at `idx`.
     ///
     /// Per-instruction accounting (`u.delay_cycles`, the Figure 8 restricted
-    /// classification, one `delay_events` tick per instruction) happens here;
-    /// per-*cycle* accounting happens in [`Core::attribute_cycle`], which
-    /// charges `stats.delay_cycles` exactly one cycle for the first cause
-    /// recorded in `cycle_delay` — keeping the stall table equal to the CPI
-    /// stack's mitigation bucket by construction.
+    /// classification, one `delay_events` tick per instruction) happens in
+    /// [`Core::note_delay`]; per-*cycle* accounting happens in
+    /// [`Core::attribute_cycle`], which charges `stats.delay_cycles` exactly
+    /// one cycle for the first cause recorded in `cycle_delay` — keeping the
+    /// stall table equal to the CPI stack's mitigation bucket by
+    /// construction.
     pub(super) fn charge_delay(&mut self, idx: usize, cause: DelayCause, cycles: u64) {
-        let u = &mut self.rob[idx];
-        u.delay_cycles += cycles;
-        if !u.delay_recorded {
-            u.delay_recorded = true;
-            self.stats.delay_events.add(cause, 1);
-        }
+        self.note_delay(idx, cause, cycles);
         if self.cycle_delay.is_none() {
             self.cycle_delay = Some(cause);
         }
         if let Some(t) = self.telemetry.as_mut() {
             t.delay_per_cause[cause.index()].observe(cycles);
+        }
+    }
+
+    /// Charges `n` back-to-back one-cycle retries of the held uop at `idx`
+    /// — one per tick from [`Core::issue`], a skipped window's worth from
+    /// [`Core::skip_quiescent`] — after latching the load address its
+    /// attempt generated. The per-cycle attribution is the caller's.
+    pub(super) fn charge_retries(
+        &mut self,
+        idx: usize,
+        cause: DelayCause,
+        latch: Option<VirtAddr>,
+        n: u64,
+    ) {
+        if latch.is_some() {
+            self.rob[idx].addr = latch;
+        }
+        self.note_delay(idx, cause, n);
+        if let Some(t) = self.telemetry.as_mut() {
+            t.delay_per_cause[cause.index()].observe_n(1, n);
+        }
+    }
+
+    /// The per-instruction half of a delay charge: `cycles` more on the
+    /// uop's delay total, and its one `delay_events` tick the first time.
+    fn note_delay(&mut self, idx: usize, cause: DelayCause, cycles: u64) {
+        let u = &mut self.rob[idx];
+        u.delay_cycles += cycles;
+        if !u.delay_recorded {
+            u.delay_recorded = true;
+            self.stats.delay_events.add(cause, 1);
         }
     }
 

@@ -1,13 +1,26 @@
 //! The load/store queues: address generation, store-to-load forwarding,
 //! memory-order violations and load issue to the memory system.
 
+use super::issue::Attempt;
 use super::{sorted_remove, Core, InFlight, Tcs, UopState};
 use crate::policy::{DelayCause, IssueDecision, LoadIssueCtx};
 use crate::trace::TraceEvent;
 use sas_isa::{Inst, TagNibble, VirtAddr};
-use sas_mem::{MemSystem, SimError};
+use sas_mem::{FillMode, MemSystem, SimError};
 use sas_mte::TagCheckOutcome;
 use std::cmp::Reverse;
+
+/// A load cleared to issue: what [`Core::classify_load`] worked out on
+/// the way.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct LoadPlan {
+    addr: VirtAddr,
+    /// Under an unresolved branch or an older unknown store address.
+    speculative: bool,
+    mode: FillMode,
+    /// Youngest live taint root among the address operands.
+    addr_root: Option<u64>,
+}
 
 impl Core {
     pub(super) fn mdu_index(&self, pc: usize) -> usize {
@@ -199,53 +212,58 @@ impl Core {
                 self.squash_after(vseq - 1, redirect, cycle, None);
             }
         }
-        let _ = cycle;
     }
 
-    pub(super) fn try_issue_load(
+    /// The pure prefix of a load's issue attempt ([`Core::classify_issue`]):
+    /// address generation, the memory-dependence predictor and the
+    /// mitigation's `on_load_issue`, in that order.
+    pub(super) fn classify_load(&self, u: &InFlight, spec_branch: bool) -> Attempt {
+        // Address generation; a newly generated address is latched even if
+        // the attempt is then held.
+        let (addr, latch) = match u.addr {
+            Some(a) => (a, None),
+            None => match self.compute_address(u) {
+                Some(a) => (a, Some(a)),
+                None => return Attempt::Idle,
+            },
+        };
+
+        // Memory-dependence handling.
+        let spec_mdu = self.has_older_unknown_store(u.seq);
+        if spec_mdu && self.mdu[self.mdu_index(u.pc)] >= 2 {
+            return Attempt::Retry { cause: DelayCause::MemDepWait, latch };
+        }
+
+        // The mitigation gets the first say: a delayed load neither forwards
+        // from the SQ nor touches memory.
+        let addr_root = self.operand_taint_root(u);
+        let addr_tainted = self.root_tainted(addr_root);
+        let ctx = LoadIssueCtx { spec_branch, spec_mdu, addr_tainted, key: addr.key() };
+        match self.policy.on_load_issue(&ctx) {
+            IssueDecision::Proceed(mode) => Attempt::Load(LoadPlan {
+                addr,
+                speculative: spec_branch || spec_mdu,
+                mode,
+                addr_root,
+            }),
+            IssueDecision::Delay(cause) => Attempt::Retry { cause, latch },
+        }
+    }
+
+    /// Issues a load that [`Core::classify_load`] let through: forwards
+    /// from the SQ or accesses memory. `Ok(false)` when store-to-load
+    /// handling holds it instead.
+    pub(super) fn issue_load(
         &mut self,
         idx: usize,
         cycle: u64,
         mem: &mut MemSystem,
-        spec_branch: bool,
+        plan: LoadPlan,
     ) -> Result<bool, SimError> {
-        // Address generation.
-        let addr = match self.rob[idx].addr {
-            Some(a) => a,
-            None => match self.compute_address(&self.rob[idx]) {
-                Some(a) => {
-                    self.rob[idx].addr = Some(a);
-                    a
-                }
-                None => return Ok(false),
-            },
-        };
+        let LoadPlan { addr, speculative, mode, addr_root } = plan;
+        self.rob[idx].addr = Some(addr);
         let seq = self.rob[idx].seq;
-        let pc = self.rob[idx].pc;
-
-        // Memory-dependence handling.
-        let older_unknown_store = self.has_older_unknown_store(seq);
-        if older_unknown_store && self.mdu[self.mdu_index(pc)] >= 2 {
-            self.charge_delay(idx, DelayCause::MemDepWait, 1);
-            return Ok(false);
-        }
-        let spec_mdu = older_unknown_store;
-
-        let speculative = spec_branch || spec_mdu;
         let faulting = mem.is_protected(addr);
-
-        // The mitigation gets the first say: a delayed load neither forwards
-        // from the SQ nor touches memory.
-        let addr_root = self.operand_taint_root(&self.rob[idx]);
-        let addr_tainted = self.root_tainted(addr_root);
-        let ctx = LoadIssueCtx { spec_branch, spec_mdu, addr_tainted, key: addr.key() };
-        let mode = match self.policy.on_load_issue(&ctx) {
-            IssueDecision::Proceed(m) => m,
-            IssueDecision::Delay(cause) => {
-                self.charge_delay(idx, cause, 1);
-                return Ok(false);
-            }
-        };
         // STT: a speculative load's result is tainted at its own root;
         // otherwise it inherits its address operand's taint.
         let taint_root = if self.policy.taints_speculative_loads() && speculative {

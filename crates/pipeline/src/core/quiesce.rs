@@ -1,18 +1,27 @@
 //! Quiescence: lets the system skip cycles in which a core would do
 //! nothing but CPI attribution.
 
+use super::issue::{Attempt, PortUse};
 use super::{Core, Tcs, UopState};
-use sas_isa::{AluOp, Inst};
 use sas_telemetry::CpiBucket;
 use std::cmp::Reverse;
 
 impl Core {
     /// If ticking this core at cycle `next` would change nothing except the
-    /// CPI attribution, returns the earliest future cycle at which something
-    /// *can* happen (`u64::MAX` when the core is finished). Returns `None`
-    /// when the core would act at `next` — including "silent" work like
-    /// charging a mitigation-delay retry, which must keep running tick by
-    /// tick because it mutates the delay accounting.
+    /// CPI attribution and the re-charge of pure mitigation-delay retries,
+    /// returns the earliest future cycle at which something *can* happen
+    /// (`u64::MAX` when the core is finished). Returns `None` when the core
+    /// would act at `next`.
+    ///
+    /// A retry is an issue attempt that [`Core::classify_issue`] answers
+    /// with [`Attempt::Retry`]: `BarrierSpecLoad` (fence serialisation or a
+    /// load the policy holds), `ExplicitBarrier`, `TaintedAddress`,
+    /// `TaintedBranch`, the MDU predictor's `MemDepWait`, or any other
+    /// delay `on_load_issue` returns. Every input of those decisions changes
+    /// only through a completion, an issue action, a dispatch or a squash,
+    /// none of which happens before the returned cycle, so each tick in the
+    /// window would charge the same retries; [`Core::skip_quiescent`]
+    /// charges them in bulk.
     ///
     /// Correctness leans on one asymmetry: waking *early* is always safe
     /// (the tick re-evaluates everything and attributes the same bucket),
@@ -61,46 +70,6 @@ impl Core {
                 UopState::Executing(_) | UopState::Waiting => {}
             },
         }
-        // Issue side: would any ready uop act (or charge a retry delay)?
-        // Mirrors the silent-continue classes of `issue` exactly; anything
-        // else breaks quiescence.
-        let head_seq = self.rob.front().map(|u| u.seq);
-        let barrier_active = self.pending_barriers.first().copied().or(self.active_barrier);
-        for &seq in &self.ready {
-            let Some(idx) = self.rob_index(seq) else { continue };
-            let u = &self.rob[idx];
-            if !matches!(u.state, UopState::Waiting) {
-                continue;
-            }
-            if barrier_active.is_some_and(|b| seq > b) {
-                continue; // silently barred behind a speculation barrier
-            }
-            if !self.sources_ready(u) {
-                continue; // a completed producer without a value (blocked load)
-            }
-            let spec_branch = self.has_older_unresolved_branch(seq);
-            if spec_branch && self.policy.blocks_full_speculation() {
-                return None; // would charge BarrierSpecLoad
-            }
-            match u.inst {
-                Inst::Fence => {
-                    let older_mem = self.pending_mem.first().is_some_and(|&m| m < seq);
-                    if older_mem || spec_branch {
-                        continue; // silently drains
-                    }
-                    return None;
-                }
-                Inst::Amo { .. } if head_seq != Some(seq) => continue, // head-only
-                Inst::Alu { op: AluOp::UDiv | AluOp::SDiv, .. }
-                    if self.div_busy_until > next =>
-                {
-                    // Non-pipelined divider busy: silent; the occupying div's
-                    // completion is in the heap, so `wake` already covers it.
-                    continue;
-                }
-                _ => return None, // would issue, execute, or charge a delay
-            }
-        }
         // Dispatch: the front fetch-queue entry either dispatches (activity)
         // or waits on its decode latency / a full structure. Structures only
         // free through events covered above, except SQ drain-slot expiry.
@@ -131,26 +100,67 @@ impl Core {
                 return None;
             }
         }
-        Some(wake)
+        // Issue side, checked last as the costliest: every ready uop must be
+        // idle or a pure retry. Nothing issues in such a cycle, so no port
+        // is ever taken. A busy divider is idle until its div completes,
+        // which the completion heap already covers.
+        let all_quiet = self.ready.iter().all(|&seq| {
+            self.rob_index(seq).is_none_or(|idx| {
+                matches!(
+                    self.classify_issue(idx, next, PortUse::default()),
+                    Attempt::Idle | Attempt::Retry { .. }
+                )
+            })
+        });
+        all_quiet.then_some(wake)
     }
 
-    /// Accounts the quiescent cycles `from..=to` in one step: the CPI bucket
-    /// each skipped tick would have attributed is constant across the gap
-    /// (the machine state that `attribute_cycle` reads is frozen), so the
-    /// whole range lands in that bucket and `stats.cycles` jumps to `to+1` —
-    /// bit-identical to ticking through the gap, minus the time.
+    /// Accounts the quiescent cycles `from..=to` in one step, leaving the
+    /// core exactly as ticking through them would have:
+    /// - every retrying uop is charged `n` one-cycle retries: `n` more on
+    ///   its delay total, its one `delay_events` tick, `n` telemetry
+    ///   observations of 1. A load also latches the address its first
+    ///   attempt would have generated;
+    /// - each cycle lands in one CPI bucket, the same across the gap since
+    ///   the state `attribute_cycle` reads is frozen: the mitigation bucket
+    ///   of the oldest retry's cause (also charged to `stats.delay_cycles`),
+    ///   else the head's bucket;
+    /// - commit's per-tick drain-slot expiry and the per-tick `cycle_delay`
+    ///   slot end as the last tick would leave them, and `stats.cycles`
+    ///   jumps to `to+1`.
     pub(crate) fn skip_quiescent(&mut self, from: u64, to: u64) {
         debug_assert!(!self.finished && from <= to);
-        let bucket = match self.rob.front() {
-            Some(h) if matches!(h.state, UopState::BlockedUnsafe) => CpiBucket::TshUnsafeBlock,
-            Some(h)
+        let n = to - from + 1;
+        // Commit's per-tick expiry of drained store-buffer slots.
+        self.drain_slots.retain(|d| d.done_at > to);
+        let mut first_cause = None;
+        for i in 0..self.ready.len() {
+            let Some(idx) = self.rob_index(self.ready[i]) else { continue };
+            let Attempt::Retry { cause, latch } = self.classify_issue(idx, from, PortUse::default())
+            else {
+                continue;
+            };
+            self.charge_retries(idx, cause, latch, n);
+            first_cause.get_or_insert(cause);
+        }
+        // What the last skipped tick leaves in the per-tick delay slot.
+        self.cycle_delay = first_cause;
+        let bucket = match (first_cause, self.rob.front()) {
+            (Some(cause), _) => {
+                self.stats.delay_cycles.add(cause, n);
+                CpiBucket::MitigationDelay(cause.index())
+            }
+            (None, Some(h)) if matches!(h.state, UopState::BlockedUnsafe) => {
+                CpiBucket::TshUnsafeBlock
+            }
+            (None, Some(h))
                 if h.is_mem()
                     && (matches!(h.state, UopState::Executing(_)) || h.tcs == Tcs::Wait) =>
             {
                 CpiBucket::MemoryBound
             }
-            Some(_) => CpiBucket::Base,
-            None => {
+            (None, Some(_)) => CpiBucket::Base,
+            (None, None) => {
                 if from < self.recover_until {
                     CpiBucket::MispredictRecovery
                 } else {
@@ -158,7 +168,7 @@ impl Core {
                 }
             }
         };
-        self.stats.cpi.add(bucket, to - from + 1);
+        self.stats.cpi.add(bucket, n);
         self.stats.cycles = to + 1;
     }
 }

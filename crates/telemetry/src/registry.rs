@@ -53,6 +53,20 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Records `n` samples of `value` at once — the same histogram as `n`
+    /// calls to [`Histogram::observe`].
+    #[inline]
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -439,6 +453,21 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         let total: u64 = h.nonzero_buckets().iter().map(|(_, n)| n).sum();
         assert_eq!(total, 7);
+    }
+
+    #[test]
+    fn observe_n_equals_repeated_observe() {
+        for (value, n) in [(1, 1), (1, 37), (0, 5), (1000, 3), (u64::MAX, 4), (7, 0)] {
+            let mut bulk = Histogram::new();
+            let mut single = Histogram::new();
+            bulk.observe(3);
+            single.observe(3);
+            bulk.observe_n(value, n);
+            for _ in 0..n {
+                single.observe(value);
+            }
+            assert_eq!(bulk, single, "observe_n({value}, {n})");
+        }
     }
 
     #[test]
