@@ -302,18 +302,10 @@ fn ablation_tag_hints() {
 
 fn main() {
     println!("== Ablations ==");
-    // Single-cell mode: `SAS_RUNNER_CELL=<ablation-name>` runs one section.
-    let sections: [(&str, fn()); 6] = [
-        ("selective_delay", ablation_selective_delay),
-        ("tag_fetch", ablation_tag_fetch),
-        ("lfb_tagging", ablation_lfb_tagging),
-        ("tagging_policy", ablation_tagging_policy),
-        ("prefetcher", ablation_prefetcher),
-        ("tag_hints", ablation_tag_hints),
-    ];
-    for (name, run) in sections {
-        if sas_bench::benchmark_enabled(name) {
-            run();
-        }
-    }
+    ablation_selective_delay();
+    ablation_tag_fetch();
+    ablation_lfb_tagging();
+    ablation_tagging_policy();
+    ablation_prefetcher();
+    ablation_tag_hints();
 }

@@ -21,10 +21,6 @@ fn main() {
         ("SpecASan (selective)", Mitigation::SpecAsan),
     ];
     for (label, m) in rows {
-        // Single-cell mode: `SAS_RUNNER_CELL=spectre_v1/<token>` runs one row.
-        if !sas_bench::cell_enabled("spectre_v1", m) {
-            continue;
-        }
         let out = SpectreV1.run(&cfg, m, GadgetFlavor::TagViolating);
         // Which stages ran transiently is determined by the mechanism:
         let (access, used, transmit) = match m {

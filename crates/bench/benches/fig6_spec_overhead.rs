@@ -2,8 +2,7 @@
 //! Barriers, STT, GhostMinion and SpecASan (unsafe baseline = 1.0).
 
 use sas_bench::{
-    bench_iterations, cell_enabled, cell_filter, geomean, jsonl, print_table2_banner,
-    render_header, render_row, run_spec,
+    bench_iterations, geomean, jsonl, print_table2_banner, render_header, render_row, run_spec,
 };
 use sas_workloads::spec_suite;
 use specasan::Mitigation;
@@ -11,37 +10,13 @@ use specasan::Mitigation;
 fn main() {
     print_table2_banner("Figure 6: SPEC CPU2017 normalized execution time");
     let columns = Mitigation::figure6_set();
-    // Under `SAS_RUNNER_CELL` (set by sas-runner children) only the matching
-    // (benchmark, mitigation) cells run; the unsafe baseline still executes
-    // for any enabled row because every norm is relative to it.
-    let filtered = cell_filter().is_some();
     println!("{}", render_header("Benchmark", &columns));
     let iters = bench_iterations();
     let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
     for p in spec_suite() {
-        if !sas_bench::benchmark_enabled(p.name) {
-            continue;
-        }
         let base = run_spec(&p, Mitigation::Unsafe, iters);
-        if filtered && cell_enabled(p.name, Mitigation::Unsafe) {
-            let cpi = sas_bench::cpi_json(&base);
-            jsonl::emit(
-                "fig6",
-                &[
-                    ("benchmark", p.name.into()),
-                    ("mitigation", "unsafe".into()),
-                    ("cycles", base.cycles.into()),
-                    ("norm", 1.0.into()),
-                    ("restored", base.restored.into()),
-                    ("cpi", jsonl::Value::Raw(&cpi)),
-                ],
-            );
-        }
         let mut row = Vec::new();
         for (i, &m) in columns.iter().enumerate() {
-            if !cell_enabled(p.name, m) {
-                continue;
-            }
             let c = run_spec(&p, m, iters);
             let norm = c.cycles as f64 / base.cycles as f64;
             per_col[i].push(norm);
@@ -61,9 +36,6 @@ fn main() {
             );
         }
         println!("{}", render_row(p.name, &row));
-    }
-    if filtered {
-        return;
     }
     let means: Vec<f64> = per_col.iter().map(|v| geomean(v)).collect();
     for (m, g) in columns.iter().zip(&means) {

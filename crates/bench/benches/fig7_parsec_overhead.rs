@@ -1,8 +1,7 @@
 //! Figure 7: normalized execution time on PARSEC (4 cores, shared L2).
 
 use sas_bench::{
-    bench_iterations, cell_enabled, cell_filter, geomean, jsonl, print_table2_banner,
-    render_header, render_row, run_parsec,
+    bench_iterations, geomean, jsonl, print_table2_banner, render_header, render_row, run_parsec,
 };
 use sas_workloads::parsec_suite;
 use specasan::Mitigation;
@@ -10,35 +9,13 @@ use specasan::Mitigation;
 fn main() {
     print_table2_banner("Figure 7: PARSEC (4-core) normalized execution time");
     let columns = Mitigation::figure6_set();
-    // See fig6: sas-runner children pin one cell via `SAS_RUNNER_CELL`.
-    let filtered = cell_filter().is_some();
     println!("{}", render_header("Benchmark", &columns));
     let iters = bench_iterations() / 2 + 1;
     let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
     for p in parsec_suite() {
-        if !sas_bench::benchmark_enabled(p.name) {
-            continue;
-        }
         let base = run_parsec(&p, Mitigation::Unsafe, iters);
-        if filtered && cell_enabled(p.name, Mitigation::Unsafe) {
-            let cpi = sas_bench::cpi_json(&base);
-            jsonl::emit(
-                "fig7",
-                &[
-                    ("benchmark", p.name.into()),
-                    ("mitigation", "unsafe".into()),
-                    ("cycles", base.cycles.into()),
-                    ("norm", 1.0.into()),
-                    ("restored", base.restored.into()),
-                    ("cpi", jsonl::Value::Raw(&cpi)),
-                ],
-            );
-        }
         let mut row = Vec::new();
         for (i, &m) in columns.iter().enumerate() {
-            if !cell_enabled(p.name, m) {
-                continue;
-            }
             let c = run_parsec(&p, m, iters);
             let norm = c.cycles as f64 / base.cycles as f64;
             per_col[i].push(norm);
@@ -58,9 +35,6 @@ fn main() {
             );
         }
         println!("{}", render_row(p.name, &row));
-    }
-    if filtered {
-        return;
     }
     let means: Vec<f64> = per_col.iter().map(|v| geomean(v)).collect();
     for (m, g) in columns.iter().zip(&means) {

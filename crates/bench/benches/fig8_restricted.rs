@@ -2,8 +2,8 @@
 //! Speculative Barriers, STT and SpecASan — SPEC (top) and PARSEC (bottom).
 
 use sas_bench::{
-    bench_iterations, cell_enabled, cell_filter, jsonl, print_table2_banner, render_header,
-    render_row, restricted_metric, run_parsec, run_spec,
+    bench_iterations, jsonl, print_table2_banner, render_header, render_row, restricted_metric,
+    run_parsec, run_spec,
 };
 use sas_workloads::{parsec_suite, spec_suite};
 use specasan::Mitigation;
@@ -11,22 +11,14 @@ use specasan::Mitigation;
 fn main() {
     print_table2_banner("Figure 8: % restricted speculative instructions");
     let columns = [Mitigation::Fence, Mitigation::Stt, Mitigation::SpecAsan];
-    // See fig6: sas-runner children pin one cell via `SAS_RUNNER_CELL`.
-    let filtered = cell_filter().is_some();
     let iters = bench_iterations();
 
     println!("--- SPEC CPU2017 ---");
     println!("{}", render_header("Benchmark", &columns));
     let mut sums = [0.0f64; 3];
     for p in spec_suite() {
-        if !sas_bench::benchmark_enabled(p.name) {
-            continue;
-        }
         let mut row = Vec::new();
         for (i, &m) in columns.iter().enumerate() {
-            if !cell_enabled(p.name, m) {
-                continue;
-            }
             let c = run_spec(&p, m, iters);
             let r = restricted_metric(&c, m);
             row.push(100.0 * r);
@@ -46,10 +38,8 @@ fn main() {
         }
         println!("{}", render_row(p.name, &row));
     }
-    if !filtered {
-        let n = spec_suite().len() as f64;
-        println!("{}", render_row("average", &[100.0 * sums[0] / n, 100.0 * sums[1] / n, 100.0 * sums[2] / n]));
-    }
+    let n = spec_suite().len() as f64;
+    println!("{}", render_row("average", &[100.0 * sums[0] / n, 100.0 * sums[1] / n, 100.0 * sums[2] / n]));
 
     println!();
     println!("--- PARSEC (4-core) ---");
@@ -57,14 +47,8 @@ fn main() {
     let iters = iters / 2 + 1;
     let mut sums = [0.0f64; 3];
     for p in parsec_suite() {
-        if !sas_bench::benchmark_enabled(p.name) {
-            continue;
-        }
         let mut row = Vec::new();
         for (i, &m) in columns.iter().enumerate() {
-            if !cell_enabled(p.name, m) {
-                continue;
-            }
             let c = run_parsec(&p, m, iters);
             let r = restricted_metric(&c, m);
             row.push(100.0 * r);
@@ -83,9 +67,6 @@ fn main() {
             );
         }
         println!("{}", render_row(p.name, &row));
-    }
-    if filtered {
-        return;
     }
     let n = parsec_suite().len() as f64;
     println!("{}", render_row("average", &[100.0 * sums[0] / n, 100.0 * sums[1] / n, 100.0 * sums[2] / n]));

@@ -2,8 +2,7 @@
 //! combined SpecASan+CFI design.
 
 use sas_bench::{
-    bench_iterations, cell_enabled, cell_filter, geomean, jsonl, print_table2_banner,
-    render_header, render_row, run_spec,
+    bench_iterations, geomean, jsonl, print_table2_banner, render_header, render_row, run_spec,
 };
 use sas_workloads::spec_suite;
 use specasan::Mitigation;
@@ -11,21 +10,13 @@ use specasan::Mitigation;
 fn main() {
     print_table2_banner("Figure 9: SpecCFI / SpecASan / SpecASan+CFI");
     let columns = Mitigation::figure9_set();
-    // See fig6: sas-runner children pin one cell via `SAS_RUNNER_CELL`.
-    let filtered = cell_filter().is_some();
     println!("{}", render_header("Benchmark", &columns));
     let iters = bench_iterations();
     let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
     for p in spec_suite() {
-        if !sas_bench::benchmark_enabled(p.name) {
-            continue;
-        }
         let base = run_spec(&p, Mitigation::Unsafe, iters);
         let mut row = Vec::new();
         for (i, &m) in columns.iter().enumerate() {
-            if !cell_enabled(p.name, m) {
-                continue;
-            }
             let c = run_spec(&p, m, iters);
             let norm = c.cycles as f64 / base.cycles as f64;
             per_col[i].push(norm);
@@ -45,9 +36,6 @@ fn main() {
             );
         }
         println!("{}", render_row(p.name, &row));
-    }
-    if filtered {
-        return;
     }
     let means: Vec<f64> = per_col.iter().map(|v| geomean(v)).collect();
     for (m, g) in columns.iter().zip(&means) {

@@ -112,18 +112,10 @@ fn bench_pipeline() {
 
 fn main() {
     println!("== Microbenchmarks (internal timing harness) ==");
-    // Single-cell mode: `SAS_RUNNER_CELL=<group>` runs one group of cases.
-    let groups: [(&str, fn()); 6] = [
-        ("tag_check", bench_tag_check),
-        ("cache", bench_cache),
-        ("lfb", bench_lfb),
-        ("mem_load", bench_mem_load),
-        ("stats", bench_stats),
-        ("pipeline", bench_pipeline),
-    ];
-    for (name, run) in groups {
-        if sas_bench::benchmark_enabled(name) {
-            run();
-        }
-    }
+    bench_tag_check();
+    bench_cache();
+    bench_lfb();
+    bench_mem_load();
+    bench_stats();
+    bench_pipeline();
 }

@@ -30,11 +30,6 @@ fn main() {
     let m = security_matrix(&cfg, &columns);
     println!("{}", m.render());
     for cell in &m.cells {
-        // Single-cell mode: restrict emission to the attack row named by
-        // `SAS_RUNNER_CELL` (matrix evaluation itself is cheap).
-        if !sas_bench::cell_enabled(cell.attack, cell.mitigation) {
-            continue;
-        }
         let ms = cell.mitigation.to_string();
         let rating = format!("{:?}", cell.rating);
         jsonl::emit(

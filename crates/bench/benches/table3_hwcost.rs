@@ -10,10 +10,6 @@ fn main() {
     let t3 = table3(&TechNode::n22());
     println!("{}", render_table3(&t3));
     for row in &t3.rows {
-        // Single-cell mode: `SAS_RUNNER_CELL=<component>` restricts emission.
-        if !sas_bench::benchmark_enabled(row.component) {
-            continue;
-        }
         for (design, value) in ["arm_mte", "specasan", "specasan_cfi"].iter().zip(row.values) {
             jsonl::emit(
                 "table3",

@@ -34,11 +34,18 @@
 //!   after writing N checkpoints, simulating a mid-cell crash at a
 //!   deterministic point so the supervisor's retry path resumes from the
 //!   checkpoint.
+//! * [`CheckpointPlan::poll_every`] (no flag) — the control-poll period of
+//!   hosts that interrupt runs, such as the `sas-serve` worker pool.
+//! * [`CheckpointPlan::faults`] (`--fault-plan SPEC`) — a [`FaultPlan`]
+//!   armed on the machine before anything is restored.
+//! * [`CheckpointPlan::heartbeat`] (`--heartbeat PATH`) — a liveness file
+//!   `System::set_heartbeat` rewrites every `poll_every` cycles, capped at
+//!   100 000 (the cap alone when `poll_every` is unset).
 //!
 //! Cells that ran from a restored image (checkpoint or warm base) are
 //! tagged `restored: true` in their JSONL/BENCH rows (see [`crate::Cell`]).
 
-use sas_pipeline::{RunExit, RunResult, System};
+use sas_pipeline::{FaultPlan, RunExit, RunResult, System};
 use specasan::snapshot;
 use std::path::PathBuf;
 
@@ -71,7 +78,7 @@ pub enum Interrupted {
 }
 
 /// A parameterized description of the checkpoint/warm-fork protocol for one
-/// supervised run.
+/// supervised run, plus the fault plan and heartbeat armed before it.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointPlan {
     /// Checkpoint file for this run; `None` disables checkpointing.
@@ -87,6 +94,10 @@ pub struct CheckpointPlan {
     /// Control-poll period in cycles: the callback runs at least this often
     /// even between checkpoints. `None` polls only on checkpoint boundaries.
     pub poll_every: Option<u64>,
+    /// Fault plan armed on the machine before any restore.
+    pub faults: Option<FaultPlan>,
+    /// Heartbeat file armed on the machine before any restore.
+    pub heartbeat: Option<PathBuf>,
 }
 
 impl CheckpointPlan {
@@ -112,6 +123,13 @@ impl CheckpointPlan {
         } else {
             50_000
         }
+    }
+
+    /// The heartbeat rewrite period: the poll cadence, capped at 100 000
+    /// cycles.
+    fn heartbeat_every(&self) -> u64 {
+        const CAP: u64 = 100_000;
+        self.poll_every.filter(|&p| p > 0).unwrap_or(CAP).min(CAP)
     }
 }
 
@@ -145,6 +163,12 @@ pub fn run_supervised_with(
     plan: &CheckpointPlan,
     mut control: impl FnMut(&System) -> Interrupt,
 ) -> SupervisedRun {
+    if let Some(faults) = &plan.faults {
+        sys.arm_faults(faults);
+    }
+    if let Some(path) = &plan.heartbeat {
+        sys.set_heartbeat(path.clone(), plan.heartbeat_every());
+    }
     let mut restored = false;
 
     // 1. Resume from a checkpoint when one exists and is intact. A torn

@@ -195,11 +195,11 @@ fn fence_overhead_dwarfs_specasan() {
 
 #[test]
 fn trace_records_the_figure5_story() {
-    // With tracing enabled, the SpecASan run of the Spectre-v1 gadget
-    // contains the Figure 5 sequence: a speculative load, an unsafe tag
-    // check, the TSH block (SSA=0), and the squash that erases it.
+    // With telemetry enabled, the SpecASan run of the Spectre-v1 gadget's
+    // timeline holds the Figure 5 sequence: an unsafe tag check whose data
+    // the TSH withholds (SSA=0), and the squash that erases the access.
     let mut sys = build_system(&SimConfig::table2(), spectre_v1_program(), Mitigation::SpecAsan);
-    sys.core_mut(0).enable_trace(500_000);
+    sys.enable_telemetry(1024, 500_000);
     let mem = sys.mem_mut();
     mem.write_arch(VirtAddr::new(SIZE_ADDR), 8, 8);
     mem.write_arch(VirtAddr::new(ARRAY1), 1, 1);
@@ -208,29 +208,14 @@ fn trace_records_the_figure5_story() {
     mem.tags.set_range(VirtAddr::new(SECRET_ADDR), 16, TagNibble::new(0x9));
     sys.run(2_000_000);
 
-    use sas_pipeline::TraceEvent;
-    let trace = sys.core(0).trace();
-    let unsafe_check = trace
-        .filter(|e| matches!(e, TraceEvent::TagCheck { outcome: sas_mte::TagCheckOutcome::Unsafe, .. }))
-        .next()
-        .copied();
-    assert!(unsafe_check.is_some(), "an unsafe tag check must be recorded");
-    let blocked = trace
-        .filter(|e| matches!(e, TraceEvent::UnsafeBlocked { .. }))
-        .next()
-        .copied();
-    assert!(blocked.is_some(), "the TSH block (tcs=!S, SSA=0) must be recorded");
-    // The blocked access is later squashed, not committed.
-    let blocked_seq = match blocked.unwrap() {
-        TraceEvent::UnsafeBlocked { seq, .. } => seq,
-        _ => unreachable!(),
-    };
-    let committed = trace
-        .filter(|e| matches!(e, TraceEvent::Commit { seq, .. } if *seq == blocked_seq))
-        .count();
-    assert_eq!(committed, 0, "the unsafe speculative access never commits");
-    let squashes = trace.filter(|e| matches!(e, TraceEvent::Squash { .. })).count();
-    assert!(squashes > 0, "the misprediction squash must be recorded");
+    let timeline = sys.timeline(0).expect("telemetry is enabled");
+    assert_eq!(timeline.dropped(), 0, "the whole run fits the timeline");
+    let blocked = timeline.records().iter().find(|r| r.unsafe_block.is_some());
+    let r = blocked.expect("the TSH block (tcs=!S, SSA=0) must be recorded");
+    let block = r.unsafe_block.unwrap();
+    assert!(r.issue.is_some_and(|i| i <= block), "a block follows its issue: {r:?}");
+    assert_eq!(r.commit, None, "the unsafe speculative access never commits: {r:?}");
+    assert!(r.squashed.is_some_and(|q| q > block), "the squash erases it later: {r:?}");
 }
 
 #[test]

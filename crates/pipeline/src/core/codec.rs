@@ -219,7 +219,7 @@ fn dec_commit_record(
 
 impl Core {
     /// Serializes the complete mutable core state: architectural registers,
-    /// fetch/rename/ROB/LSQ contents, predictors, trace and fault cursors,
+    /// fetch/rename/ROB/LSQ contents, predictors, fault cursors,
     /// statistics and the IRG RNG. Policies are stateless, so nothing of
     /// the policy is written: the image restores under any policy.
     ///
@@ -264,7 +264,6 @@ impl Core {
             e.bool(s.data_valid);
             e.uv(s.done_at);
         }
-        self.trace.encode(e);
         e.opt_with(self.faults.as_ref(), |e, f| {
             f.mispredict.encode(e);
             f.storm.encode(e);
@@ -371,7 +370,6 @@ impl Core {
                 done_at: d.uv()?,
             });
         }
-        self.trace.restore(d)?;
         let have_faults = d.bool()?;
         if have_faults != self.faults.is_some() {
             return Err(bad("fault arming mismatch", have_faults as u64));

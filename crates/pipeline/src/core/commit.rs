@@ -2,7 +2,6 @@
 //! state update.
 
 use super::{Core, DrainSlot, FaultInfo, FaultKind, UopState, RETIRED_CAP};
-use crate::trace::TraceEvent;
 use sas_isa::{Inst, VirtAddr};
 use sas_mem::{FillMode, MemSystem, SimError};
 use sas_mte::TagCheckOutcome;
@@ -202,7 +201,6 @@ impl Core {
             if head.carried_taint {
                 self.stats.tainted_committed += 1;
             }
-            self.trace.emit(TraceEvent::Commit { cycle, seq: head.seq, pc: head.pc });
             if let Some(t) = self.telemetry.as_mut() {
                 t.timeline.on_commit(head.seq, cycle);
             }

@@ -4,7 +4,6 @@
 use super::{Core, InFlight, Tcs, UopState, WaiterNode};
 use crate::arena::SrcList;
 use crate::policy::DelayCause;
-use crate::trace::TraceEvent;
 use sas_isa::Inst;
 
 impl Core {
@@ -132,10 +131,6 @@ impl Core {
                 if self.cycle_delay.is_none() {
                     self.cycle_delay = Some(DelayCause::CfiIndirectStall);
                 }
-            }
-            if self.trace.enabled() {
-                let speculative = self.has_older_unresolved_branch(seq);
-                self.trace.emit(TraceEvent::Dispatch { cycle, seq, pc: u.pc, speculative });
             }
             if let Some(t) = self.telemetry.as_mut() {
                 let fetch_cycle = fe.available_at.saturating_sub(self.cfg.front_end_delay);

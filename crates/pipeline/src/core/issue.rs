@@ -4,7 +4,6 @@
 use super::lsq::LoadPlan;
 use super::{sorted_remove, Core, InFlight, Tcs, UopState};
 use crate::policy::DelayCause;
-use crate::trace::TraceEvent;
 use sas_isa::{AluOp, AmoOp, Flags, Inst, Operand, Reg, VirtAddr};
 use sas_mem::{FillMode, MemSystem, SimError};
 use std::cmp::Reverse;
@@ -534,7 +533,6 @@ impl Core {
         let seq = self.rob[idx].seq;
         self.note_issued(seq);
         self.completion.push(Reverse((cycle + self.cfg.alu_latency, seq)));
-        self.trace.emit(TraceEvent::BranchResolved { cycle, seq, mispredicted });
         Ok(())
     }
 

@@ -4,7 +4,6 @@
 use super::issue::Attempt;
 use super::{sorted_remove, Core, InFlight, Tcs, UopState};
 use crate::policy::{DelayCause, IssueDecision, LoadIssueCtx};
-use crate::trace::TraceEvent;
 use sas_isa::{Inst, TagNibble, VirtAddr};
 use sas_mem::{FillMode, MemSystem, SimError};
 use sas_mte::TagCheckOutcome;
@@ -315,9 +314,6 @@ impl Core {
         }
 
         // Access memory (AGU = 1 cycle, then the hierarchy).
-        if self.trace.enabled() {
-            self.trace.emit(TraceEvent::LoadIssue { cycle, seq, addr, speculative });
-        }
         if self.telemetry.is_some() {
             let depth = self
                 .rob
@@ -342,9 +338,6 @@ impl Core {
                 _ => mem.read_arch(addr, self.rob[idx].width.max(1)),
             }
         };
-        if self.trace.enabled() {
-            self.trace.emit(TraceEvent::TagCheck { cycle, seq, outcome: res.outcome });
-        }
         let u = &mut self.rob[idx];
         u.faulting = faulting;
         u.fill_mode_used = Some(mode);
@@ -362,7 +355,9 @@ impl Core {
             u.state = UopState::BlockedUnsafe;
             self.stats.unsafe_spec_accesses += 1;
             self.charge_delay(idx, DelayCause::UnsafeAccessWait, res.latency.max(1));
-            self.trace.emit(TraceEvent::UnsafeBlocked { cycle, seq });
+            if let Some(t) = self.telemetry.as_mut() {
+                t.timeline.on_unsafe_block(seq, cycle);
+            }
         }
         self.note_issued(seq);
         if let UopState::Executing(done) = self.rob[idx].state {

@@ -23,7 +23,6 @@ use crate::config::CoreConfig;
 use crate::policy::{DelayCause, MitigationPolicy};
 use crate::predictor::BranchPredictor;
 use crate::stats::CoreStats;
-use crate::trace::{Trace, TraceEvent};
 use sas_isa::{Flags, Inst, Program, Reg, VirtAddr};
 use sas_mem::{FillMode, MemSystem, SimError};
 use sas_mte::{IrgRng, TagCheckOutcome};
@@ -336,8 +335,6 @@ pub struct Core {
     scratch_due: Vec<u64>,
     scratch_candidates: Vec<u64>,
 
-    trace: Trace,
-
     // robustness hooks
     faults: Option<CoreFaults>,
     record_commits: bool,
@@ -417,7 +414,6 @@ impl Core {
             waiters: Slab::new(),
             scratch_due: Vec::new(),
             scratch_candidates: Vec::new(),
-            trace: Trace::default(),
             faults: None,
             record_commits: false,
             retired: Vec::new(),
@@ -466,16 +462,6 @@ impl Core {
     /// Name of the active mitigation policy.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// Enables structured event tracing, keeping up to `cap` events.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace.enable(cap);
-    }
-
-    /// The recorded trace (empty unless [`Core::enable_trace`] was called).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Arms the front-end injection points ([`InjectionPoint::ForceMispredict`]
@@ -619,7 +605,6 @@ impl Core {
         self.stats.cycles = cycle + 1;
         if let Some((info, halt_at)) = self.pending_fault {
             if cycle >= halt_at {
-                self.trace.emit(TraceEvent::Fault { cycle, pc: info.pc });
                 self.fault = Some(info);
                 self.finished = true;
                 return Ok(());
@@ -737,7 +722,6 @@ impl Core {
         reg.counter(format!("{p}.stl_blocked"), s.stl_blocked);
         reg.counter(format!("{p}.unsafe_spec_accesses"), s.unsafe_spec_accesses);
         reg.counter(format!("{p}.retired_dropped"), s.retired_dropped);
-        reg.counter(format!("{p}.trace_dropped_events"), self.trace.dropped_events());
         reg.counter(format!("{p}.predictor.cond_predictions"), s.predictor.cond_predictions);
         reg.counter(format!("{p}.predictor.cond_mispredicts"), s.predictor.cond_mispredicts);
         reg.counter(

@@ -2,7 +2,6 @@
 //! redirects fetch.
 
 use super::{truncate_sorted, Core, UopState};
-use crate::trace::TraceEvent;
 use sas_mem::{FillMode, MemSystem};
 
 impl Core {
@@ -33,7 +32,6 @@ impl Core {
         if removed > 0 || self.fetch_pc.map_or(true, |p| p != redirect_pc) {
             self.stats.squash_events += 1;
         }
-        self.trace.emit(TraceEvent::Squash { cycle: resume_at, after_seq, count: removed });
         // Redirect + refill: the front end cannot feed dispatch again before
         // `resume_at + front_end_delay`; zero-commit cycles until then are
         // attributed to mispredict recovery.

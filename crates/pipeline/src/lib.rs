@@ -23,7 +23,6 @@ pub mod policy;
 pub mod predictor;
 pub mod stats;
 pub mod system;
-pub mod trace;
 
 pub use config::CoreConfig;
 pub use core::{Core, CoreDump, FaultInfo, FaultKind, Tcs, UopDump, RETIRED_CAP};
@@ -40,4 +39,3 @@ pub use sas_telemetry::{
 };
 pub use stats::{CoreStats, DelayTable};
 pub use system::{CrashDump, RunExit, RunResult, System};
-pub use trace::{Trace, TraceEvent};

@@ -164,8 +164,8 @@ impl FaultPlan {
     /// Renders the plan as a machine-readable spec string that
     /// [`FaultPlan::from_spec`] parses back: `seed=<hex>` first, then
     /// `window=<base>+<len>` if set, then one `<point>=<rate>,<max>,<warmup>`
-    /// per enabled point. Repro bundles and the `SAS_RUNNER_FAULT_PLAN`
-    /// contract carry plans in this form.
+    /// per enabled point. Repro bundles and the `sas-runner` `--fault-plan`
+    /// flags carry plans in this form.
     pub fn to_spec(&self) -> String {
         let mut s = format!("seed={:#x}", self.seed);
         if self.target_len > 0 {

@@ -35,9 +35,13 @@
 //!   --crash-after-checkpoints N  test hook: first-attempt children crash
 //!                     after N checkpoints (the retry resumes from one)
 //!
-//! CELL FLAGS (a `CheckpointPlan`, see `sas_bench::checkpoint`):
+//! CELL FLAGS (a `CheckpointPlan`, see `sas_bench::checkpoint`, plus the
+//! spawn attempt; the supervisor passes every one it needs):
 //!   --checkpoint PATH  --checkpoint-every N  --warm-base PATH
 //!   --warm-cycles N    --crash-after-checkpoints N
+//!   --fault-plan SPEC  fault plan to arm (see FaultPlan::from_spec)
+//!   --heartbeat PATH   liveness file, rewritten every 100000 cycles
+//!   --attempt N        1-based spawn attempt      (default 1)
 //! ```
 //!
 //! Exits 0 only when every cell (resumed ones included) is green; any failed
@@ -287,8 +291,12 @@ fn cmd_selftest(args: &[String]) -> ExitCode {
     }
 }
 
-/// The checkpoint plan a `cell` invocation's flags describe.
-fn checkpoint_plan(args: &[String]) -> Result<CheckpointPlan, String> {
+/// The plan a `cell` invocation's flags describe.
+fn cell_plan(args: &[String]) -> Result<CheckpointPlan, String> {
+    let faults = match flag_value(args, "--fault-plan") {
+        Some(spec) => Some(FaultPlan::from_spec(&spec).map_err(|e| format!("--fault-plan: {e}"))?),
+        None => None,
+    };
     Ok(CheckpointPlan {
         path: flag_value(args, "--checkpoint").map(PathBuf::from),
         every: flag_u64(args, "--checkpoint-every")?.unwrap_or(0),
@@ -296,6 +304,8 @@ fn checkpoint_plan(args: &[String]) -> Result<CheckpointPlan, String> {
         warm_cycles: flag_u64(args, "--warm-cycles")?.unwrap_or(0),
         exit_after: flag_u64(args, "--crash-after-checkpoints")?.unwrap_or(0),
         poll_every: None,
+        faults,
+        heartbeat: flag_value(args, "--heartbeat").map(PathBuf::from),
     })
 }
 
@@ -314,14 +324,17 @@ fn cmd_cell(args: &[String]) -> ExitCode {
     let iters = flag_value(args, "--iters")
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(sas_bench::bench_iterations);
-    let plan = match checkpoint_plan(args) {
+    let parsed = cell_plan(args)
+        .and_then(|plan| Ok((plan, flag_u64(args, "--attempt")?.unwrap_or(1) as u32)));
+    let (plan, attempt) = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("sas-runner: {e}");
             return ExitCode::from(2);
         }
     };
-    let outcome = match catch_unwind(AssertUnwindSafe(|| cell::run_in_process(&cell, iters, &plan))) {
+    let run = || cell::run_in_process(&cell, iters, attempt, &plan);
+    let outcome = match catch_unwind(AssertUnwindSafe(run)) {
         Ok(o) => o,
         Err(payload) => {
             let msg = payload

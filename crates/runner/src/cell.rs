@@ -14,10 +14,6 @@ use sas_workloads::{build_parsec_workload, build_workload, parsec_suite, spec_su
 use specasan::{build_multicore, build_system, chaos, Mitigation, SimConfig};
 use std::fmt;
 
-/// Environment variable the supervisor sets on each child to the 1-based
-/// spawn attempt; the `selftest/flaky` cell uses it to fail exactly once.
-pub const ATTEMPT_ENV: &str = "SAS_RUNNER_ATTEMPT";
-
 /// Environment variable gating the deliberately hanging selftest cell into
 /// `sas-runner selftest` campaigns (tier-1 sets it to exercise the watchdog
 /// kill path in CI).
@@ -35,8 +31,8 @@ pub enum SelftestKind {
     Panic,
     /// Hangs forever (the watchdog must kill it).
     Hang,
-    /// Fails environmentally on attempt 1, succeeds on attempt 2
-    /// (exercises retry/backoff).
+    /// Fails environmentally on attempt 1, succeeds from attempt 2 on
+    /// (exercises retry/backoff; the supervisor passes `--attempt N`).
     Flaky,
 }
 
@@ -340,27 +336,29 @@ fn find_profile(suite: &[Profile], name: &str) -> Option<Profile> {
     suite.iter().find(|p| p.name == name).cloned()
 }
 
-/// Removes the child's heartbeat file (and its rename-staging sibling) once
-/// the cell is done, so a later campaign that lands on the same cell id can
-/// never read this run's stale progress.
-fn clear_heartbeat() {
-    if let Some(path) = std::env::var_os(sas_bench::HEARTBEAT_ENV).filter(|p| !p.is_empty()) {
-        crate::heartbeat::remove(std::path::Path::new(&path));
-    }
-}
-
 /// Executes one cell in the current process and reports its outcome. This is
-/// what `sas-runner cell <id>` calls inside the child, with the checkpoint
-/// plan its flags describe (SPEC/PARSEC cells only; other cells ignore it);
+/// what `sas-runner cell <id>` calls inside the child, with the 1-based
+/// spawn `attempt` and the plan its flags describe (SPEC/PARSEC cells run
+/// under it; every cell removes the plan's heartbeat file when it ends);
 /// panics are the *caller's* job to catch (the binary wraps this in
 /// `catch_unwind`).
-pub fn run_in_process(cell: &CellId, iters: u32, plan: &CheckpointPlan) -> CellOutcome {
-    let outcome = run_cell(cell, iters, plan);
-    clear_heartbeat();
+pub fn run_in_process(
+    cell: &CellId,
+    iters: u32,
+    attempt: u32,
+    plan: &CheckpointPlan,
+) -> CellOutcome {
+    let outcome = run_cell(cell, iters, attempt, plan);
+    // Remove the heartbeat (and its rename-staging sibling) once the cell is
+    // done, so a later campaign that lands on the same cell id can never
+    // read this run's stale progress.
+    if let Some(path) = &plan.heartbeat {
+        crate::heartbeat::remove(path);
+    }
     outcome
 }
 
-fn run_cell(cell: &CellId, iters: u32, plan: &CheckpointPlan) -> CellOutcome {
+fn run_cell(cell: &CellId, iters: u32, attempt: u32, plan: &CheckpointPlan) -> CellOutcome {
     match cell {
         CellId::Spec { benchmark, mitigation } => {
             let Some(p) = find_profile(&spec_suite(), benchmark) else {
@@ -430,10 +428,6 @@ fn run_cell(cell: &CellId, iters: u32, plan: &CheckpointPlan) -> CellOutcome {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             },
             SelftestKind::Flaky => {
-                let attempt: u32 = std::env::var(ATTEMPT_ENV)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1);
                 if attempt >= 2 {
                     CellOutcome::ok(cell, 0)
                 } else {
@@ -674,7 +668,7 @@ mod tests {
         assert!(!cell.shrinkable(), "the fuzzer ddmins its own counterexamples");
         assert!(victim_program(&cell, 1).is_none());
         assert_eq!(probe_signature(&cell, 1, &[], None), "clean");
-        let out = run_in_process(&cell, 1, &CheckpointPlan::none());
+        let out = run_in_process(&cell, 1, 1, &CheckpointPlan::none());
         assert!(out.ok, "fixed-seed smoke campaign must be clean: {}", out.detail);
         assert_eq!(out.exit, "halted");
     }
@@ -691,12 +685,12 @@ mod tests {
     #[test]
     fn selftest_outcomes_follow_the_attempt_contract() {
         let flaky = CellId::Selftest { kind: SelftestKind::Flaky };
-        // Attempt semantics are driven by ATTEMPT_ENV; without it the cell
-        // reports a retriable failure.
-        std::env::remove_var(ATTEMPT_ENV);
-        let first = run_in_process(&flaky, 1, &CheckpointPlan::none());
+        let plan = CheckpointPlan::none();
+        let first = run_in_process(&flaky, 1, 1, &plan);
         assert!(!first.ok && first.retriable && first.exit == "flaky");
-        let ok = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, &CheckpointPlan::none());
+        let second = run_in_process(&flaky, 1, 2, &plan);
+        assert!(second.ok && !second.retriable && second.exit == "halted");
+        let ok = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, 1, &plan);
         assert!(ok.ok && ok.exit == "halted");
     }
 
@@ -708,9 +702,8 @@ mod tests {
         let path = std::env::temp_dir().join(format!("sas-cell-hb-{}.json", std::process::id()));
         std::fs::write(&path, "{\"cycle\":1,\"committed\":1}\n").unwrap();
         std::fs::write(path.with_extension("hb.tmp"), "torn").unwrap();
-        std::env::set_var(sas_bench::HEARTBEAT_ENV, &path);
-        let out = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, &CheckpointPlan::none());
-        std::env::remove_var(sas_bench::HEARTBEAT_ENV);
+        let plan = CheckpointPlan { heartbeat: Some(path.clone()), ..CheckpointPlan::none() };
+        let out = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, 1, &plan);
         assert!(out.ok);
         assert!(!path.exists(), "cell finish must delete the heartbeat file");
         assert!(!path.with_extension("hb.tmp").exists(), "staging sibling must go too");

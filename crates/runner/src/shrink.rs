@@ -79,9 +79,6 @@ impl Prober<'_> {
             .arg(self.cell.to_string())
             .arg("--iters")
             .arg(self.cfg.iters.to_string())
-            .env_remove(sas_bench::FAULT_PLAN_ENV)
-            .env_remove(sas_bench::CELL_ENV)
-            .env_remove(cell::ATTEMPT_ENV)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());

@@ -56,7 +56,7 @@ pub struct Config {
     pub resume: bool,
     /// Outer-loop iterations handed to bench cells.
     pub iters: u32,
-    /// Cell id whose child gets [`sas_bench::FAULT_PLAN_ENV`] armed.
+    /// Cell id whose child gets `--fault-plan` armed.
     pub fault_cell: Option<String>,
     /// The fault-plan spec to arm on that cell.
     pub fault_plan: Option<String>,
@@ -406,10 +406,10 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
         .arg(&id)
         .arg("--iters")
         .arg(cfg.iters.to_string())
-        .env_remove(sas_bench::FAULT_PLAN_ENV)
-        .env_remove(sas_bench::CELL_ENV)
-        .env(cell::ATTEMPT_ENV, attempt.to_string())
-        .env(sas_bench::HEARTBEAT_ENV, &hb_path)
+        .arg("--attempt")
+        .arg(attempt.to_string())
+        .arg("--heartbeat")
+        .arg(&hb_path)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
@@ -432,7 +432,7 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
     }
     if let (Some(fault_cell), Some(plan)) = (&cfg.fault_cell, &cfg.fault_plan) {
         if fault_cell == &id {
-            cmd.env(sas_bench::FAULT_PLAN_ENV, plan);
+            cmd.arg("--fault-plan").arg(plan);
         }
     }
     let mut child = match cmd.spawn() {

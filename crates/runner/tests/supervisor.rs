@@ -29,9 +29,6 @@ fn runner(args: &[&str]) -> Command {
     cmd.args(args)
         .env_remove("SAS_BENCH_JSONL")
         .env_remove("SAS_RUNNER_JOBS")
-        .env_remove("SAS_RUNNER_FAULT_PLAN")
-        .env_remove("SAS_RUNNER_CELL")
-        .env_remove("SAS_FAULT_SEED")
         .env_remove("SAS_RUNNER_SELFTEST");
     cmd
 }
@@ -199,6 +196,50 @@ fn resume_after_sigkill_reruns_only_incomplete_cells() {
     assert_eq!(after[0], before[0]);
     assert_eq!(after[1].cell, "selftest/flaky");
     assert!(after[1].ok && after[1].attempts >= 2, "{after:?}");
+}
+
+/// A cell's inputs are its flags: a fault seed left in the calling shell
+/// must not reach a supervised child and change campaign numbers.
+#[test]
+fn shell_fault_seed_does_not_change_campaign_numbers() {
+    let dir = tmp_dir("fault-seed-leak");
+    let row = |name: &str, fault_seed: Option<&str>| {
+        let manifest_path = dir.join(name);
+        let mut cmd = runner(&[
+            "run",
+            "--cells",
+            "spec/505.mcf_r/unsafe",
+            "--iters",
+            "5",
+            "--no-shrink",
+            "--manifest",
+            manifest_path.to_str().unwrap(),
+        ]);
+        if let Some(seed) = fault_seed {
+            cmd.env("SAS_FAULT_SEED", seed);
+        }
+        let out = cmd.output().expect("spawn sas-runner");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+        let mut records = manifest::load_and_repair(&manifest_path).unwrap();
+        assert_eq!(records.len(), 1, "{records:?}");
+        records.remove(0)
+    };
+    let clean = row("clean.jsonl", None);
+    let seeded = row("seeded.jsonl", Some("42"));
+    assert!(clean.cpi.is_some(), "{clean:?}");
+    assert_eq!((seeded.cycles, &seeded.cpi), (clean.cycles, &clean.cpi));
+}
+
+/// A malformed `--fault-plan` on a cell child is a usage error, not a
+/// panic inside the cell.
+#[test]
+fn bad_cell_fault_plan_is_a_usage_error() {
+    let out = runner(&["cell", "spec/505.mcf_r/unsafe", "--fault-plan", "bogus"])
+        .output()
+        .expect("spawn sas-runner");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--fault-plan"), "{stderr}");
 }
 
 /// The shrinker's repro bundles replay to the same failure signature. A

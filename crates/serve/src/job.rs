@@ -329,9 +329,6 @@ fn run_sim(
     if trace.is_some() {
         sys.enable_telemetry(64, 65_536);
     }
-    if let Some(hb) = &plan.heartbeat {
-        sys.set_heartbeat(hb.clone(), plan.chunk.clamp(1, 100_000));
-    }
     let chunk = plan.chunk.max(1);
     // Trace runs carry telemetry state no snapshot round-trips, so they
     // re-run from scratch after a restart instead of checkpointing.
@@ -342,6 +339,8 @@ fn run_sim(
         warm_cycles: 0,
         exit_after: 0,
         poll_every: Some(chunk),
+        faults: None,
+        heartbeat: plan.heartbeat.clone(),
     };
     let deadline = plan.deadline;
     let control = move |_: &System| {

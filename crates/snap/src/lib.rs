@@ -32,10 +32,11 @@ pub const MAGIC: [u8; 8] = *b"SASNAP\x00\x01";
 
 /// Current snapshot format version. Readers reject every other version:
 /// anything newer is unknown, version 1 recorded program fingerprints over
-/// rendered `.sasm` text, which this build no longer computes, and version 2
+/// rendered `.sasm` text, which this build no longer computes, version 2
 /// carried per-core policy-state blobs and ghost-buffer epochs, which no
-/// longer exist (see DESIGN.md §11 for the migration policy).
-pub const VERSION: u16 = 3;
+/// longer exist, and version 3 carried per-core event traces, which no
+/// longer exist either (see DESIGN.md §11 for the migration policy).
+pub const VERSION: u16 = 4;
 
 /// Header flag: the snapshot is a warmed-baseline image — caches, predictors
 /// and architectural state warmed under the unprotected baseline. Restoring
@@ -882,9 +883,10 @@ mod tests {
     #[test]
     fn older_versions_are_rejected() {
         // Version 1 fingerprinted programs over rendered `.sasm`; version 2
-        // carried policy-state blobs and ghost epochs. Their images are
-        // rejected (and checkpoints replayed), never misread.
-        for found in [1, 2] {
+        // carried policy-state blobs and ghost epochs; version 3 carried
+        // event traces. Their images are rejected (and checkpoints
+        // replayed), never misread.
+        for found in [1, 2, 3] {
             let err = Snapshot::parse(sample_as_version(found)).err();
             assert_eq!(err, Some(SnapError::BadVersion { found, supported: VERSION }));
             let msg = err.unwrap().to_string();

@@ -28,6 +28,9 @@ pub struct InstRecord {
     pub commit: Option<u64>,
     /// Cycle it was squashed (mutually exclusive with `commit`).
     pub squashed: Option<u64>,
+    /// Cycle the tag-check handler withheld its data (an unsafe speculative
+    /// access under SpecASan: the TSH sets SSA=0 and the load waits).
+    pub unsafe_block: Option<u64>,
 }
 
 /// A bounded per-core collector of [`InstRecord`]s, indexed by seq.
@@ -73,6 +76,7 @@ impl Timeline {
             complete: None,
             commit: None,
             squashed: None,
+            unsafe_block: None,
         });
     }
 
@@ -102,6 +106,13 @@ impl Timeline {
             if r.complete.is_none() {
                 r.complete = Some(cycle);
             }
+        }
+    }
+
+    /// Records the TSH withholding `seq`'s data.
+    pub fn on_unsafe_block(&mut self, seq: u64, cycle: u64) {
+        if let Some(r) = self.get_mut(seq) {
+            r.unsafe_block = Some(cycle);
         }
     }
 
@@ -152,6 +163,7 @@ impl Timeline {
             e.opt_uv(r.complete);
             e.opt_uv(r.commit);
             e.opt_uv(r.squashed);
+            e.opt_uv(r.unsafe_block);
         });
     }
 
@@ -175,6 +187,7 @@ impl Timeline {
                 complete: d.opt_uv()?,
                 commit: d.opt_uv()?,
                 squashed: d.opt_uv()?,
+                unsafe_block: d.opt_uv()?,
             })
         })?;
         Ok(())
@@ -194,10 +207,26 @@ mod tests {
         t.on_commit(1, 5);
         let r = &t.records()[0];
         assert_eq!(
-            (r.fetch, r.dispatch, r.issue, r.complete, r.commit, r.squashed),
-            (Some(0), Some(2), Some(3), Some(4), Some(5), None)
+            (r.fetch, r.dispatch, r.issue, r.complete, r.commit, r.squashed, r.unsafe_block),
+            (Some(0), Some(2), Some(3), Some(4), Some(5), None, None)
         );
         assert_eq!(t.committed(), 1);
+        // An unsafe speculative load: issued, data withheld, then squashed.
+        t.on_dispatch(2, 4, "ldrb x5, [x2, x0]".into(), Some(1), 3);
+        t.on_issue(2, 4);
+        t.on_unsafe_block(2, 4);
+        t.on_squash(2, 9);
+        let r = &t.records()[1];
+        assert_eq!(
+            (r.issue, r.complete, r.commit, r.squashed, r.unsafe_block),
+            (Some(4), None, None, Some(9), Some(4))
+        );
+        let mut e = sas_snap::Enc::new();
+        t.encode(&mut e);
+        let bytes = e.into_bytes();
+        let mut back = Timeline::default();
+        back.restore(&mut sas_snap::Dec::new(&bytes, "timeline")).unwrap();
+        assert_eq!(back, t, "the block cycle survives a snapshot");
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
 
         let program = spectre::spectre_v1_program(&cfg, GadgetFlavor::TagViolating);
         let mut sys = build_system(&cfg, program, m);
-        sys.core_mut(0).enable_trace(1_000_000);
+        sys.enable_telemetry(1024, 1_000_000);
         layout::install_victim(&mut sys);
         let exit = sys.run(3_000_000).exit;
         let stats = sys.core(0).stats.clone();
@@ -69,26 +69,27 @@ fn main() {
         println!("  squashed instructions    : {}", stats.squashed);
         println!();
 
-        // The machine's own account of the attack window (last recorded
-        // events around the squash):
-        use sas_pipeline::TraceEvent;
-        let trace = sys.core(0).trace();
-        let interesting: Vec<String> = trace
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::TagCheck { outcome: sas_mte::TagCheckOutcome::Unsafe, .. }
-                        | TraceEvent::UnsafeBlocked { .. }
-                        | TraceEvent::Squash { .. }
-                        | TraceEvent::Fault { .. }
-                )
-            })
-            .map(|e| format!("    {e}"))
-            .collect();
-        if !interesting.is_empty() {
-            println!("  trace (tag mismatches / blocks / squashes):");
-            for line in interesting.iter().rev().take(6).rev() {
-                println!("{line}");
+        // The machine's own account of the attack window: each access whose
+        // unsafe tag check made the TSH withhold the data, and its fate.
+        let timeline = sys.timeline(0).expect("telemetry is enabled");
+        let blocked: Vec<_> =
+            timeline.records().iter().filter(|r| r.unsafe_block.is_some()).collect();
+        if !blocked.is_empty() {
+            println!("  timeline (unsafe tag check -> TSH block -> squash):");
+            for r in blocked.iter().rev().take(6).rev() {
+                let fate = match (r.commit, r.squashed) {
+                    (Some(c), _) => format!("committed @{c}"),
+                    (None, Some(q)) => format!("squashed @{q}"),
+                    (None, None) => "in flight".to_string(),
+                };
+                println!(
+                    "    seq {:<6} pc {:#06x}  {:<22} issued @{}  blocked @{}  {fate}",
+                    r.seq,
+                    r.pc,
+                    r.disasm,
+                    r.issue.unwrap_or_default(),
+                    r.unsafe_block.unwrap_or_default(),
+                );
             }
             println!();
         }
