@@ -250,12 +250,14 @@ impl Simulator {
     /// The target must be built from the same configuration, programs and
     /// (unless the snapshot is a warmed-baseline image) the same mitigation;
     /// mismatches are reported as [`SnapError::Mismatch`] rather than
-    /// producing a silently-diverging machine. On error the simulator may be
-    /// left partially restored — rebuild it before further use.
+    /// producing a silently-diverging machine. The restore is
+    /// all-or-nothing (see [`restore_system_checked`]): on error the
+    /// simulator keeps the state it had before the call.
     ///
     /// [`snapshot`]: Simulator::snapshot
+    /// [`restore_system_checked`]: crate::snapshot::restore_system_checked
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        crate::snapshot::restore_system(&mut self.system, snap)
+        crate::snapshot::restore_system_checked(&mut self.system, snap)
     }
 
     /// Writes a snapshot to `path` atomically (temp file + rename).
@@ -263,10 +265,10 @@ impl Simulator {
         self.snapshot(warm_base).write_atomic(path)
     }
 
-    /// Reads, CRC-verifies and restores a snapshot file.
+    /// Reads, CRC-verifies and restores a snapshot file, all-or-nothing
+    /// like [`restore`](Simulator::restore).
     pub fn restore_from(&mut self, path: &Path) -> Result<(), SnapError> {
-        let snap = Snapshot::read(path)?;
-        self.restore(&snap)
+        crate::snapshot::restore_system_from(&mut self.system, path)
     }
 }
 

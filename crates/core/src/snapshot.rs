@@ -77,9 +77,10 @@ pub fn snapshot_system(system: &System, warm_base: bool) -> SnapshotBuilder {
 ///
 /// Every section CRC is verified, exactly once, *before* any state is
 /// touched, so a corrupted image always leaves the target untouched. A
-/// decode error inside a CRC-valid section (an encoding bug, not line
-/// corruption) can still leave the system partially restored — use
-/// [`restore_system_checked`] when the target must survive that too.
+/// CRC-valid image can still fail late — an oracle or fault-plan arming
+/// mismatch, or a decode error — after earlier sections were written,
+/// leaving the system partially restored. Use [`restore_system_checked`]
+/// when the target must survive that too.
 pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapError> {
     // All-or-nothing against corruption: `section` CRC-checks each section
     // it hands out, so take all four before the first write.
@@ -152,21 +153,16 @@ pub fn write_system_snapshot(
 }
 
 /// Restores `snap` into `system` **transactionally**: on any failure —
-/// CRC, mismatch, or a decode error deep inside a section — the system is
-/// rolled back to the state it had on entry (via an in-memory pristine
-/// image) and the original error is returned. This is what checkpoint
-/// consumers want: a rejected snapshot degrades to "run from where you
-/// were", never to a half-restored machine.
+/// CRC, mismatch, or a decode error deep inside a section — `system` keeps
+/// the state it had on entry and the original error is returned. The
+/// restore runs into a clone of `system`, which replaces it only on
+/// success. This is what checkpoint consumers want: a rejected snapshot
+/// degrades to "run from where you were", never to a half-restored machine.
 pub fn restore_system_checked(system: &mut System, snap: &Snapshot) -> Result<(), SnapError> {
-    let pristine = snapshot_system(system, false).to_bytes();
-    match restore_system(system, snap) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let rollback = Snapshot::parse(pristine).expect("pristine image parses");
-            restore_system(system, &rollback).expect("pristine image restores");
-            Err(e)
-        }
-    }
+    let mut staged = system.clone();
+    restore_system(&mut staged, snap)?;
+    *system = staged;
+    Ok(())
 }
 
 /// Reads, CRC-verifies and transactionally restores a snapshot file into

@@ -9,8 +9,9 @@
 //! A failing case prints its seed; `SAS_PTEST_SEED=<seed>` replays it.
 
 use sas_isa::{parse_program, Program, Reg};
-use sas_ptest::{check, gens};
+use sas_ptest::{check, gens, FaultPlan};
 use sas_snap::{SnapError, Snapshot, FLAG_TELEMETRY, FLAG_WARM_BASE};
+use specasan::snapshot::{restore_system, restore_system_checked, snapshot_system};
 use specasan::{Mitigation, Simulator};
 
 fn build(program: &Program, m: Mitigation, telemetry: bool) -> Simulator {
@@ -207,6 +208,67 @@ fn mismatched_targets_are_rejected_with_structured_errors() {
         Err(SnapError::Mismatch { what: "telemetry", .. }) => {}
         other => panic!("expected telemetry mismatch, got {other:?}"),
     }
+}
+
+/// A countdown loop long enough to stop at cycle 150 mid-run.
+fn countdown() -> Program {
+    parse_program("MOVZ X1, #400\nloop:\nSUB X1, X1, #1\nCBNZ X1, loop\nHALT\n").unwrap()
+}
+
+/// An image rejected by a check inside the `system` section — after the
+/// cycle counter was decoded — leaves the simulator exactly as it was.
+#[test]
+fn rejected_restore_leaves_the_simulator_untouched() {
+    let mut from = Simulator::builder().program(countdown()).oracle().build();
+    from.system_mut().run(150);
+    assert_eq!(from.system().cycle(), 150);
+    let snap = Snapshot::parse(from.snapshot(false).to_bytes()).unwrap();
+
+    let mut into = Simulator::builder().program(countdown()).build();
+    into.system_mut().run(20);
+    let before = into.snapshot(false).to_bytes();
+    match into.restore(&snap) {
+        Err(SnapError::BadValue { what: "oracle arming mismatch", .. }) => {}
+        other => panic!("expected an oracle arming mismatch, got {other:?}"),
+    }
+    assert_eq!(into.system().cycle(), 20);
+    assert!(into.snapshot(false).to_bytes() == before, "rejected restore modified the target");
+}
+
+/// The checked restore's deep-failure case: a CRC-valid image taken with a
+/// fault plan armed passes `meta` and `system`, and `mem` rejects it only
+/// after architectural memory, tags and the caches were written. The target
+/// must come back byte-identical. A successful checked restore gives the
+/// same machine as a plain restore into a fresh twin.
+#[test]
+fn checked_restore_rolls_back_a_late_decode_failure() {
+    let mut armed = Simulator::builder().program(countdown()).fault_plan(FaultPlan::new(7)).build();
+    armed.system_mut().run(150);
+    let snap = Snapshot::parse(armed.snapshot(false).to_bytes()).unwrap();
+
+    let mut target = Simulator::builder().program(countdown()).build();
+    target.system_mut().run(20);
+    let before = snapshot_system(target.system(), false).to_bytes();
+    match restore_system_checked(target.system_mut(), &snap) {
+        Err(SnapError::BadValue { what: "fault arming mismatch", .. }) => {}
+        other => panic!("expected a fault arming mismatch, got {other:?}"),
+    }
+    assert!(
+        snapshot_system(target.system(), false).to_bytes() == before,
+        "rejected checked restore modified the target"
+    );
+
+    let mut clean = Simulator::builder().program(countdown()).build();
+    clean.system_mut().run(150);
+    let snap = Snapshot::parse(clean.snapshot(false).to_bytes()).unwrap();
+    restore_system_checked(target.system_mut(), &snap).expect("checked restore");
+    let mut twin = Simulator::builder().program(countdown()).build();
+    restore_system(twin.system_mut(), &snap).expect("plain restore");
+    assert!(
+        snapshot_system(target.system(), false).to_bytes()
+            == snapshot_system(twin.system(), false).to_bytes(),
+        "checked and plain restores disagree"
+    );
 }
 
 /// `write_snapshot`/`restore_from` round-trip through a file, atomically.

@@ -85,13 +85,13 @@ pub struct SlotRef {
     gen: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<T> {
     gen: u32,
     state: SlotState<T>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum SlotState<T> {
     Occupied(T),
     /// Free; holds the next free slot index (a plain index — free-list
@@ -117,7 +117,7 @@ enum SlotState<T> {
 /// assert_eq!(s.get(a), None);       // ...but the old handle stays dead
 /// assert_eq!(s.get(b), Some(&9));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free_head: Option<u32>,

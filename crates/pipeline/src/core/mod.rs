@@ -241,7 +241,7 @@ pub struct CoreDump {
 /// Deep-telemetry state: per-instruction stage timestamps plus event
 /// histograms. Boxed and absent by default, so when telemetry is off every
 /// hook site pays a single null check and nothing else.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CoreTelemetry {
     timeline: Timeline,
     load_latency: Histogram,
@@ -273,11 +273,12 @@ struct DrainSlot {
 }
 
 /// One out-of-order core.
+#[derive(Clone)]
 pub struct Core {
     id: usize,
     cfg: CoreConfig,
     program: Arc<Program>,
-    policy: Box<dyn MitigationPolicy>,
+    policy: Arc<dyn MitigationPolicy>,
     pred: BranchPredictor,
     irg: IrgRng,
 
@@ -384,7 +385,7 @@ impl Core {
             id,
             cfg,
             program,
-            policy,
+            policy: Arc::from(policy),
             pred: BranchPredictor::new(&cfg),
             irg: IrgRng::seeded(0xC0FE + id as u64),
             regs: [0; Reg::COUNT],

@@ -111,7 +111,7 @@ const GAUGE_SERIES_CAP: usize = 4096;
 
 /// Structure-occupancy gauges sampled every `interval` cycles while the
 /// machine runs (present only after [`System::enable_telemetry`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SystemTelemetry {
     interval: u64,
     /// Per core: one series per [`CORE_GAUGES`] entry.
@@ -140,7 +140,7 @@ struct SystemTelemetry {
 /// assert_eq!(sys.core(0).reg(Reg::X1), 42);
 /// assert!(result.cycles > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct System {
     mem: MemSystem,
     cores: Vec<Core>,

@@ -205,6 +205,11 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Encoder
 // ---------------------------------------------------------------------------
 
+/// Bytes [`Enc::uv`] takes to encode `v`.
+fn uv_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Append-only binary encoder over the snapshot primitives.
 #[derive(Debug, Default)]
 pub struct Enc {
@@ -486,7 +491,14 @@ impl SnapshotBuilder {
 
     /// Serializes the whole snapshot.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let framed: usize = self
+            .sections
+            .iter()
+            .map(|(name, payload)| {
+                4 + 1 + name.len() + uv_len(payload.len() as u64) + payload.len()
+            })
+            .sum();
+        let mut out = Vec::with_capacity(MAGIC.len() + 2 + 2 + 4 + 4 + framed);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.flags.to_le_bytes());
@@ -496,16 +508,17 @@ impl SnapshotBuilder {
         for (name, payload) in &self.sections {
             // The section CRC covers the framing (name + length) AND the
             // payload, so a flip anywhere inside the section is detected.
-            let mut frame = Vec::with_capacity(name.len() + payload.len() + 16);
-            frame.push(name.len() as u8);
-            frame.extend_from_slice(name.as_bytes());
+            // The frame is written in place after a CRC placeholder.
+            let crc_at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            out.push(name.len() as u8);
+            out.extend_from_slice(name.as_bytes());
             let mut e = Enc::new();
             e.usz(payload.len());
-            frame.extend_from_slice(&e.into_bytes());
-            frame.extend_from_slice(payload);
-            let crc = crc32(&frame);
-            out.extend_from_slice(&crc.to_le_bytes());
-            out.extend_from_slice(&frame);
+            out.extend_from_slice(&e.into_bytes());
+            out.extend_from_slice(payload);
+            let crc = crc32(&out[crc_at + 4..]);
+            out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         }
         out
     }
@@ -812,6 +825,26 @@ mod tests {
         e.seq(&[7u64, 8, 9], |e, &v| e.uv(v));
         b.section("state", e);
         b.to_bytes()
+    }
+
+    /// `to_bytes` output is pinned byte for byte: header, then per section
+    /// CRC, name, varint length and payload.
+    #[test]
+    fn two_section_bytes_are_pinned() {
+        let want = "5341534e41500001040002000200000089b1a3c5\
+                    48af875f046d6574610d0c6d6574612d636f6e74656e74\
+                    1f56c1a50573746174650403070809";
+        let got: String = sample().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn varint_length_matches_the_encoder() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+            let mut e = Enc::new();
+            e.uv(v);
+            assert_eq!(uv_len(v), e.len(), "{v}");
+        }
     }
 
     #[test]

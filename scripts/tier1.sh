@@ -23,6 +23,13 @@ cargo build --release --offline --workspace --benches --examples --bins
 echo "== tier1: offline test suite =="
 cargo test -q --offline
 
+echo "== tier1: benchmark crate (hostbench) builds against the current APIs =="
+# hostbench is a workspace of its own, so the build above does not compile
+# it; a public API it calls that changes must fail here. Same target
+# directory as hostbench/run.sh picks.
+CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-hostbench/target/cargo} \
+  cargo test -q --offline --manifest-path hostbench/Cargo.toml
+
 echo "== tier1: bench smoke (fig6 grid via sas-runner, 75 isolated cells) =="
 ./target/release/sas-runner fig6 --iters 2 --jobs 2 --timeout-ms 120000 \
   --manifest target/sas-runner/tier1-fig6.jsonl
