@@ -16,13 +16,47 @@
 //!    serialized tag fetch.
 
 use sas_attacks::{mds::Ridl, GadgetFlavor, TransientAttack};
-use sas_bench::{bench_iterations, geomean, jsonl, run_spec, SEED};
-use sas_isa::TagNibble;
+use sas_bench::{bench_iterations, geomean, jsonl, run_grid, run_spec, SEED};
+use sas_isa::{Program, TagNibble};
 use sas_mem::FillMode;
 use sas_mte::{check_access, TagCheckOutcome, TagStorage, TaggedHeap, TaggingPolicy};
-use sas_pipeline::{DelayCause, IssueDecision, LoadIssueCtx, MitigationPolicy, RunExit};
-use sas_workloads::{build_workload, spec_suite};
-use specasan::{Mitigation, SimConfig};
+use sas_pipeline::{
+    DelayCause, IssueDecision, LoadIssueCtx, MitigationPolicy, RunExit, RunResult, System,
+};
+use sas_workloads::{build_workload, spec_suite, Profile};
+use specasan::{build_system, Mitigation, SimConfig};
+use std::collections::HashMap;
+
+/// The streaming workloads ablation 5 measures the secure prefetcher on.
+const STREAMING: [&str; 2] = ["525.x264_r", "538.imagick_r"];
+
+/// Cycles of the standard `Unsafe` and `SpecAsan` cells that ablations 1,
+/// 2, 5 and 6 normalize against, each simulated once.
+type References = HashMap<(&'static str, Mitigation), f64>;
+
+fn references(iters: u32) -> References {
+    let suite = spec_suite();
+    let mut keys: Vec<(&Profile, Mitigation)> = suite
+        .iter()
+        .take(6)
+        .flat_map(|p| [(p, Mitigation::Unsafe), (p, Mitigation::SpecAsan)])
+        .collect();
+    let streaming = suite.iter().filter(|p| STREAMING.contains(&p.name));
+    keys.extend(streaming.map(|p| (p, Mitigation::SpecAsan)));
+    let cells = run_grid(&keys, |&(p, m)| run_spec(p, m, iters));
+    keys.iter().zip(&cells).map(|(&(p, m), c)| ((p.name, m), c.cycles as f64)).collect()
+}
+
+/// Runs `p`'s workload on the system `build` makes from its program; the
+/// run must halt.
+fn run_variant(p: &Profile, iters: u32, build: impl FnOnce(Program) -> System) -> RunResult {
+    let w = build_workload(p, iters, SEED, 0);
+    let mut sys = build(w.program.clone());
+    w.setup.apply(&mut sys);
+    let r = sys.run(1_000_000_000);
+    assert_eq!(r.exit, RunExit::Halted);
+    r
+}
 
 /// Non-selective strawman: every tagged speculative load waits for
 /// speculation to resolve (what SpecASan would cost *without* the
@@ -44,25 +78,17 @@ impl MitigationPolicy for DelayAllTagged {
     }
 }
 
-fn ablation_selective_delay() {
+fn ablation_selective_delay(refs: &References, iters: u32) {
     println!("--- Ablation 1: selective delay vs delay-all-tagged ---");
-    let iters = bench_iterations() / 2 + 1;
     let cfg = SimConfig::table2();
     let mut sel = Vec::new();
     let mut all = Vec::new();
     for p in spec_suite().iter().take(6) {
-        let base = run_spec(p, Mitigation::Unsafe, iters).cycles as f64;
-        let s = run_spec(p, Mitigation::SpecAsan, iters).cycles as f64 / base;
-        let w = build_workload(p, iters, SEED, 0);
-        let mut sys = sas_pipeline::System::single_core(
-            cfg.core,
-            cfg.mem,
-            w.program.clone(),
-            Box::new(DelayAllTagged),
-        );
-        w.setup.apply(&mut sys);
-        let r = sys.run(1_000_000_000);
-        assert_eq!(r.exit, RunExit::Halted);
+        let base = refs[&(p.name, Mitigation::Unsafe)];
+        let s = refs[&(p.name, Mitigation::SpecAsan)] / base;
+        let r = run_variant(p, iters, |program| {
+            System::single_core(cfg.core, cfg.mem, program, Box::new(DelayAllTagged))
+        });
         let a = r.cycles as f64 / base;
         println!("  {:<18} selective {s:>7.3}   delay-all {a:>7.3}", p.name);
         jsonl::emit(
@@ -90,19 +116,14 @@ fn ablation_selective_delay() {
     println!();
 }
 
-fn ablation_tag_fetch() {
+fn ablation_tag_fetch(refs: &References, iters: u32) {
     println!("--- Ablation 2: parallel vs serial tag-storage fetch ---");
-    let iters = bench_iterations() / 2 + 1;
+    let mut cfg = SimConfig::table2();
+    cfg.mem.dram.parallel_tag_fetch = false;
     for p in spec_suite().iter().take(4) {
-        let base = run_spec(p, Mitigation::Unsafe, iters).cycles as f64;
-        let par = run_spec(p, Mitigation::SpecAsan, iters).cycles as f64 / base;
-        let mut cfg = SimConfig::table2();
-        cfg.mem.dram.parallel_tag_fetch = false;
-        let w = build_workload(p, iters, SEED, 0);
-        let mut sys = specasan::build_system(&cfg, w.program.clone(), Mitigation::SpecAsan);
-        w.setup.apply(&mut sys);
-        let r = sys.run(1_000_000_000);
-        assert_eq!(r.exit, RunExit::Halted);
+        let base = refs[&(p.name, Mitigation::Unsafe)];
+        let par = refs[&(p.name, Mitigation::SpecAsan)] / base;
+        let r = run_variant(p, iters, |program| build_system(&cfg, program, Mitigation::SpecAsan));
         let ser = r.cycles as f64 / base;
         println!("  {:<18} parallel {par:>7.3}   serial {ser:>7.3}", p.name);
         jsonl::emit(
@@ -198,10 +219,9 @@ fn ablation_tagging_policy() {
     );
 }
 
-fn ablation_prefetcher() {
+fn ablation_prefetcher(refs: &References, iters: u32) {
     println!("--- Ablation 5: conventional vs secure prefetcher (§6) ---");
     use sas_mem::PrefetchConfig;
-    let iters = bench_iterations() / 2 + 1;
     // Security: does a stride stream pull a differently-coloured line in?
     for (label, pf) in [
         ("no prefetcher", PrefetchConfig::default()),
@@ -230,15 +250,11 @@ fn ablation_prefetcher() {
         );
     }
     // Performance: streaming workloads with the secure prefetcher on.
-    for p in spec_suite().iter().filter(|p| ["525.x264_r", "538.imagick_r"].contains(&p.name)) {
-        let base = run_spec(p, Mitigation::SpecAsan, iters).cycles as f64;
-        let mut cfg = SimConfig::table2();
-        cfg.mem.prefetch = PrefetchConfig::secure();
-        let w = build_workload(p, iters, SEED, 0);
-        let mut sys = specasan::build_system(&cfg, w.program.clone(), Mitigation::SpecAsan);
-        w.setup.apply(&mut sys);
-        let r = sys.run(1_000_000_000);
-        assert_eq!(r.exit, RunExit::Halted);
+    let mut cfg = SimConfig::table2();
+    cfg.mem.prefetch = PrefetchConfig::secure();
+    for p in spec_suite().iter().filter(|p| STREAMING.contains(&p.name)) {
+        let base = refs[&(p.name, Mitigation::SpecAsan)];
+        let r = run_variant(p, iters, |program| build_system(&cfg, program, Mitigation::SpecAsan));
         println!(
             "  {:<18} SpecASan {:.3} -> +secure prefetch {:.3} (issued {}, suppressed {})",
             p.name,
@@ -261,20 +277,16 @@ fn ablation_prefetcher() {
     println!();
 }
 
-fn ablation_tag_hints() {
+fn ablation_tag_hints(refs: &References, iters: u32) {
     println!("--- Ablation 6: tag-hint responses under serialized tag fetch (§3.3.4) ---");
-    let iters = bench_iterations() / 2 + 1;
     for p in spec_suite().iter().take(3) {
-        let base = run_spec(p, Mitigation::Unsafe, iters).cycles as f64;
+        let base = refs[&(p.name, Mitigation::Unsafe)];
         let run_with = |hints: bool| {
             let mut cfg = SimConfig::table2();
             cfg.mem.dram.parallel_tag_fetch = false;
             cfg.mem.tag_hint_responses = hints;
-            let w = build_workload(p, iters, SEED, 0);
-            let mut sys = specasan::build_system(&cfg, w.program.clone(), Mitigation::SpecAsan);
-            w.setup.apply(&mut sys);
-            let r = sys.run(1_000_000_000);
-            assert_eq!(r.exit, RunExit::Halted);
+            let r =
+                run_variant(p, iters, |program| build_system(&cfg, program, Mitigation::SpecAsan));
             (r.cycles as f64 / base, r.mem_stats.tag_hint_hits)
         };
         let (serial, _) = run_with(false);
@@ -301,11 +313,13 @@ fn ablation_tag_hints() {
 }
 
 fn main() {
+    let iters = bench_iterations() / 2 + 1;
+    let refs = references(iters);
     println!("== Ablations ==");
-    ablation_selective_delay();
-    ablation_tag_fetch();
+    ablation_selective_delay(&refs, iters);
+    ablation_tag_fetch(&refs, iters);
     ablation_lfb_tagging();
     ablation_tagging_policy();
-    ablation_prefetcher();
-    ablation_tag_hints();
+    ablation_prefetcher(&refs, iters);
+    ablation_tag_hints(&refs, iters);
 }

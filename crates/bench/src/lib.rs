@@ -14,19 +14,30 @@
 
 use crate::checkpoint::{CheckpointPlan, Interrupt};
 use sas_pipeline::{CpiStack, DelayCause, RunExit, RunResult, System};
-use sas_workloads::{build_parsec_workload, build_workload, Profile, Workload};
+use sas_workloads::{build_parsec_workload, build_workload, parse_iterations, Profile, Workload};
 use specasan::{build_multicore, build_system, Mitigation, SimConfig};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 pub mod checkpoint;
 pub mod jsonl;
 pub mod timing;
 
-/// Outer-loop iterations per benchmark run.
+/// Outer-loop iterations per benchmark run: `SAS_BENCH_ITERS`, or 150 when
+/// it is unset.
+///
+/// # Panics
+///
+/// Panics naming `SAS_BENCH_ITERS` when it is set to anything but an
+/// integer in `1..=u32::MAX`.
 pub fn bench_iterations() -> u32 {
-    std::env::var("SAS_BENCH_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(150)
+    match std::env::var("SAS_BENCH_ITERS") {
+        Err(std::env::VarError::NotPresent) => 150,
+        Ok(v) => parse_iterations(&v).unwrap_or_else(|e| panic!("SAS_BENCH_ITERS: {e}")),
+        Err(e) => panic!("SAS_BENCH_ITERS: {e}"),
+    }
 }
 
 /// Deterministic seed used by every harness.
@@ -39,7 +50,8 @@ pub const SEED: u64 = 0x5A5_CA5A;
 /// and moves on.
 #[derive(Debug, Clone)]
 pub struct CellFailure {
-    /// Bench target name (`fig6`, `fig7`, …).
+    /// Suite tag of the cell (`spec`, `parsec`), as [`run_spec_checked`]
+    /// and [`run_parsec_checked`] pass it.
     pub bench: String,
     /// Benchmark row.
     pub benchmark: String,
@@ -201,6 +213,30 @@ pub fn run_parsec_checked(
 /// [`run_parsec_checked`] to handle the failure yourself.
 pub fn run_parsec(profile: &Profile, m: Mitigation, iterations: u32) -> Cell {
     run_parsec_checked(profile, m, iterations).unwrap_or_else(|f| panic!("{f}"))
+}
+
+/// Runs `run` over every cell on at most four scoped worker threads and
+/// returns the results in input order. Cells are deterministic and
+/// independent single runs, so the pool cannot change a number.
+pub fn run_grid<T: Sync>(cells: &[T], run: impl Fn(&T) -> Cell + Sync) -> Vec<Cell> {
+    let next = AtomicUsize::new(0);
+    let done = Mutex::new(Vec::with_capacity(cells.len()));
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get()).min(4);
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(cells.len()) {
+            s.spawn(|| loop {
+                // Relaxed: the counter only hands out indices; results
+                // travel through the mutex.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(key) = cells.get(i) else { break };
+                let cell = run(key);
+                done.lock().expect("no worker panics holding the lock").push((i, cell));
+            });
+        }
+    });
+    let mut done = done.into_inner().expect("no worker panics holding the lock");
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, c)| c).collect()
 }
 
 /// Runs a built `bench` cell (`spec`, `parsec`) under `plan` — what a
@@ -387,12 +423,62 @@ mod tests {
             mem_stats: Default::default(),
             dump: None,
         };
-        let failure = check_clean_exit("fig6", "505.mcf_r", Mitigation::Unsafe, &run).unwrap_err();
+        let failure = check_clean_exit("spec", "505.mcf_r", Mitigation::Unsafe, &run).unwrap_err();
         assert_eq!(
             failure.invalid_row(),
-            "{\"bench\":\"fig6\",\"benchmark\":\"505.mcf_r\",\"mitigation\":\"Unsafe Baseline\",\
+            "{\"bench\":\"spec\",\"benchmark\":\"505.mcf_r\",\"mitigation\":\"Unsafe Baseline\",\
              \"exit\":\"cycle_limit\",\"valid\":false}"
         );
+    }
+
+    /// A synthetic halted cell: one core with the given counters.
+    fn cell(cycles: u64, committed: u64, restricted: u64, tainted: u64) -> Cell {
+        let stats = sas_pipeline::CoreStats {
+            committed,
+            restricted_committed: restricted,
+            tainted_committed: tainted,
+            ..Default::default()
+        };
+        let run = RunResult {
+            exit: RunExit::Halted,
+            cycles,
+            core_stats: vec![stats],
+            mem_stats: Default::default(),
+            dump: None,
+        };
+        finish(run, false)
+    }
+
+    #[test]
+    fn run_grid_keeps_input_order_with_more_cells_than_threads() {
+        // With a second worker, cell 0 finishes only after cell 1 has, so
+        // results arrive out of order.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let keys: Vec<u64> = (0..41).map(|i| (i * 7919) % 1000).collect();
+        let cells = run_grid(&keys, |&k| {
+            if k == keys[0] {
+                let wait = std::time::Duration::from_secs(5);
+                let _ = rx.lock().unwrap().recv_timeout(wait);
+            } else if k == keys[1] {
+                tx.send(()).unwrap();
+            }
+            cell(k, 1, 0, 0)
+        });
+        assert_eq!(cells.iter().map(|c| c.cycles).collect::<Vec<_>>(), keys);
+    }
+
+    #[test]
+    fn restricted_metric_reads_taint_for_stt_and_waits_otherwise() {
+        let c = cell(10, 200, 30, 50);
+        assert_eq!(restricted_metric(&c, Mitigation::Stt), 0.25);
+        for m in [Mitigation::Fence, Mitigation::SpecAsan, Mitigation::GhostMinion] {
+            assert_eq!(restricted_metric(&c, m), 0.15, "{m}");
+        }
+        let idle = cell(10, 0, 30, 50);
+        for m in [Mitigation::Stt, Mitigation::Fence, Mitigation::SpecAsan] {
+            assert_eq!(restricted_metric(&idle, m), 0.0, "{m}");
+        }
     }
 
     #[test]

@@ -20,59 +20,38 @@
 //! ```
 
 use sas_bench::checkpoint::CheckpointPlan;
-use sas_bench::{build_spec_system, cpi_json, run_cell_with, run_spec, Cell};
+use sas_bench::{build_spec_system, cpi_json, run_cell_with, run_grid, run_spec, Cell};
 use sas_pipeline::{DelayCause, RunExit};
 use sas_workloads::{spec_suite, Profile};
 use specasan::Mitigation;
-use std::sync::Mutex;
 
 /// Smoke length: matches the tier-1 fig6 stage (`--iters 2`).
 const ITERS: u32 = 2;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden_fig6_cycles.txt");
 
-fn grid() -> Vec<(usize, &'static str, Mitigation)> {
+/// Runs every cell of the grid on the shared worker pool and renders one
+/// fixture line per cell, in grid order.
+fn run_fig6_grid(run: impl Fn(&Profile, Mitigation) -> Cell + Sync) -> Vec<String> {
     let mut cols = vec![Mitigation::Unsafe];
     cols.extend(Mitigation::figure6_set());
-    let mut cells = Vec::new();
-    for p in spec_suite() {
-        for &m in &cols {
-            cells.push((cells.len(), p.name, m));
-        }
-    }
-    cells
-}
-
-/// Runs the whole grid on a small worker pool (cells are independent
-/// single-core sims; parallelism cannot affect their results — that is
-/// itself asserted by the determinism property test in `sas-core`).
-fn run_grid(run: impl Fn(&Profile, Mitigation) -> Cell + Sync) -> Vec<String> {
-    let cells = grid();
-    let work = Mutex::new(cells.clone().into_iter());
-    let mut lines: Vec<(usize, String)> = Vec::with_capacity(cells.len());
-    let lines_mx = Mutex::new(&mut lines);
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get()).min(4);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let next = work.lock().unwrap().next();
-                let Some((i, bench, m)) = next else { break };
-                let profile = spec_suite().into_iter().find(|p| p.name == bench).unwrap();
-                let cell = run(&profile, m);
-                let line = format!(
-                    "{}/{} cycles={} committed={} cpi={}",
-                    bench,
-                    m.token(),
-                    cell.cycles,
-                    cell.committed,
-                    cpi_json(&cell)
-                );
-                lines_mx.lock().unwrap().push((i, line));
-            });
-        }
-    });
-    lines.sort_by_key(|&(i, _)| i);
-    lines.into_iter().map(|(_, l)| l).collect()
+    let suite = spec_suite();
+    let keys: Vec<(&Profile, Mitigation)> =
+        suite.iter().flat_map(|p| cols.iter().map(move |&m| (p, m))).collect();
+    let cells = run_grid(&keys, |&(p, m)| run(p, m));
+    keys.iter()
+        .zip(&cells)
+        .map(|((p, m), cell)| {
+            format!(
+                "{}/{} cycles={} committed={} cpi={}",
+                p.name,
+                m.token(),
+                cell.cycles,
+                cell.committed,
+                cpi_json(cell)
+            )
+        })
+        .collect()
 }
 
 /// Asserts `lines` match the fixture, cell by cell.
@@ -104,7 +83,7 @@ fn assert_matches_fixture(lines: &[String]) {
 
 #[test]
 fn fig6_grid_is_cycle_exact() {
-    let lines = run_grid(|p, m| run_spec(p, m, ITERS));
+    let lines = run_fig6_grid(|p, m| run_spec(p, m, ITERS));
     if std::env::var("SAS_GOLDEN_RECORD").is_ok_and(|v| v == "1") {
         let body = lines.join("\n") + "\n";
         std::fs::write(FIXTURE, &body).unwrap();
@@ -118,10 +97,10 @@ fn fig6_grid_is_cycle_exact() {
 /// this grid is ticked cycle by cycle: it must still match the fixture.
 #[test]
 fn fig6_grid_ticked_cycle_by_cycle_matches_golden() {
-    let lines = run_grid(|p, m| {
+    let lines = run_fig6_grid(|p, m| {
         let mut sys = build_spec_system(p, m, ITERS);
         sys.enable_telemetry(1, 1);
-        run_cell_with(sys, "fig6", p.name, m, &CheckpointPlan::none())
+        run_cell_with(sys, "spec", p.name, m, &CheckpointPlan::none())
             .unwrap_or_else(|f| panic!("{f}"))
     });
     assert_matches_fixture(&lines);

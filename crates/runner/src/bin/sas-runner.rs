@@ -52,6 +52,7 @@ use sas_pipeline::FaultPlan;
 use sas_runner::cell::{self, CellId, CellOutcome, SelftestKind};
 use sas_runner::supervisor::{self, Config, EXIT_DETERMINISTIC, EXIT_ENVIRONMENTAL};
 use sas_runner::{run_campaign, shrink};
+use sas_workloads::parse_iterations;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -80,6 +81,13 @@ fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// `--iters N`, when given; zero or an unparsable count is an error.
+fn flag_iters(args: &[String]) -> Result<Option<u32>, String> {
+    flag_value(args, "--iters")
+        .map(|v| parse_iterations(&v).map_err(|e| format!("--iters: {e}")))
+        .transpose()
+}
+
 /// Builds the supervision config from common flags; a bad flag is reported
 /// and becomes the usage exit code.
 fn config_from(args: &[String], default_manifest: &str) -> Result<Config, ExitCode> {
@@ -106,8 +114,8 @@ fn parse_config(args: &[String], default_manifest: &str) -> Result<Config, Strin
     if let Some(b) = flag_u64(args, "--backoff-ms")? {
         cfg.backoff = Duration::from_millis(b);
     }
-    if let Some(i) = flag_u64(args, "--iters")? {
-        cfg.iters = i as u32;
+    if let Some(i) = flag_iters(args)? {
+        cfg.iters = i;
     }
     cfg.resume = has_flag(args, "--resume");
     cfg.shrink = !has_flag(args, "--no-shrink");
@@ -321,12 +329,12 @@ fn cmd_cell(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let iters = flag_value(args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(sas_bench::bench_iterations);
-    let parsed = cell_plan(args)
-        .and_then(|plan| Ok((plan, flag_u64(args, "--attempt")?.unwrap_or(1) as u32)));
-    let (plan, attempt) = match parsed {
+    let parsed = cell_plan(args).and_then(|plan| {
+        let attempt = flag_u64(args, "--attempt")?.unwrap_or(1) as u32;
+        let iters = flag_iters(args)?.unwrap_or_else(sas_bench::bench_iterations);
+        Ok((plan, attempt, iters))
+    });
+    let (plan, attempt, iters) = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("sas-runner: {e}");
@@ -365,9 +373,13 @@ fn cmd_probe(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let iters = flag_value(args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(sas_bench::bench_iterations);
+    let iters = match flag_iters(args) {
+        Ok(i) => i.unwrap_or_else(sas_bench::bench_iterations),
+        Err(e) => {
+            eprintln!("sas-runner: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let nops: Vec<usize> = flag_value(args, "--nops")
         .map(|csv| csv.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .unwrap_or_default();
@@ -458,5 +470,23 @@ fn main() -> ExitCode {
         Some("probe") => cmd_probe(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_config_rejects_a_zero_or_unparsable_iteration_count() {
+        for bad in ["0", "-1", "4294967296", "x"] {
+            let err = parse_config(&args(&["--iters", bad]), "t").unwrap_err();
+            assert!(err.contains("--iters"), "{bad}: {err}");
+        }
+        assert_eq!(parse_config(&args(&["--iters", "3"]), "t").unwrap().iters, 3);
     }
 }

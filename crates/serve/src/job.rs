@@ -453,7 +453,14 @@ pub fn parse_request(
         None => Mitigation::SpecAsan,
         Some(s) => Mitigation::parse(s).ok_or_else(|| format!("unknown mitigation {s:?}"))?,
     };
-    let iters = get_u64("iters").map(|n| n as u32).unwrap_or(DEFAULT_ITERS);
+    let iters = match params.get("iters") {
+        None => DEFAULT_ITERS,
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("\"iters\" must be an integer in 1..={}", u32::MAX))?,
+    };
     let target = || Target::from_fields(get_str("target"), get_str("program"));
     let spec = match method {
         "simulate" => JobSpec::Simulate { target: target()?, mitigation, iters },
@@ -519,6 +526,22 @@ mod tests {
         ];
         for spec in specs {
             assert_eq!(round_trip(&spec), spec);
+        }
+    }
+
+    #[test]
+    fn parse_request_takes_only_positive_u32_iteration_counts() {
+        let params = |iters: &str| {
+            sas_telemetry::json::parse(&format!("{{\"target\":\"505.mcf_r\",\"iters\":{iters}}}"))
+                .unwrap()
+        };
+        match parse_request("simulate", &params("4294967295")) {
+            Ok((JobSpec::Simulate { iters, .. }, _, _)) => assert_eq!(iters, u32::MAX),
+            other => panic!("expected a simulate spec, got {other:?}"),
+        }
+        for bad in ["0", "-1", "4294967296", "1.5", "\"25\""] {
+            let err = parse_request("simulate", &params(bad)).unwrap_err();
+            assert!(err.contains("\"iters\""), "iters {bad}: {err}");
         }
     }
 

@@ -230,12 +230,26 @@ impl<'a> Gen<'a> {
     }
 }
 
+/// Parses an iteration count a user gave as text: an integer in
+/// `1..=u32::MAX`, the range [`build_workload`] accepts.
+pub fn parse_iterations(text: &str) -> Result<u32, String> {
+    match text.parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("iterations must be an integer in 1..={}, got {text:?}", u32::MAX)),
+    }
+}
+
 /// Generates a single-threaded workload instance.
 ///
 /// `iterations` controls run length (committed instructions ≈ `iterations ×`
 /// [`Workload::approx_insts_per_iter`]); `seed` selects the deterministic
 /// random stream; `core` offsets the data so multiple instances don't share
 /// memory.
+///
+/// # Panics
+///
+/// Panics if `iterations` is 0: the outer loop decrements before it tests,
+/// so 0 would wrap into a 2^64-trip loop.
 pub fn build_workload(profile: &Profile, iterations: u32, seed: u64, core: usize) -> Workload {
     build_workload_inner(profile, iterations, seed, core, None)
 }
@@ -250,6 +264,7 @@ pub(crate) fn build_workload_inner(
     core: usize,
     barrier_threads: Option<usize>,
 ) -> Workload {
+    assert!(iterations > 0, "a workload needs at least one iteration");
     let mut rng = SplitMix64::new(seed ^ 0x5A5A_0000 ^ core as u64);
     let array_size = (profile.footprint / ARRAYS as u64).next_power_of_two();
     let data_base = DATA_BASE + (core as u64) * 0x1000_0000;
@@ -434,6 +449,21 @@ mod tests {
             assert_eq!(r.exit, RunExit::Halted, "{m} must run the workload cleanly");
             assert!(r.committed() > 100);
         }
+    }
+
+    #[test]
+    fn iteration_counts_must_be_positive_u32s() {
+        assert_eq!(parse_iterations("1"), Ok(1));
+        assert_eq!(parse_iterations("4294967295"), Ok(u32::MAX));
+        for bad in ["0", "-1", "4294967296", "1.5", "", " 25", "x"] {
+            assert!(parse_iterations(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn zero_iterations_is_refused() {
+        build_workload(&profile(), 0, 7, 0);
     }
 
     #[test]

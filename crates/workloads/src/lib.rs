@@ -34,7 +34,7 @@ pub mod parsec;
 pub mod profile;
 pub mod spec;
 
-pub use generator::{build_workload, Workload, WorkloadSetup};
+pub use generator::{build_workload, parse_iterations, Workload, WorkloadSetup};
 pub use parsec::{build_parsec_workload, parsec_suite};
 pub use profile::Profile;
 pub use spec::spec_suite;

@@ -34,6 +34,30 @@ echo "== tier1: bench smoke (fig6 grid via sas-runner, 75 isolated cells) =="
 ./target/release/sas-runner fig6 --iters 2 --jobs 2 --timeout-ms 120000 \
   --manifest target/sas-runner/tier1-fig6.jsonl
 
+echo "== tier1: figure and ablation renderers (figures + ablations bench targets) =="
+# The figures target simulates every distinct Fig. 6-9 cell once and renders
+# the four figures from the results; ablations renders its six studies. At
+# smoke length each must emit its full JSONL row set with no invalid cell.
+BENCHDIR=$PWD/target/sas-bench/tier1 # absolute: cargo bench runs in crates/bench
+rm -rf "$BENCHDIR"; mkdir -p "$BENCHDIR"
+run_bench() { # run_bench <target> <jsonl> — run the target at 2 iterations into <jsonl>
+  SAS_BENCH_ITERS=2 SAS_BENCH_JSONL="$2" \
+    cargo bench -q --offline -p sas-bench --bench "$1" >/dev/null
+  if grep -q '"valid":false' "$2"; then
+    echo "tier1: FAIL — $1 emitted an invalid cell" >&2
+    exit 1
+  fi
+}
+count_rows() { grep -c "^{\"bench\":\"$1\"" "$2" || true; }
+run_bench figures "$BENCHDIR/figures.jsonl"
+[ "$(wc -l < "$BENCHDIR/figures.jsonl")" -eq 210 ]
+[ "$(count_rows fig6 "$BENCHDIR/figures.jsonl")" -eq 64 ]
+[ "$(count_rows fig7 "$BENCHDIR/figures.jsonl")" -eq 32 ]
+[ "$(count_rows fig8 "$BENCHDIR/figures.jsonl")" -eq 66 ]
+[ "$(count_rows fig9 "$BENCHDIR/figures.jsonl")" -eq 48 ]
+run_bench ablations "$BENCHDIR/ablations.jsonl"
+[ "$(wc -l < "$BENCHDIR/ablations.jsonl")" -eq 22 ]
+
 echo "== tier1: telemetry exports (sas-trace on spectre-v1, every mitigation) =="
 # For each mitigation, one telemetry-enabled spectre-v1 run must export a
 # Chrome trace that passes the checked-in trace_event validator, a Konata

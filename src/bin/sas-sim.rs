@@ -10,7 +10,7 @@
 
 use sas_attacks::{all_attacks, bonus_attacks, security_matrix, GadgetFlavor};
 use sas_pipeline::RunExit;
-use sas_workloads::{build_workload, parsec_suite, spec_suite};
+use sas_workloads::{build_workload, parse_iterations, parsec_suite, spec_suite};
 use specasan::{Mitigation, SimConfig, Simulator};
 use std::process::ExitCode;
 
@@ -105,8 +105,13 @@ fn cmd_workload(args: &[String]) -> ExitCode {
     let m = flag_value(args, "--mitigation")
         .and_then(|s| parse_mitigation(&s))
         .unwrap_or(Mitigation::SpecAsan);
-    let iters: u32 =
-        flag_value(args, "--iters").and_then(|s| s.parse().ok()).unwrap_or(150);
+    let iters = match flag_value(args, "--iters").map(|s| parse_iterations(&s)).transpose() {
+        Ok(i) => i.unwrap_or(150),
+        Err(e) => {
+            eprintln!("--iters: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let suite = spec_suite();
     let Some(profile) = suite.iter().find(|p| p.name.eq_ignore_ascii_case(name)) else {
         eprintln!("unknown workload {name:?}; see `sas-sim list` (PARSEC runs via `cargo bench`)");

@@ -25,7 +25,7 @@ use sas_attacks::{layout, GadgetFlavor};
 use sas_pipeline::{CpiStack, DelayCause, RunExit, System};
 use sas_telemetry::json::validate_chrome_trace;
 use sas_telemetry::{chrome, konata};
-use sas_workloads::{build_workload, spec_suite};
+use sas_workloads::{build_workload, parse_iterations, spec_suite};
 use specasan::{build_system, Mitigation, SimConfig};
 use std::process::ExitCode;
 
@@ -76,7 +76,7 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 
 /// Builds the target's system (program loaded, victim/workload data
 /// installed) without running it.
-fn build_target(name: &str, m: Mitigation, args: &[String]) -> Result<System, String> {
+fn build_target(name: &str, m: Mitigation, iters: u32, args: &[String]) -> Result<System, String> {
     let cfg = SimConfig::table2();
     if name.eq_ignore_ascii_case("spectre-v1") {
         let flavor = if has_flag(args, "--matching") {
@@ -89,7 +89,6 @@ fn build_target(name: &str, m: Mitigation, args: &[String]) -> Result<System, St
         layout::install_victim(&mut sys);
         return Ok(sys);
     }
-    let iters: u32 = flag_value(args, "--iters").and_then(|s| s.parse().ok()).unwrap_or(50);
     let suite = spec_suite();
     let Some(profile) = suite.iter().find(|p| p.name.eq_ignore_ascii_case(name)) else {
         return Err(format!("unknown target {name:?}; see `sas-trace list`"));
@@ -211,7 +210,15 @@ fn run() -> Result<ExitCode, String> {
     let timeline_cap: usize =
         flag_value(&args, "--timeline-cap").and_then(|s| s.parse().ok()).unwrap_or(65_536);
 
-    let mut sys = build_target(&target, m, &args)?;
+    let iters = match flag_value(&args, "--iters").map(|s| parse_iterations(&s)).transpose() {
+        Ok(i) => i.unwrap_or(50),
+        Err(e) => {
+            eprintln!("sas-trace: --iters: {e}");
+            return Ok(ExitCode::from(2));
+        }
+    };
+
+    let mut sys = build_target(&target, m, iters, &args)?;
     sys.enable_telemetry(sample_interval, timeline_cap);
     let result = sys.run(20_000_000);
 
