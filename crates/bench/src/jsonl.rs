@@ -68,18 +68,6 @@ impl From<bool> for Value<'_> {
     }
 }
 
-/// Stable tag naming how a run ended; the `exit` field of result records.
-pub fn exit_tag(exit: &RunExit) -> &'static str {
-    match exit {
-        RunExit::Halted => "halted",
-        RunExit::Faulted(_) => "faulted",
-        RunExit::CycleLimit => "cycle_limit",
-        RunExit::Deadlock(_) => "deadlock",
-        RunExit::Divergence(_) => "divergence",
-        RunExit::Error(_) => "error",
-    }
-}
-
 /// Whether a cell's numbers mean anything: only a run that retired its whole
 /// program produces a valid perf cell. Cycle-limited, deadlocked, diverged,
 /// faulted and errored runs must be tagged as aborted, never averaged in.
@@ -219,8 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn aborted_exits_are_tagged_and_invalid() {
-        use sas_pipeline::{CrashDump, Divergence, DivergenceKind, SimError};
+    fn only_halted_runs_are_valid_cells() {
+        use sas_pipeline::{CrashDump, Divergence, DivergenceKind, FaultInfo, FaultKind, SimError};
+        let faulted = RunExit::Faulted(FaultInfo {
+            kind: FaultKind::TagCheck,
+            pc: 5,
+            addr: None,
+            cycle: 12,
+        });
         let deadlock = RunExit::Deadlock(Box::new(CrashDump {
             cycle: 99,
             cores: Vec::new(),
@@ -238,16 +232,9 @@ mod tests {
             actual: "x1 = 3".to_string(),
         }));
         let error = RunExit::Error(SimError::internal("test invariant"));
-        for (exit, tag) in [
-            (&RunExit::CycleLimit, "cycle_limit"),
-            (&deadlock, "deadlock"),
-            (&divergence, "divergence"),
-            (&error, "error"),
-        ] {
-            assert_eq!(exit_tag(exit), tag);
-            assert!(!valid_cell(exit), "{tag} must never be a valid cell");
+        for exit in [&faulted, &RunExit::CycleLimit, &deadlock, &divergence, &error] {
+            assert!(!valid_cell(exit), "{} must never be a valid cell", exit.tag());
         }
-        assert_eq!(exit_tag(&RunExit::Halted), "halted");
         assert!(valid_cell(&RunExit::Halted));
     }
 

@@ -273,13 +273,13 @@ pub fn check_clean_exit(
         RunExit::Divergence(d) => d.to_string(),
         RunExit::Faulted(f) => format!("{f:?}"),
         RunExit::Error(e) => e.to_string(),
-        other => jsonl::exit_tag(other).to_string(),
+        other => other.tag().to_string(),
     };
     Err(Box::new(CellFailure {
         bench: bench.to_string(),
         benchmark: benchmark.to_string(),
         mitigation: m,
-        exit: jsonl::exit_tag(&run.exit),
+        exit: run.exit.tag(),
         detail,
         dump: run.dump.as_ref().map(|d| d.to_string()),
     }))

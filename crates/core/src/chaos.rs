@@ -16,14 +16,16 @@
 //! * every injected *perturbation* (forced mispredicts, squash storms) is
 //!   architecturally invisible: the run must halt cleanly and match the
 //!   oracle exactly;
-//! * every campaign replays bit-for-bit from its seed (the contract
-//!   `SAS_FAULT_SEED` and crash dumps rely on);
+//! * every campaign replays bit-for-bit from its seed alone (the contract
+//!   `--fault-plan` repros and crash dumps rely on): a campaign reads no
+//!   environment;
 //! * no panic escapes the `SimError` path.
 
-use crate::mitigation::Mitigation;
-use crate::simulator::Simulator;
-use sas_isa::{Cond, Operand, Program, ProgramBuilder, Reg};
-use sas_pipeline::{FaultPlan, InjectionPoint, RunExit};
+use crate::config::SimConfig;
+use crate::mitigation::{build_system, Mitigation};
+use crate::snapshot::{restore_system_checked, snapshot_system};
+use sas_isa::{Cond, Operand, Program, ProgramBuilder, Reg, TagNibble, VirtAddr};
+use sas_pipeline::{FaultPlan, InjectionPoint, RunExit, System};
 use sas_ptest::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -205,20 +207,6 @@ impl Outcome {
     }
 }
 
-/// Stable tag naming how a run ended (the same scheme `sas_bench::jsonl`
-/// uses; duplicated here because the core crate cannot depend on the bench
-/// harness).
-pub fn exit_tag(exit: &RunExit) -> &'static str {
-    match exit {
-        RunExit::Halted => "halted",
-        RunExit::Faulted(_) => "faulted",
-        RunExit::CycleLimit => "cycle_limit",
-        RunExit::Deadlock(_) => "deadlock",
-        RunExit::Divergence(_) => "divergence",
-        RunExit::Error(_) => "error",
-    }
-}
-
 /// Runs the campaign for `seed` once with the lockstep oracle attached and
 /// the window audited afterwards.
 pub fn run_campaign(seed: u64) -> Outcome {
@@ -241,28 +229,20 @@ pub fn run_campaign(seed: u64) -> Outcome {
 /// restores without error is a silent escape — the restored machine would
 /// diverge with no detector left to notice.
 pub fn run_snap_corrupt(seed: u64, program: &Program, m: Mitigation) -> Outcome {
-    let build = || {
-        Simulator::builder()
-            .mitigation(m)
-            .program(program.clone())
-            .tag_range(BASE, LEN, WINDOW_TAG)
-            .oracle()
-            .max_cycles(MAX_CYCLES)
-            .build()
-    };
+    let build = || build_campaign_system(program, None, m);
     let mut rng = Rng::new(seed ^ 0x5A4A_C0DE);
     let cut = 1 + rng.below(256);
     let mut victim = build();
-    victim.system_mut().run(cut);
-    let mut bytes = victim.snapshot(false).to_bytes();
+    victim.run(cut);
+    let mut bytes = snapshot_system(&victim, false).to_bytes();
     let at = rng.below(bytes.len() as u64) as usize;
     let bit = rng.below(8) as u8;
     bytes[at] ^= 1 << bit;
     let rejection = match sas_snap::Snapshot::parse(bytes) {
         Err(e) => Some(e),
-        Ok(snap) => build().restore(&snap).err(),
+        Ok(snap) => restore_system_checked(&mut build(), &snap).err(),
     };
-    let cycles = victim.system().cycle();
+    let cycles = victim.cycle();
     match rejection {
         Some(e) => Outcome {
             exit: "snap_rejected",
@@ -287,33 +267,39 @@ pub fn run_snap_corrupt(seed: u64, program: &Program, m: Mitigation) -> Outcome 
 /// failure shrinker probes with mutated candidates while everything else
 /// stays bit-identical to [`run_campaign`].
 pub fn run_campaign_variant(program: &Program, plan: &FaultPlan, m: Mitigation) -> Outcome {
-    let mut sim = Simulator::builder()
-        .mitigation(m)
-        .program(program.clone())
-        .tag_range(BASE, LEN, WINDOW_TAG)
-        .fault_plan(plan.clone())
-        .oracle()
-        .max_cycles(MAX_CYCLES)
-        .build();
-    let rep = sim.run();
-    let corruptions = sim.system().corruption_injections();
-    let perturbations = sim.system().fault_injections();
-    let oracle = sim.system().oracle().expect("oracle attached");
-    let audit = oracle.audit_memory(sim.system().mem(), BASE, BASE + LEN);
-    let detail = match (&rep.result.exit, &audit) {
+    let mut sys = build_campaign_system(program, Some(plan), m);
+    let run = sys.run(MAX_CYCLES);
+    let corruptions = sys.corruption_injections();
+    let perturbations = sys.fault_injections();
+    let oracle = sys.oracle().expect("oracle attached");
+    let audit = oracle.audit_memory(sys.mem(), BASE, BASE + LEN);
+    let detail = match (&run.exit, &audit) {
         (RunExit::Divergence(d), _) => d.to_string(),
         (_, Err(d)) => format!("audit: {d}"),
         (RunExit::Faulted(f), _) => format!("{f:?}"),
         _ => String::new(),
     };
     Outcome {
-        exit: exit_tag(&rep.result.exit),
-        cycles: rep.result.cycles,
+        exit: run.exit.tag(),
+        cycles: run.cycles,
         corruptions,
         perturbations,
         audit_clean: audit.is_ok(),
         detail,
     }
+}
+
+/// A Table 2 machine running `program` with the window painted, `plan`
+/// armed, and the lockstep oracle attached last so its reference memory
+/// sees the painted window.
+fn build_campaign_system(program: &Program, plan: Option<&FaultPlan>, m: Mitigation) -> System {
+    let mut sys = build_system(&SimConfig::table2(), program.clone(), m);
+    sys.mem_mut().tags.set_range(VirtAddr::new(BASE), LEN, TagNibble::new(WINDOW_TAG));
+    if let Some(plan) = plan {
+        sys.arm_faults(plan);
+    }
+    sys.enable_oracle();
+    sys
 }
 
 /// Runs one campaign twice (run + replay) under a panic guard and returns

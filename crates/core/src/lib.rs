@@ -42,11 +42,9 @@ pub mod chaos;
 pub mod config;
 pub mod mitigation;
 pub mod policy;
-pub mod simulator;
 pub mod snapshot;
 
 pub use config::SimConfig;
-pub use simulator::{Report, Simulator, SimulatorBuilder};
 pub use mitigation::{build_multicore, build_system, Mitigation};
 pub use policy::cfi::SpecCfiPolicy;
 pub use policy::combo::SpecAsanCfiPolicy;

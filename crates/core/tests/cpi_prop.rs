@@ -9,17 +9,26 @@
 //! A failing case prints its seed; `SAS_PTEST_SEED=<seed>` replays it.
 
 use sas_isa::{Operand, Program, ProgramBuilder, Reg};
+use sas_pipeline::{RunExit, System};
 use sas_ptest::{check, gens};
-use specasan::{Mitigation, Simulator};
+use specasan::{build_system, Mitigation, SimConfig};
+
+/// Cycle budget for a run to completion.
+const MAX_CYCLES: u64 = 100_000_000;
+
+/// A Table 2 machine running `program` under `m`.
+fn build(program: &Program, m: Mitigation) -> System {
+    build_system(&SimConfig::table2(), program.clone(), m)
+}
 
 /// Core 0's encoded state after running `program` under `m` up to cycle
 /// `stop`, with telemetry sampled every `interval` cycles.
 fn core_image(program: &Program, m: Mitigation, interval: u64, stop: u64) -> Vec<u8> {
-    let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
-    sim.system_mut().enable_telemetry(interval, 4096);
-    sim.system_mut().run(stop);
+    let mut sys = build(program, m);
+    sys.enable_telemetry(interval, 4096);
+    sys.run(stop);
     let mut e = sas_snap::Enc::new();
-    sim.system().encode_core(0, &mut e);
+    sys.encode_core(0, &mut e);
     e.into_bytes()
 }
 
@@ -30,10 +39,9 @@ fn cpi_buckets_sum_exactly_to_cycles_under_every_mitigation() {
     check("cpi_buckets_sum_exactly_to_cycles_under_every_mitigation", 24, |rng| {
         let program = gens::terminating_program(8..40).sample(rng);
         for m in Mitigation::all() {
-            let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
-            let rep = sim.run();
-            assert!(rep.halted_cleanly(), "{m:?}: {}", rep.summary());
-            for (i, s) in rep.result.core_stats.iter().enumerate() {
+            let r = build(&program, m).run(MAX_CYCLES);
+            assert_eq!(r.exit, RunExit::Halted, "{m:?}");
+            for (i, s) in r.core_stats.iter().enumerate() {
                 assert_eq!(
                     s.cpi.total(),
                     s.cycles,
@@ -62,17 +70,16 @@ fn runs_are_deterministic_across_telemetry_and_concurrency() {
         let program = gens::terminating_program(8..32).sample(rng);
         for m in Mitigation::all() {
             let run_digest = |telemetry: bool| {
-                let mut sim =
-                    Simulator::builder().mitigation(m).program(program.clone()).build();
-                sim.system_mut().core_mut(0).set_record_commits(true);
+                let mut sys = build(&program, m);
+                sys.core_mut(0).set_record_commits(true);
                 if telemetry {
-                    sim.system_mut().enable_telemetry(16, 4096);
+                    sys.enable_telemetry(16, 4096);
                 }
-                let rep = sim.run();
-                assert!(rep.halted_cleanly(), "{m:?}: {}", rep.summary());
-                let cpi: Vec<_> = rep.result.core_stats.iter().map(|s| s.cpi.clone()).collect();
-                let retired = sim.system_mut().core_mut(0).take_retired();
-                (rep.result.cycles, cpi, retired)
+                let r = sys.run(MAX_CYCLES);
+                assert_eq!(r.exit, RunExit::Halted, "{m:?}");
+                let cpi: Vec<_> = r.core_stats.iter().map(|s| s.cpi.clone()).collect();
+                let retired = sys.core_mut(0).take_retired();
+                (r.cycles, cpi, retired)
             };
             let base = run_digest(false);
             assert_eq!(base, run_digest(true), "{m:?}: telemetry must not change the run");
@@ -97,15 +104,14 @@ fn skip_ahead_matches_ticking_every_cycle_under_every_mitigation() {
         let program = gens::terminating_program(8..40).sample(rng);
         for m in Mitigation::all() {
             let run = |tick_every_cycle: bool| {
-                let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
-                sim.system_mut().core_mut(0).set_record_commits(true);
+                let mut sys = build(&program, m);
+                sys.core_mut(0).set_record_commits(true);
                 if tick_every_cycle {
-                    sim.system_mut().enable_telemetry(1, 1);
+                    sys.enable_telemetry(1, 1);
                 }
-                let rep = sim.run();
-                assert!(rep.halted_cleanly(), "{m:?}: {}", rep.summary());
-                let retired = sim.system_mut().core_mut(0).take_retired();
-                let r = rep.result;
+                let r = sys.run(MAX_CYCLES);
+                assert_eq!(r.exit, RunExit::Halted, "{m:?}");
+                let retired = sys.core_mut(0).take_retired();
                 (r.cycles, r.core_stats, r.mem_stats, retired)
             };
             assert_eq!(run(false), run(true), "{m:?}: skip-ahead must equal ticking every cycle");
@@ -122,8 +128,7 @@ fn skipped_windows_leave_core_state_identical() {
     check("skipped_windows_leave_core_state_identical", 32, |rng| {
         let program = gens::terminating_program(8..40).sample(rng);
         for m in Mitigation::all() {
-            let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
-            let total = sim.run().result.cycles;
+            let total = build(&program, m).run(MAX_CYCLES).cycles;
             for stop in [total / 4, total / 2, 3 * total / 4] {
                 assert!(
                     core_image(&program, m, 1, stop) == core_image(&program, m, 4096, stop),
@@ -155,8 +160,7 @@ fn skipped_first_attempt_latches_the_load_address() {
     asm.data_segment(BASE, vec![0; 0x200]);
     let program = asm.build().expect("assembles");
     let m = Mitigation::Fence;
-    let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
-    let total = sim.run().result.cycles;
+    let total = build(&program, m).run(MAX_CYCLES).cycles;
     for stop in 1..total {
         assert!(
             core_image(&program, m, 1, stop) == core_image(&program, m, 4096, stop),
@@ -172,14 +176,13 @@ fn cpi_attribution_is_identical_with_telemetry_enabled() {
     check("cpi_attribution_is_identical_with_telemetry_enabled", 12, |rng| {
         let program = gens::terminating_program(8..32).sample(rng);
         for m in [Mitigation::Unsafe, Mitigation::SpecAsan, Mitigation::Stt] {
-            let mut plain = Simulator::builder().mitigation(m).program(program.clone()).build();
-            let p = plain.run();
-            let mut traced = Simulator::builder().mitigation(m).program(program.clone()).build();
-            traced.system_mut().enable_telemetry(16, 4096);
-            let t = traced.run();
-            assert!(p.halted_cleanly() && t.halted_cleanly(), "{m:?}");
-            assert_eq!(p.result.cycles, t.result.cycles, "{m:?}: telemetry changed timing");
-            for (ps, ts) in p.result.core_stats.iter().zip(&t.result.core_stats) {
+            let p = build(&program, m).run(MAX_CYCLES);
+            let mut traced = build(&program, m);
+            traced.enable_telemetry(16, 4096);
+            let t = traced.run(MAX_CYCLES);
+            assert!(p.exit == RunExit::Halted && t.exit == RunExit::Halted, "{m:?}");
+            assert_eq!(p.cycles, t.cycles, "{m:?}: telemetry changed timing");
+            for (ps, ts) in p.core_stats.iter().zip(&t.core_stats) {
                 assert_eq!(ps.cpi, ts.cpi, "{m:?}: telemetry changed the CPI stack");
                 assert_eq!(ts.cpi.total(), ts.cycles, "{m:?}: sum invariant with telemetry");
             }

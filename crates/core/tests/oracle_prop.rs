@@ -5,11 +5,17 @@
 //! architectural state under all of them — and the in-order oracle checks
 //! that claim instruction-by-instruction while the run is still going.
 //! A failing case prints its seed; `SAS_PTEST_SEED=<seed>` replays it.
+//! The file also pins the plain `System` set-up calls the campaigns build
+//! on: painting tags, writing memory, protecting ranges, arming a plan, and
+//! attaching the oracle last so it sees all of them.
 
-use sas_isa::Reg;
-use sas_pipeline::{FaultPlan, InjectionPoint, RunExit};
+use sas_isa::{parse_program, Program, Reg, TagNibble, VirtAddr};
+use sas_pipeline::{FaultPlan, InjectionPoint, RunExit, System};
 use sas_ptest::{check, gens};
-use specasan::{Mitigation, Simulator};
+use specasan::{build_multicore, build_system, Mitigation, SimConfig};
+
+/// Cycle budget for a run to completion.
+const MAX_CYCLES: u64 = 100_000_000;
 
 // Generated programs read and write `[x6|x7] + (offset & 0x3F8)`, with
 // x6 = base and x7 = base + 0x100, so stores reach up to base + 0x4F8.
@@ -21,6 +27,17 @@ const MEM_HI: u64 = gens::PROGRAM_MEM_BASE + 0x500;
 const QUIET_LO: u64 = 0x5000;
 const QUIET_HI: u64 = 0x5100;
 
+/// A Table 2 machine running `program` under `m`, with `plan` armed and
+/// the lockstep oracle attached.
+fn with_oracle(program: Program, m: Mitigation, plan: Option<&FaultPlan>) -> System {
+    let mut sys = build_system(&SimConfig::table2(), program, m);
+    if let Some(plan) = plan {
+        sys.arm_faults(plan);
+    }
+    sys.enable_oracle();
+    sys
+}
+
 /// Random programs retire bit-identical architectural state under every
 /// mitigation, validated in lockstep and by a post-run memory audit.
 #[test]
@@ -28,29 +45,20 @@ fn every_mitigation_matches_the_oracle_on_random_programs() {
     check("every_mitigation_matches_the_oracle_on_random_programs", 24, |rng| {
         let program = gens::terminating_program(8..40).sample(rng);
         for m in Mitigation::all() {
-            let mut sim = Simulator::builder()
-                .mitigation(m)
-                .program(program.clone())
-                .oracle()
-                .build();
-            let rep = sim.run();
-            assert!(
-                rep.halted_cleanly(),
-                "{m:?}: {}\n{:?}",
-                rep.summary(),
-                rep.divergence(),
-            );
-            let oracle = sim.system().oracle().expect("oracle attached");
+            let mut sys = with_oracle(program.clone(), m, None);
+            let run = sys.run(MAX_CYCLES);
+            assert_eq!(run.exit, RunExit::Halted, "{m:?}");
+            let oracle = sys.oracle().expect("oracle attached");
             assert!(oracle.halted(0), "{m:?}: oracle did not reach HALT");
             for r in 0..8 {
                 assert_eq!(
-                    sim.system().core(0).reg(Reg::x(r)),
+                    sys.core(0).reg(Reg::x(r)),
                     oracle.reg(0, Reg::x(r)),
                     "{m:?}: X{r} mismatch after a clean lockstep run"
                 );
             }
             oracle
-                .audit_memory(sim.system().mem(), MEM_LO, MEM_HI)
+                .audit_memory(sys.mem(), MEM_LO, MEM_HI)
                 .unwrap_or_else(|d| panic!("{m:?}: post-run audit failed: {d}"));
         }
     });
@@ -68,17 +76,12 @@ fn injected_arch_corruption_never_escapes_detection() {
         let plan = FaultPlan::new(seed)
             .enable(InjectionPoint::ArchBitFlip, 1000, 1)
             .target_window(QUIET_LO, QUIET_HI - QUIET_LO);
-        let mut sim = Simulator::builder()
-            .mitigation(Mitigation::SpecAsan)
-            .program(program)
-            .fault_plan(plan)
-            .oracle()
-            .build();
-        let rep = sim.run();
-        let injected = sim.system().corruption_injections();
-        let oracle = sim.system().oracle().expect("oracle attached");
-        let audit = oracle.audit_memory(sim.system().mem(), QUIET_LO, QUIET_HI);
-        match &rep.result.exit {
+        let mut sys = with_oracle(program, Mitigation::SpecAsan, Some(&plan));
+        let run = sys.run(MAX_CYCLES);
+        let injected = sys.corruption_injections();
+        let oracle = sys.oracle().expect("oracle attached");
+        let audit = oracle.audit_memory(sys.mem(), QUIET_LO, QUIET_HI);
+        match &run.exit {
             RunExit::Halted => {
                 if injected > 0 {
                     assert!(
@@ -92,7 +95,7 @@ fn injected_arch_corruption_never_escapes_detection() {
             }
             RunExit::Divergence(d) => {
                 assert!(injected > 0, "seed {seed:#x}: divergence without injection: {d}");
-                assert!(rep.crash_dump().is_some(), "divergence must attach a crash dump");
+                assert!(run.dump.is_some(), "divergence must attach a crash dump");
             }
             other => panic!("seed {seed:#x}: unexpected exit {other:?}"),
         }
@@ -100,30 +103,90 @@ fn injected_arch_corruption_never_escapes_detection() {
 }
 
 /// Replayability: the same seed drives the same campaign to the same exit,
-/// byte for byte — the contract `SAS_FAULT_SEED` relies on.
+/// byte for byte — the contract `--fault-plan` repros rely on.
 #[test]
 fn fault_campaigns_replay_exactly_from_their_seed() {
     check("fault_campaigns_replay_exactly_from_their_seed", 12, |rng| {
         let program = gens::terminating_program(12..32).sample(rng);
         let seed = sas_ptest::gen::u64_any().sample(rng);
-        let run = |p: sas_isa::Program| {
+        let run = |p: Program| {
             let plan = FaultPlan::new(seed)
                 .enable(InjectionPoint::TagFlip, 250, 2)
                 .enable(InjectionPoint::ForceMispredict, 100, 8)
                 .target_window(MEM_LO, MEM_HI - MEM_LO);
-            let mut sim = Simulator::builder()
-                .mitigation(Mitigation::SpecAsan)
-                .program(p)
-                .fault_plan(plan)
-                .oracle()
-                .build();
-            let rep = sim.run();
-            let inj =
-                sim.system().fault_injections() + sim.system().corruption_injections();
-            (rep.result.exit.clone(), rep.result.cycles, inj)
+            let mut sys = with_oracle(p, Mitigation::SpecAsan, Some(&plan));
+            let run = sys.run(MAX_CYCLES);
+            let inj = sys.fault_injections() + sys.corruption_injections();
+            (run.exit, run.cycles, inj)
         };
         let first = run(program.clone());
         let second = run(program);
         assert_eq!(first, second, "seed {seed:#x} did not replay identically");
     });
+}
+
+fn trivial() -> Program {
+    parse_program("MOVZ X1, #7\nHALT\n").unwrap()
+}
+
+#[test]
+fn oracle_validates_a_clean_run() {
+    let mut sys = with_oracle(trivial(), Mitigation::SpecAsan, None);
+    let run = sys.run(MAX_CYCLES);
+    assert_eq!(run.exit, RunExit::Halted);
+    assert!(run.dump.is_none());
+    let oracle = sys.oracle().expect("oracle attached");
+    assert!(oracle.halted(0));
+    assert_eq!(oracle.reg(0, Reg::X1), 7);
+}
+
+/// Memory set-up through `mem_mut` is what the run sees: an initial write
+/// is loaded back, and painted tags and protected ranges stay installed.
+#[test]
+fn system_installs_tags_writes_and_protection() {
+    let p = parse_program("MOV X1, #0x5000\nLDR X2, [X1]\nHALT\n").unwrap();
+    let mut sys = build_system(&SimConfig::table2(), p, Mitigation::Unsafe);
+    let mem = sys.mem_mut();
+    mem.write_arch(VirtAddr::new(0x5000), 8, 99);
+    mem.tags.set_range(VirtAddr::new(0x6000), 16, TagNibble::new(4));
+    mem.add_protected_range(0x9000, 0x100);
+    assert_eq!(sys.run(MAX_CYCLES).exit, RunExit::Halted);
+    assert_eq!(sys.core(0).reg(Reg::X2), 99);
+    assert!(sys.mem().is_protected(VirtAddr::new(0x9010)));
+    assert_eq!(sys.mem().load_tag(VirtAddr::new(0x6000)), TagNibble::new(4));
+}
+
+#[test]
+fn multicore_system_runs_both_programs() {
+    let second = parse_program("MOVZ X1, #9\nHALT\n").unwrap();
+    let mut sys =
+        build_multicore(&SimConfig::table2(), vec![trivial(), second], Mitigation::SpecAsan);
+    assert_eq!(sys.run(MAX_CYCLES).exit, RunExit::Halted);
+    assert_eq!(sys.core(0).reg(Reg::X1), 7);
+    assert_eq!(sys.core(1).reg(Reg::X1), 9);
+}
+
+/// Tag 0x4000..+0x40 with key 3 and read it back with LDG under an armed
+/// tag-flip plan: with the oracle attached after the painting, a flipped
+/// stored tag must surface as a divergence, never pass silently.
+#[test]
+fn injected_tag_flip_is_caught_not_silent() {
+    let p = parse_program("MOV X1, #0x4000\nLDG X2, [X1]\nHALT\n").unwrap();
+    let plan = FaultPlan::new(0xFEED)
+        .enable(InjectionPoint::TagFlip, 1000, 1)
+        .target_window(0x4000, 0x40);
+    let mut sys = build_system(&SimConfig::table2(), p, Mitigation::Unsafe);
+    sys.mem_mut().tags.set_range(VirtAddr::new(0x4000), 0x40, TagNibble::new(3));
+    sys.arm_faults(&plan);
+    sys.enable_oracle();
+    let run = sys.run(MAX_CYCLES);
+    if sys.corruption_injections() > 0 {
+        let RunExit::Divergence(d) = &run.exit else {
+            panic!("flipped tag must diverge the LDG result, got {:?}", run.exit)
+        };
+        assert_eq!(format!("{:?}", d.kind), "RegValue");
+        assert!(run.dump.is_some(), "divergence carries a dump");
+    } else {
+        assert_eq!(run.exit, RunExit::Halted);
+    }
 }

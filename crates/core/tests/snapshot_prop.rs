@@ -9,30 +9,41 @@
 //! A failing case prints its seed; `SAS_PTEST_SEED=<seed>` replays it.
 
 use sas_isa::{parse_program, Program, Reg};
+use sas_pipeline::System;
 use sas_ptest::{check, gens, FaultPlan};
 use sas_snap::{SnapError, Snapshot, FLAG_TELEMETRY, FLAG_WARM_BASE};
-use specasan::snapshot::{restore_system, restore_system_checked, snapshot_system};
-use specasan::{Mitigation, Simulator};
+use specasan::snapshot::{
+    restore_system, restore_system_checked, restore_system_from, snapshot_system,
+    write_system_snapshot,
+};
+use specasan::{build_system, Mitigation, SimConfig};
 
-fn build(program: &Program, m: Mitigation, telemetry: bool) -> Simulator {
-    let mut sim = Simulator::builder().mitigation(m).program(program.clone()).build();
+/// Cycle budget for a run to completion.
+const MAX_CYCLES: u64 = 100_000_000;
+
+fn build(program: &Program, m: Mitigation, telemetry: bool) -> System {
+    let mut sys = build_system(&SimConfig::table2(), program.clone(), m);
     if telemetry {
-        sim.system_mut().enable_telemetry(16, 1 << 12);
+        sys.enable_telemetry(16, 1 << 12);
     }
-    sim
+    sys
 }
 
-/// Runs `sim` to completion and returns the comparison fingerprint: exit
+/// The encoded image of a cold (not warmed-baseline) snapshot of `sys`.
+fn image(sys: &System) -> Vec<u8> {
+    snapshot_system(sys, false).to_bytes()
+}
+
+/// Runs `sys` to completion and returns the comparison fingerprint: exit
 /// shape, cycle count, architectural registers, per-core and memory stats.
-fn finish(sim: &mut Simulator) -> (String, u64, Vec<u64>, String) {
-    let rep = sim.run();
-    let regs: Vec<u64> =
-        (0..31).map(|r| sim.system().core(0).reg(Reg::x(r))).collect();
+fn finish(sys: &mut System) -> (String, u64, Vec<u64>, String) {
+    let run = sys.run(MAX_CYCLES);
+    let regs: Vec<u64> = (0..31).map(|r| sys.core(0).reg(Reg::x(r))).collect();
     (
-        format!("{:?}", rep.result.exit),
-        rep.result.cycles,
+        format!("{:?}", run.exit),
+        run.cycles,
         regs,
-        format!("{:?} {:?}", rep.result.core_stats, rep.result.mem_stats),
+        format!("{:?} {:?}", run.core_stats, run.mem_stats),
     )
 }
 
@@ -46,16 +57,15 @@ fn restore_continues_bit_identically_across_all_mitigations() {
         let telemetry = rng.range(0, 2) == 1;
         for m in Mitigation::all() {
             let mut a = build(&program, m, telemetry);
-            a.system_mut().run(cut);
-            let bytes = a.snapshot(false).to_bytes();
-            let snap = Snapshot::parse(bytes).expect("fresh snapshot parses");
+            a.run(cut);
+            let snap = Snapshot::parse(image(&a)).expect("fresh snapshot parses");
             snap.verify().expect("fresh snapshot verifies");
 
             let mut b = build(&program, m, telemetry);
-            b.restore(&snap).unwrap_or_else(|e| {
+            restore_system_checked(&mut b, &snap).unwrap_or_else(|e| {
                 panic!("{m:?} (telemetry={telemetry}): restore failed: {e}")
             });
-            assert_eq!(b.system().cycle(), a.system().cycle(), "{m:?}: cut cycle");
+            assert_eq!(b.cycle(), a.cycle(), "{m:?}: cut cycle");
 
             let fa = finish(&mut a);
             let fb = finish(&mut b);
@@ -72,12 +82,12 @@ fn restoring_a_finished_machine_stays_finished() {
     let mut a = build(&program, Mitigation::SpecAsan, false);
     let first = finish(&mut a);
     assert_eq!(first.0, "Halted");
-    let snap = Snapshot::parse(a.snapshot(false).to_bytes()).unwrap();
+    let snap = Snapshot::parse(image(&a)).unwrap();
     let mut b = build(&program, Mitigation::SpecAsan, false);
-    b.restore(&snap).expect("restore");
+    restore_system_checked(&mut b, &snap).expect("restore");
     // Re-running a finished machine (original or restored) is identical.
     assert_eq!(finish(&mut a), finish(&mut b));
-    assert_eq!(b.system().core(0).reg(Reg::X2), 14);
+    assert_eq!(b.core(0).reg(Reg::X2), 14);
 }
 
 /// Corruption anywhere in the image is rejected — `parse`, `verify`,
@@ -89,8 +99,8 @@ fn corrupted_snapshots_are_rejected_never_silently_restored() {
     check("corrupted_snapshots_are_rejected_never_silently_restored", 8, |rng| {
         let program = gens::terminating_program(8..24).sample(rng);
         let mut a = build(&program, Mitigation::SpecAsan, false);
-        a.system_mut().run(rng.range(1, 100));
-        let clean = a.snapshot(false).to_bytes();
+        a.run(rng.range(1, 100));
+        let clean = image(&a);
         for _ in 0..16 {
             let mut bytes = clean.clone();
             let at = rng.range(0, bytes.len() as u64) as usize;
@@ -103,12 +113,12 @@ fn corrupted_snapshots_are_rejected_never_silently_restored() {
                 Err(_) => true,
                 Ok(snap) => {
                     let mut victim = build(&program, Mitigation::SpecAsan, false);
-                    victim.system_mut().run(rng.range(0, 50));
-                    let before = victim.snapshot(false).to_bytes();
-                    let rejected = victim.restore(&snap).is_err();
+                    victim.run(rng.range(0, 50));
+                    let before = image(&victim);
+                    let rejected = restore_system_checked(&mut victim, &snap).is_err();
                     if rejected {
                         assert!(
-                            victim.snapshot(false).to_bytes() == before,
+                            image(&victim) == before,
                             "rejected restore (bit {bit} of byte {at}) modified the target"
                         );
                     }
@@ -129,25 +139,23 @@ fn warm_baseline_snapshot_forks_into_every_mitigation() {
         let program = gens::terminating_program(8..32).sample(rng);
         let cut = rng.range(1, 120);
         let mut base = build(&program, Mitigation::Unsafe, false);
-        base.system_mut().run(cut);
-        let bytes = base.snapshot(true).to_bytes();
-        let snap = Snapshot::parse(bytes).unwrap();
+        base.run(cut);
+        let snap = Snapshot::parse(snapshot_system(&base, true).to_bytes()).unwrap();
         assert_ne!(snap.flags() & FLAG_WARM_BASE, 0);
 
         for m in Mitigation::all() {
             let mut cold = build(&program, m, false);
             let cold_regs: Vec<u64> = {
-                cold.run();
-                (0..8).map(|r| cold.system().core(0).reg(Reg::x(r))).collect()
+                cold.run(MAX_CYCLES);
+                (0..8).map(|r| cold.core(0).reg(Reg::x(r))).collect()
             };
 
             let mut forked = build(&program, m, false);
-            forked.restore(&snap).unwrap_or_else(|e| {
+            restore_system_checked(&mut forked, &snap).unwrap_or_else(|e| {
                 panic!("{m:?}: warm fork rejected: {e}")
             });
-            forked.run();
-            let fork_regs: Vec<u64> =
-                (0..8).map(|r| forked.system().core(0).reg(Reg::x(r))).collect();
+            forked.run(MAX_CYCLES);
+            let fork_regs: Vec<u64> = (0..8).map(|r| forked.core(0).reg(Reg::x(r))).collect();
             assert_eq!(
                 fork_regs, cold_regs,
                 "{m:?}: warm-forked run retired different architectural state"
@@ -163,11 +171,11 @@ fn mismatched_targets_are_rejected_with_structured_errors() {
     let p2 = parse_program("MOVZ X1, #2\nHALT\n").unwrap();
 
     let a = build(&p1, Mitigation::SpecAsan, false);
-    let snap = Snapshot::parse(a.snapshot(false).to_bytes()).unwrap();
+    let snap = Snapshot::parse(image(&a)).unwrap();
 
     // Different program.
     let mut b = build(&p2, Mitigation::SpecAsan, false);
-    match b.restore(&snap) {
+    match restore_system_checked(&mut b, &snap) {
         Err(SnapError::Mismatch { what: "program fingerprint", .. }) => {}
         other => panic!("expected program mismatch, got {other:?}"),
     }
@@ -180,9 +188,9 @@ fn mismatched_targets_are_rejected_with_structured_errors() {
         (code.to_string(), format!(".entry start\n{code}")),
     ] {
         let from = build(&parse_program(&taken).unwrap(), Mitigation::SpecAsan, false);
-        let image = Snapshot::parse(from.snapshot(false).to_bytes()).unwrap();
+        let taken = Snapshot::parse(image(&from)).unwrap();
         let mut into = build(&parse_program(&target).unwrap(), Mitigation::SpecAsan, false);
-        match into.restore(&image) {
+        match restore_system_checked(&mut into, &taken) {
             Err(SnapError::Mismatch { what: "program fingerprint", .. }) => {}
             other => panic!("expected program mismatch for {target:?}, got {other:?}"),
         }
@@ -190,21 +198,21 @@ fn mismatched_targets_are_rejected_with_structured_errors() {
 
     // Different mitigation (cold snapshot: policy fingerprint enforced).
     let mut c = build(&p1, Mitigation::Fence, false);
-    match c.restore(&snap) {
+    match restore_system_checked(&mut c, &snap) {
         Err(SnapError::Mismatch { what: "mitigation policy", .. }) => {}
         other => panic!("expected policy mismatch, got {other:?}"),
     }
 
     // Telemetry armed on one side only.
     let mut d = build(&p1, Mitigation::SpecAsan, true);
-    match d.restore(&snap) {
+    match restore_system_checked(&mut d, &snap) {
         Err(SnapError::Mismatch { what: "telemetry", .. }) => {}
         other => panic!("expected telemetry mismatch, got {other:?}"),
     }
-    let snap_t = Snapshot::parse(d.snapshot(false).to_bytes()).unwrap();
+    let snap_t = Snapshot::parse(image(&d)).unwrap();
     assert_ne!(snap_t.flags() & FLAG_TELEMETRY, 0);
     let mut e = build(&p1, Mitigation::SpecAsan, false);
-    match e.restore(&snap_t) {
+    match restore_system_checked(&mut e, &snap_t) {
         Err(SnapError::Mismatch { what: "telemetry", .. }) => {}
         other => panic!("expected telemetry mismatch, got {other:?}"),
     }
@@ -219,20 +227,21 @@ fn countdown() -> Program {
 /// cycle counter was decoded — leaves the simulator exactly as it was.
 #[test]
 fn rejected_restore_leaves_the_simulator_untouched() {
-    let mut from = Simulator::builder().program(countdown()).oracle().build();
-    from.system_mut().run(150);
-    assert_eq!(from.system().cycle(), 150);
-    let snap = Snapshot::parse(from.snapshot(false).to_bytes()).unwrap();
+    let mut from = build(&countdown(), Mitigation::SpecAsan, false);
+    from.enable_oracle();
+    from.run(150);
+    assert_eq!(from.cycle(), 150);
+    let snap = Snapshot::parse(image(&from)).unwrap();
 
-    let mut into = Simulator::builder().program(countdown()).build();
-    into.system_mut().run(20);
-    let before = into.snapshot(false).to_bytes();
-    match into.restore(&snap) {
+    let mut into = build(&countdown(), Mitigation::SpecAsan, false);
+    into.run(20);
+    let before = image(&into);
+    match restore_system_checked(&mut into, &snap) {
         Err(SnapError::BadValue { what: "oracle arming mismatch", .. }) => {}
         other => panic!("expected an oracle arming mismatch, got {other:?}"),
     }
-    assert_eq!(into.system().cycle(), 20);
-    assert!(into.snapshot(false).to_bytes() == before, "rejected restore modified the target");
+    assert_eq!(into.cycle(), 20);
+    assert!(image(&into) == before, "rejected restore modified the target");
 }
 
 /// The checked restore's deep-failure case: a CRC-valid image taken with a
@@ -242,36 +251,31 @@ fn rejected_restore_leaves_the_simulator_untouched() {
 /// same machine as a plain restore into a fresh twin.
 #[test]
 fn checked_restore_rolls_back_a_late_decode_failure() {
-    let mut armed = Simulator::builder().program(countdown()).fault_plan(FaultPlan::new(7)).build();
-    armed.system_mut().run(150);
-    let snap = Snapshot::parse(armed.snapshot(false).to_bytes()).unwrap();
+    let mut armed = build(&countdown(), Mitigation::SpecAsan, false);
+    armed.arm_faults(&FaultPlan::new(7));
+    armed.run(150);
+    let snap = Snapshot::parse(image(&armed)).unwrap();
 
-    let mut target = Simulator::builder().program(countdown()).build();
-    target.system_mut().run(20);
-    let before = snapshot_system(target.system(), false).to_bytes();
-    match restore_system_checked(target.system_mut(), &snap) {
+    let mut target = build(&countdown(), Mitigation::SpecAsan, false);
+    target.run(20);
+    let before = image(&target);
+    match restore_system_checked(&mut target, &snap) {
         Err(SnapError::BadValue { what: "fault arming mismatch", .. }) => {}
         other => panic!("expected a fault arming mismatch, got {other:?}"),
     }
-    assert!(
-        snapshot_system(target.system(), false).to_bytes() == before,
-        "rejected checked restore modified the target"
-    );
+    assert!(image(&target) == before, "rejected checked restore modified the target");
 
-    let mut clean = Simulator::builder().program(countdown()).build();
-    clean.system_mut().run(150);
-    let snap = Snapshot::parse(clean.snapshot(false).to_bytes()).unwrap();
-    restore_system_checked(target.system_mut(), &snap).expect("checked restore");
-    let mut twin = Simulator::builder().program(countdown()).build();
-    restore_system(twin.system_mut(), &snap).expect("plain restore");
-    assert!(
-        snapshot_system(target.system(), false).to_bytes()
-            == snapshot_system(twin.system(), false).to_bytes(),
-        "checked and plain restores disagree"
-    );
+    let mut clean = build(&countdown(), Mitigation::SpecAsan, false);
+    clean.run(150);
+    let snap = Snapshot::parse(image(&clean)).unwrap();
+    restore_system_checked(&mut target, &snap).expect("checked restore");
+    let mut twin = build(&countdown(), Mitigation::SpecAsan, false);
+    restore_system(&mut twin, &snap).expect("plain restore");
+    assert!(image(&target) == image(&twin), "checked and plain restores disagree");
 }
 
-/// `write_snapshot`/`restore_from` round-trip through a file, atomically.
+/// `write_system_snapshot`/`restore_system_from` round-trip through a file,
+/// atomically.
 #[test]
 fn snapshot_files_round_trip_atomically() {
     let program = parse_program("MOVZ X1, #5\nMOVZ X2, #6\nMUL X3, X1, X2\nHALT\n").unwrap();
@@ -280,13 +284,13 @@ fn snapshot_files_round_trip_atomically() {
     let path = dir.join("cell.snap");
 
     let mut a = build(&program, Mitigation::SpecAsanCfi, false);
-    a.system_mut().run(3);
-    a.write_snapshot(&path, false).expect("write_atomic");
+    a.run(3);
+    write_system_snapshot(&a, &path, false).expect("write_atomic");
     assert!(!sas_snap::temp_path(&path).exists(), "temp file must not linger");
 
     let mut b = build(&program, Mitigation::SpecAsanCfi, false);
-    b.restore_from(&path).expect("restore_from");
+    restore_system_from(&mut b, &path).expect("restore_from");
     assert_eq!(finish(&mut a), finish(&mut b));
-    assert_eq!(b.system().core(0).reg(Reg::X3), 30);
+    assert_eq!(b.core(0).reg(Reg::X3), 30);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -38,6 +38,21 @@ pub enum RunExit {
     Error(SimError),
 }
 
+impl RunExit {
+    /// Stable lowercase tag naming how the run ended: the `exit` field of
+    /// result records, manifest signatures and chaos outcomes.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            RunExit::Halted => "halted",
+            RunExit::Faulted(_) => "faulted",
+            RunExit::CycleLimit => "cycle_limit",
+            RunExit::Deadlock(_) => "deadlock",
+            RunExit::Divergence(_) => "divergence",
+            RunExit::Error(_) => "error",
+        }
+    }
+}
+
 /// Micro-architectural post-mortem attached to abnormal exits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashDump {
@@ -643,5 +658,49 @@ impl System {
         d: &mut sas_snap::Dec,
     ) -> Result<(), sas_snap::SnapError> {
         self.cores[i].restore(d)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::FaultKind;
+    use sas_oracle::DivergenceKind;
+
+    #[test]
+    fn every_exit_has_a_stable_tag() {
+        let faulted = RunExit::Faulted(FaultInfo {
+            kind: FaultKind::TagCheck,
+            pc: 5,
+            addr: None,
+            cycle: 12,
+        });
+        let deadlock = RunExit::Deadlock(Box::new(CrashDump {
+            cycle: 99,
+            cores: Vec::new(),
+            mshrs: Vec::new(),
+            fault_plan: Some("seed=0x2a".to_string()),
+        }));
+        let divergence = RunExit::Divergence(Box::new(Divergence {
+            core: 0,
+            seq: 7,
+            cycle: 40,
+            pc: 3,
+            inst: "ADD x1, x1, #1".to_string(),
+            kind: DivergenceKind::RegValue,
+            expected: "x1 = 2".to_string(),
+            actual: "x1 = 3".to_string(),
+        }));
+        let error = RunExit::Error(SimError::internal("test invariant"));
+        for (exit, tag) in [
+            (&RunExit::Halted, "halted"),
+            (&faulted, "faulted"),
+            (&RunExit::CycleLimit, "cycle_limit"),
+            (&deadlock, "deadlock"),
+            (&divergence, "divergence"),
+            (&error, "error"),
+        ] {
+            assert_eq!(exit.tag(), tag);
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! branch predictor. Every point draws from its own [`FaultStream`], a
 //! SplitMix64 sequence derived from `(plan seed, point name)`, so the streams
 //! are mutually independent and a whole chaos campaign replays bit-for-bit
-//! from the single seed reported on failure (`SAS_FAULT_SEED`).
+//! from the single seed reported on failure. A plan travels between
+//! processes as its [`FaultPlan::to_spec`] string (the `--fault-plan SPEC`
+//! flag of `sas-runner cell` and `sas-sim workload`); nothing here reads the
+//! environment.
 //!
 //! The plan lives in the test harness crate because it reuses the harness
 //! PRNG ([`crate::Rng`]) and its seed-derivation scheme; the simulator crates
@@ -14,9 +17,6 @@
 
 use crate::rng::{fnv1a, mix, Rng};
 use std::fmt;
-
-/// Environment variable naming the campaign seed for ad-hoc fault runs.
-pub const FAULT_SEED_ENV: &str = "SAS_FAULT_SEED";
 
 /// A named place in the simulator where a plan may inject faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,20 +145,6 @@ impl FaultPlan {
     /// The `[base, len)` window memory-corrupting points are confined to.
     pub fn window(&self) -> (u64, u64) {
         (self.target_base, self.target_len)
-    }
-
-    /// Builds a plan from `SAS_FAULT_SEED`, or `None` when it is unset.
-    ///
-    /// The ad-hoc profile enables every point at a low rate against the
-    /// standard `0x4000..0x4200` program data window; chaos campaigns build
-    /// sharper single-point plans instead.
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed = std::env::var(FAULT_SEED_ENV).ok()?.trim().parse::<u64>().ok()?;
-        let mut plan = FaultPlan::new(seed).target_window(0x4000, 0x200);
-        for p in InjectionPoint::ALL {
-            plan = plan.enable(p, 5, 4);
-        }
-        Some(plan)
     }
 
     /// Renders the plan as a machine-readable spec string that

@@ -19,7 +19,7 @@
 //! counterexample minimizer.
 //!
 //! The [`fault`] module reuses the same PRNG and seed-derivation scheme to
-//! build replayable chaos campaigns ([`FaultPlan`], `SAS_FAULT_SEED`): the
+//! build replayable chaos campaigns ([`FaultPlan`], `--fault-plan SPEC`): the
 //! simulator polls per-injection-point [`FaultStream`]s that are pure
 //! functions of one campaign seed.
 //!

@@ -14,7 +14,7 @@
 //! sas-runner probe <id> [--iters N] [--nops 1,5,9] [--plan SPEC]
 //!
 //! FLAGS:
-//!   --jobs N          worker processes            (default $SAS_RUNNER_JOBS or 1)
+//!   --jobs N          worker processes            (default 1)
 //!   --timeout-ms N    per-cell watchdog           (default 120000)
 //!   --retries N       environmental retries       (default 2)
 //!   --backoff-ms N    base retry backoff          (default 200)

@@ -497,7 +497,7 @@ fn spec_signature(exit: &sas_pipeline::RunExit) -> String {
     if matches!(exit, sas_pipeline::RunExit::Halted) {
         "clean".to_string()
     } else {
-        format!("abort:{}", sas_bench::jsonl::exit_tag(exit))
+        format!("abort:{}", exit.tag())
     }
 }
 

@@ -30,9 +30,6 @@ use std::process::{Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Environment variable selecting the default worker count.
-pub const JOBS_ENV: &str = "SAS_RUNNER_JOBS";
-
 /// Child exit code for a deterministic cell failure (no retry).
 pub const EXIT_DETERMINISTIC: i32 = 10;
 
@@ -85,17 +82,12 @@ pub struct Config {
 }
 
 impl Config {
-    /// A default policy writing to `manifest_path`: jobs from
-    /// [`JOBS_ENV`] (default 1), 120 s watchdog, 2 environmental retries
-    /// with 200 ms base backoff, shrinking enabled into `target/repro`.
+    /// A default policy writing to `manifest_path`: one job, 120 s
+    /// watchdog, 2 environmental retries with 200 ms base backoff,
+    /// shrinking enabled into `target/repro`.
     pub fn new(manifest_path: PathBuf) -> Config {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or(1);
         Config {
-            jobs,
+            jobs: 1,
             timeout: Duration::from_secs(120),
             retries: 2,
             backoff: Duration::from_millis(200),

@@ -28,7 +28,6 @@ fn runner(args: &[&str]) -> Command {
     let mut cmd = Command::new(BIN);
     cmd.args(args)
         .env_remove("SAS_BENCH_JSONL")
-        .env_remove("SAS_RUNNER_JOBS")
         .env_remove("SAS_RUNNER_SELFTEST");
     cmd
 }

@@ -2,9 +2,9 @@
 //! watchdog, hung-worker supervision, drain, and crash recovery.
 //!
 //! Concurrency model: one nonblocking accept loop hands connections to
-//! short-lived connection threads; a fixed worker pool (sized by the
-//! `SAS_RUNNER_JOBS` convention) drains the priority queue; one watchdog
-//! thread enforces deadlines and detects wedged workers. All mutable state
+//! short-lived connection threads; a fixed worker pool (`--workers`) drains
+//! the priority queue; one watchdog thread enforces deadlines and detects
+//! wedged workers. All mutable state
 //! lives behind a single mutex ([`State`]) with two condvars — one waking
 //! workers, one waking request threads blocked on job completion — so
 //! every transition is a small critical section around the lock.
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 pub struct Config {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Worker threads. Defaults to [`supervisor::JOBS_ENV`] (min 1).
+    /// Worker threads (default 2).
     pub workers: usize,
     /// Queue capacity (admission bound).
     pub queue_cap: usize,
@@ -60,14 +60,9 @@ pub struct Config {
 impl Config {
     /// Defaults for a daemon keeping state under `state_dir`.
     pub fn new(state_dir: PathBuf) -> Config {
-        let workers = std::env::var(supervisor::JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or(2);
         Config {
             addr: "127.0.0.1:0".into(),
-            workers,
+            workers: 2,
             queue_cap: 32,
             state_dir,
             default_deadline: Duration::from_secs(120),

@@ -20,6 +20,17 @@ export RUSTFLAGS="-D warnings"
 echo "== tier1: offline release build (all targets) =="
 cargo build --release --offline --workspace --benches --examples --bins
 
+echo "== tier1: simulator reads no environment =="
+# Every number the simulator produces is a function of its explicit inputs
+# (program, config, mitigation, fault plan). No crate that builds or runs a
+# simulated machine may read an environment variable; fault plans arrive as
+# `--fault-plan SPEC` flags.
+if grep -rnE 'env::var' crates/{isa,mte,mem,pipeline,telemetry,oracle,core,snap,workloads,attacks}/src \
+    crates/ptest/src/fault.rs; then
+  echo "tier1: FAIL — simulator code reads the environment (lines above)" >&2
+  exit 1
+fi
+
 echo "== tier1: offline test suite =="
 cargo test -q --offline
 

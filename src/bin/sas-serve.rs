@@ -58,7 +58,7 @@ USAGE:
 OPTIONS:
   --state-dir DIR            journal, checkpoints, warm bases (required)
   --addr HOST:PORT           bind address (default 127.0.0.1:0, ephemeral)
-  --workers N                worker threads (default: SAS_RUNNER_JOBS or 2)
+  --workers N                worker threads (default 2)
   --queue-cap N              admission queue bound (default 32)
   --default-deadline-ms N    deadline for requests that set none (default 120000)
   --drain-deadline-ms N      drain grace before giving up (default 30000)

@@ -3,15 +3,15 @@
 //! ```text
 //! sas-sim list
 //! sas-sim attack "RIDL" --mitigation specasan [--matching]
-//! sas-sim workload 505.mcf_r --mitigation stt --iters 200
+//! sas-sim workload 505.mcf_r --mitigation stt --iters 200 [--fault-plan SPEC]
 //! sas-sim matrix
 //! sas-sim hwcost
 //! ```
 
 use sas_attacks::{all_attacks, bonus_attacks, security_matrix, GadgetFlavor};
-use sas_pipeline::RunExit;
+use sas_pipeline::{FaultPlan, RunExit};
 use sas_workloads::{build_workload, parse_iterations, parsec_suite, spec_suite};
-use specasan::{Mitigation, SimConfig, Simulator};
+use specasan::{build_system, Mitigation, SimConfig};
 use std::process::ExitCode;
 
 fn parse_mitigation(s: &str) -> Option<Mitigation> {
@@ -26,8 +26,10 @@ USAGE:
   sas-sim list                                  list attacks, workloads, mitigations
   sas-sim attack <name> [--mitigation M] [--matching]
                                                 run an attack PoC (default: unsafe baseline)
-  sas-sim workload <name> [--mitigation M] [--iters N]
-                                                run a synthetic benchmark and print stats
+  sas-sim workload <name> [--mitigation M] [--iters N] [--fault-plan SPEC]
+                                                run a synthetic benchmark and print stats;
+                                                SPEC arms a fault plan (`sas-runner cell`
+                                                syntax, e.g. \"seed=42 mshr_drop_fill=5,4\")
   sas-sim matrix                                evaluate the full Table 1 security matrix
   sas-sim hwcost                                print the Table 3 hardware cost model
 "
@@ -112,23 +114,33 @@ fn cmd_workload(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A `--fault-plan` with its SPEC left out is refused, not run clean.
+    let plan = match args.iter().position(|a| a == "--fault-plan") {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(spec) => FaultPlan::from_spec(spec).map(Some),
+            None => Err("missing SPEC".to_string()),
+        },
+    };
+    let plan = match plan {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("--fault-plan: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let suite = spec_suite();
     let Some(profile) = suite.iter().find(|p| p.name.eq_ignore_ascii_case(name)) else {
         eprintln!("unknown workload {name:?}; see `sas-sim list` (PARSEC runs via `cargo bench`)");
         return ExitCode::from(2);
     };
     let w = build_workload(profile, iters, 0x5A5_CA5A, 0);
-    // The facade arms `SAS_FAULT_SEED` fault plans and can attach the
-    // lockstep oracle; see DESIGN.md §6.
-    let mut sim = Simulator::builder()
-        .config(SimConfig::table2())
-        .mitigation(m)
-        .program(w.program.clone())
-        .max_cycles(2_000_000_000)
-        .build();
-    w.setup.apply(sim.system_mut());
-    let rep = sim.run();
-    let r = &rep.result;
+    let mut sys = build_system(&SimConfig::table2(), w.program, m);
+    if let Some(plan) = &plan {
+        sys.arm_faults(plan);
+    }
+    w.setup.apply(&mut sys);
+    let r = sys.run(2_000_000_000);
     let s = &r.core_stats[0];
     println!("workload    : {} ({iters} iterations)", profile.name);
     println!("mitigation  : {m}");
@@ -144,7 +156,7 @@ fn cmd_workload(args: &[String]) -> ExitCode {
     println!("restricted  : {:.2}%", 100.0 * s.restricted_fraction());
     println!("mispredicts : {}/{}", s.predictor.cond_mispredicts, s.predictor.cond_predictions);
     println!("L1D hit rate: {:.1}%", 100.0 * r.mem_stats.l1d[0].hit_rate());
-    if let Some(d) = rep.crash_dump() {
+    if let Some(d) = &r.dump {
         println!("{d}");
     }
     ExitCode::SUCCESS
