@@ -10,7 +10,6 @@
 //! bit-identically after a restart.
 
 use crate::http::json_escape;
-use crate::queue::Priority;
 use sas_attacks::spectre::spectre_v1_program;
 use sas_attacks::{layout, GadgetFlavor};
 use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, Interrupted};
@@ -439,13 +438,17 @@ fn run_spin(millis: u64) -> JobEnd {
 }
 
 /// Parses the JSON-RPC `params` object for `method` into a spec plus the
-/// queue metadata (priority, deadline budget).
-pub fn parse_request(
-    method: &str,
-    params: &Json,
-) -> Result<(JobSpec, Priority, Option<u64>), String> {
+/// submission options: the deadline budget (`deadline_ms`, when set) and
+/// whether the caller blocks for the result (`wait`, default true). Every
+/// parameter is typed strictly; a mistyped one is an error naming it, and
+/// unknown keys are ignored.
+pub fn parse_request(method: &str, params: &Json) -> Result<(JobSpec, Option<u64>, bool), String> {
     let get_str = |key: &str| params.get(key).and_then(|v| v.as_str());
-    let get_u64 = |key: &str| params.get(key).and_then(|v| v.as_num()).map(|n| n as u64);
+    let get_u64 = |key: &str| {
+        params.get(key).map(|v| {
+            v.as_u64().ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))
+        })
+    };
     let get_bool = |key: &str| {
         params.get(key).map(|v| v.as_bool().ok_or_else(|| format!("\"{key}\" must be a boolean")))
     };
@@ -474,14 +477,12 @@ pub fn parse_request(
             program: get_str("program").ok_or("missing \"program\"")?.to_string(),
             suggest: get_bool("suggest").transpose()?.unwrap_or(false),
         },
-        "spin" => JobSpec::Spin { millis: get_u64("millis").unwrap_or(0) },
+        "spin" => JobSpec::Spin { millis: get_u64("millis").transpose()?.unwrap_or(0) },
         other => return Err(format!("unknown method {other:?}")),
     };
-    let priority = match get_str("priority") {
-        None => Priority::Normal,
-        Some(s) => Priority::parse(s).ok_or_else(|| format!("unknown priority {s:?}"))?,
-    };
-    Ok((spec, priority, get_u64("deadline_ms")))
+    let deadline_ms = get_u64("deadline_ms").transpose()?;
+    let wait = get_bool("wait").transpose()?.unwrap_or(true);
+    Ok((spec, deadline_ms, wait))
 }
 
 #[cfg(test)]
@@ -542,6 +543,31 @@ mod tests {
         for bad in ["0", "-1", "4294967296", "1.5", "\"25\""] {
             let err = parse_request("simulate", &params(bad)).unwrap_err();
             assert!(err.contains("\"iters\""), "iters {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_request_types_the_submit_options_strictly() {
+        let parse = |method: &str, extra: &str| {
+            let doc = format!("{{\"target\":\"505.mcf_r\"{extra}}}");
+            parse_request(method, &sas_telemetry::json::parse(&doc).unwrap())
+        };
+        match parse("simulate", ",\"deadline_ms\":500,\"wait\":false,\"priority\":\"low\"") {
+            Ok((_, deadline_ms, wait)) => assert_eq!((deadline_ms, wait), (Some(500), false)),
+            other => panic!("expected a spec, got {other:?}"),
+        }
+        assert!(matches!(parse("simulate", ""), Ok((_, None, true))));
+        for (method, field, value) in [
+            ("simulate", "wait", "\"false\""),
+            ("simulate", "wait", "1"),
+            ("simulate", "deadline_ms", "\"500\""),
+            ("simulate", "deadline_ms", "-5"),
+            ("simulate", "deadline_ms", "1.5"),
+            ("spin", "millis", "-5"),
+            ("spin", "millis", "1.5"),
+        ] {
+            let err = parse(method, &format!(",\"{field}\":{value}")).unwrap_err();
+            assert!(err.contains(&format!("\"{field}\"")), "{field}={value}: {err}");
         }
     }
 

@@ -20,7 +20,6 @@
 
 use crate::http::json_escape;
 use crate::job::JobSpec;
-use crate::queue::Priority;
 use sas_bench::jsonl;
 use sas_telemetry::json::{self, Json};
 use std::io::Write as _;
@@ -31,26 +30,19 @@ use std::path::{Path, PathBuf};
 pub struct PendingJob {
     /// The job id (ids keep increasing across restarts).
     pub id: u64,
-    /// Queue priority it was accepted at.
-    pub priority: Priority,
     /// The work itself.
     pub spec: JobSpec,
     /// Remaining deadline budget, in milliseconds (deadlines are durable
     /// as *budget*, not wall-clock instants: a restart re-arms the clock).
     pub deadline_ms: u64,
-    /// The submitting client tag.
-    pub client: String,
 }
 
 impl PendingJob {
     /// The job's `accepted` journal row.
     fn accepted_row(&self) -> String {
         let mut row = format!(
-            "{{\"event\":\"accepted\",\"job\":{},\"priority\":\"{}\",\"deadline_ms\":{},\"client\":\"{}\"",
-            self.id,
-            self.priority.token(),
-            self.deadline_ms,
-            json_escape(&self.client)
+            "{{\"event\":\"accepted\",\"job\":{},\"deadline_ms\":{}",
+            self.id, self.deadline_ms
         );
         for (key, value) in self.spec.journal_fields() {
             row.push_str(&format!(",\"{key}\":{value}"));
@@ -60,13 +52,13 @@ impl PendingJob {
     }
 
     /// Decodes an `accepted` row (inverse of [`PendingJob::accepted_row`]).
+    /// Fields it does not know, such as the `priority` and `client` of
+    /// older rows, are ignored.
     fn from_row(id: u64, row: &Json) -> Option<PendingJob> {
         Some(PendingJob {
             id,
-            priority: Priority::parse(row.get("priority")?.as_str()?)?,
             spec: JobSpec::from_journal(row)?,
             deadline_ms: row.get("deadline_ms")?.as_u64()?,
-            client: row.get("client")?.as_str()?.to_string(),
         })
     }
 }
@@ -199,13 +191,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (mut j, r) = Journal::open(&path).unwrap();
         assert!(r.pending.is_empty());
-        let a = PendingJob {
-            id: 1,
-            priority: Priority::Normal,
-            spec: spec(),
-            deadline_ms: 60_000,
-            client: "t".into(),
-        };
+        let a = PendingJob { id: 1, spec: spec(), deadline_ms: 60_000 };
         let b = PendingJob { id: 2, ..a.clone() };
         j.accepted(&a).unwrap();
         j.accepted(&b).unwrap();
@@ -226,10 +212,8 @@ mod tests {
         let (mut j, _) = Journal::open(&path).unwrap();
         let a = PendingJob {
             id: 7,
-            priority: Priority::High,
             spec: JobSpec::Lint { program: "ld x1, [x2]\nhlt".into(), suggest: true },
             deadline_ms: 5_000,
-            client: "c".into(),
         };
         j.accepted(&a).unwrap();
         drop(j);
@@ -243,6 +227,29 @@ mod tests {
         let (_, r) = Journal::open(&path).unwrap();
         assert!(r.truncated);
         assert_eq!(r.pending, vec![a], "the torn terminal row must not resolve job 7");
+    }
+
+    #[test]
+    fn an_older_journal_with_priority_and_client_fields_replays_and_compacts() {
+        let path = dir().join("j4.jsonl");
+        std::fs::write(
+            &path,
+            concat!(
+                "{\"event\":\"accepted\",\"job\":3,\"priority\":\"low\",\"deadline_ms\":9000,",
+                "\"client\":\"alice\",\"kind\":\"simulate\",\"target\":\"505.mcf_r\",",
+                "\"mitigation\":\"stt\",\"iters\":25}\n",
+                "{\"event\":\"accepted\",\"job\":4,\"priority\":\"low\",\"deadline_ms\":5000,",
+                "\"client\":\"alice\",\"kind\":\"spin\",\"millis\":10}\n",
+                "{\"event\":\"resolved\",\"job\":4,\"outcome\":\"completed\"}\n",
+            ),
+        )
+        .unwrap();
+        let (_, r) = Journal::open(&path).unwrap();
+        assert_eq!(r.pending, vec![PendingJob { id: 3, spec: spec(), deadline_ms: 9000 }]);
+        assert_eq!(r.next_job_id, 5);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(!text.contains("\"priority\"") && !text.contains("\"client\""), "{text}");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! around the failure modes a persistent service actually meets
 //! (DESIGN.md §13):
 //!
-//! * **Admission control** ([`queue`]) — a bounded priority queue with
-//!   explicit 503 rejection, low-priority load shedding, per-client
-//!   in-flight caps, and a hard starvation bound.
+//! * **Admission control** ([`queue`]) — a bounded FIFO with explicit
+//!   503 rejection when full.
 //! * **Deadlines** ([`job`]) — every request carries a cycle-chunked
 //!   budget; the simulator is stepped in bounded chunks and a watchdog
 //!   turns an overrun into a structured error, never a wedged worker.
@@ -41,5 +40,5 @@ pub mod server;
 
 pub use job::{JobEnd, JobSpec, RunPlan, Target};
 pub use journal::{Journal, PendingJob, Recovery};
-pub use queue::{JobQueue, Priority, Reject, AGE_WINDOW};
+pub use queue::{Full, JobQueue};
 pub use server::{Config, Server};

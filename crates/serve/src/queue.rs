@@ -1,117 +1,39 @@
-//! The bounded priority job queue behind admission control.
+//! The bounded FIFO job queue behind admission control.
 //!
-//! Three design rules, all of them robustness-first:
-//!
-//! * **Bounded with explicit reject** — `push` never blocks and never grows
-//!   past the cap; a full queue is the *caller's* problem to surface
-//!   (HTTP 503 + `Retry-After`), not a hidden buffer.
-//! * **Load shedding rejects low-priority work first** — above the shed
-//!   threshold (¾ of the cap) new low-priority jobs are turned away while
-//!   normal/high traffic still gets the remaining slots.
-//! * **Priority without starvation** — ordering is by *aged* arrival index:
-//!   a job's key is its arrival sequence number plus a fixed penalty per
-//!   priority level below high ([`AGE_WINDOW`] each). The queue pops the
-//!   smallest key, so a low-priority job can be bypassed by at most
-//!   `2 × AGE_WINDOW` later arrivals before its key is the minimum —
-//!   a hard bound, not a heuristic. Because the order is a pure function of
-//!   the entries present, cancelling a job provably never reorders the
-//!   rest (property-tested in `tests/queue_prop.rs`).
+//! `push` never blocks and never grows past the cap: a full queue is the
+//! *caller's* problem to surface (HTTP 503 + `Retry-After`), not a hidden
+//! buffer. Jobs pop in arrival order, and cancelling a queued job removes
+//! exactly that job (property-tested against a `Vec` model in
+//! `tests/queue_prop.rs`).
 
-/// How many later arrivals may overtake a job per priority level below
-/// high. The worst-case bypass count for a low-priority job is
-/// `2 × AGE_WINDOW`.
-pub const AGE_WINDOW: u64 = 8;
+use std::collections::VecDeque;
 
-/// Queue occupancy (numerator of cap) at which low-priority pushes shed.
-const SHED_NUM: usize = 3;
-const SHED_DEN: usize = 4;
-
-/// Request priority. `Ord`: `High < Normal < Low` ranks by penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    /// Interactive traffic (lints, small traces).
-    High,
-    /// The default.
-    Normal,
-    /// Batch campaign fill.
-    Low,
-}
-
-impl Priority {
-    /// Parses the wire token.
-    pub fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "high" => Some(Priority::High),
-            "normal" => Some(Priority::Normal),
-            "low" => Some(Priority::Low),
-            _ => None,
-        }
-    }
-
-    /// The wire token.
-    pub fn token(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
-
-    fn penalty(self) -> u64 {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => AGE_WINDOW,
-            Priority::Low => 2 * AGE_WINDOW,
-        }
-    }
-}
-
-/// Why a push was refused. Both map to an explicit 503 at the HTTP layer.
+/// A push refused because every slot is taken. Maps to an explicit 503.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reject {
-    /// Every slot taken.
-    Full,
-    /// Load shedding: above the shed threshold only normal/high jobs are
-    /// admitted.
-    Shed,
-}
+pub struct Full;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    seq: u64,
-    priority: Priority,
-    job: u64,
-}
-
-impl Entry {
-    fn key(&self) -> (u64, u64) {
-        (self.seq + self.priority.penalty(), self.seq)
-    }
-}
-
-/// The bounded, starvation-free priority queue. Stores job ids; the owner
-/// keeps the job table. Not internally synchronized — wrap in a `Mutex`.
+/// The bounded FIFO. Stores job ids; the owner keeps the job table. Not
+/// internally synchronized — wrap in a `Mutex`.
 #[derive(Debug, Clone)]
 pub struct JobQueue {
     cap: usize,
-    next_seq: u64,
-    entries: Vec<Entry>,
+    ids: VecDeque<u64>,
 }
 
 impl JobQueue {
     /// An empty queue admitting at most `cap` jobs (minimum 1).
     pub fn new(cap: usize) -> JobQueue {
-        JobQueue { cap: cap.max(1), next_seq: 0, entries: Vec::new() }
+        JobQueue { cap: cap.max(1), ids: VecDeque::new() }
     }
 
     /// Queued job count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// The configured capacity.
@@ -119,45 +41,30 @@ impl JobQueue {
         self.cap
     }
 
-    /// Admits a job, or explains why not (see [`Reject`]).
-    pub fn push(&mut self, priority: Priority, job: u64) -> Result<(), Reject> {
-        if self.entries.len() >= self.cap {
-            return Err(Reject::Full);
+    /// Admits a job at the back, or refuses it when the queue is full.
+    pub fn push(&mut self, job: u64) -> Result<(), Full> {
+        if self.ids.len() >= self.cap {
+            return Err(Full);
         }
-        if priority == Priority::Low && self.entries.len() >= self.cap * SHED_NUM / SHED_DEN {
-            return Err(Reject::Shed);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.push(Entry { seq, priority, job });
+        self.ids.push_back(job);
         Ok(())
     }
 
-    /// Pops the job with the smallest aged key.
-    pub fn pop(&mut self) -> Option<(Priority, u64)> {
-        let (i, _) = self.entries.iter().enumerate().min_by_key(|(_, e)| e.key())?;
-        let e = self.entries.swap_remove(i);
-        Some((e.priority, e.job))
+    /// Pops the oldest queued job.
+    pub fn pop(&mut self) -> Option<u64> {
+        self.ids.pop_front()
     }
 
-    /// Removes a queued job by id. Returns whether it was present. Never
-    /// affects the relative order of the remaining entries (order is a pure
-    /// function of each entry's own arrival).
+    /// Removes a queued job by id, keeping the order of the rest. Returns
+    /// whether it was present.
     pub fn cancel(&mut self, job: u64) -> bool {
-        match self.entries.iter().position(|e| e.job == job) {
+        match self.ids.iter().position(|&id| id == job) {
             Some(i) => {
-                self.entries.swap_remove(i);
+                self.ids.remove(i);
                 true
             }
             None => false,
         }
-    }
-
-    /// Queued job ids, in pop order (diagnostics/status).
-    pub fn snapshot(&self) -> Vec<u64> {
-        let mut es: Vec<&Entry> = self.entries.iter().collect();
-        es.sort_by_key(|e| e.key());
-        es.iter().map(|e| e.job).collect()
     }
 }
 
@@ -166,64 +73,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_within_a_priority_class() {
+    fn pops_in_arrival_order() {
         let mut q = JobQueue::new(8);
         for id in 0..4 {
-            q.push(Priority::Normal, id).unwrap();
+            q.push(id).unwrap();
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, id)| id)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn high_priority_overtakes_within_the_age_window() {
+    fn cancel_removes_exactly_the_target() {
         let mut q = JobQueue::new(8);
-        q.push(Priority::Low, 100).unwrap();
-        q.push(Priority::High, 200).unwrap();
-        assert_eq!(q.pop(), Some((Priority::High, 200)));
-        assert_eq!(q.pop(), Some((Priority::Low, 100)));
-    }
-
-    #[test]
-    fn an_aged_low_job_beats_fresh_high_traffic() {
-        let mut q = JobQueue::new(64);
-        q.push(Priority::Low, 7).unwrap();
-        // 2*AGE_WINDOW later arrivals may overtake; the next one must not.
-        for id in 0..2 * AGE_WINDOW {
-            q.push(Priority::High, 1000 + id).unwrap();
-        }
-        q.push(Priority::High, 9999).unwrap();
-        let mut popped = Vec::new();
-        for _ in 0..=2 * AGE_WINDOW {
-            popped.push(q.pop().unwrap().1);
-        }
-        assert!(popped.contains(&7), "low job starved: {popped:?}");
-        assert!(!popped.contains(&9999), "arrival {} should rank after job 7", 9999);
-    }
-
-    #[test]
-    fn full_and_shed_rejections() {
-        let mut q = JobQueue::new(4);
-        q.push(Priority::Normal, 0).unwrap();
-        q.push(Priority::Normal, 1).unwrap();
-        q.push(Priority::Normal, 2).unwrap();
-        // 3/4 full: low sheds, normal still admitted.
-        assert_eq!(q.push(Priority::Low, 3), Err(Reject::Shed));
-        q.push(Priority::Normal, 4).unwrap();
-        assert_eq!(q.push(Priority::High, 5), Err(Reject::Full));
-        assert_eq!(q.len(), 4);
-    }
-
-    #[test]
-    fn cancel_removes_exactly_the_target()
-    {
-        let mut q = JobQueue::new(8);
-        q.push(Priority::Normal, 1).unwrap();
-        q.push(Priority::High, 2).unwrap();
-        q.push(Priority::Normal, 3).unwrap();
+        q.push(1).unwrap();
+        q.push(2).unwrap();
+        q.push(3).unwrap();
         assert!(q.cancel(1));
         assert!(!q.cancel(1));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, id)| id)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![2, 3]);
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! Concurrency model: one nonblocking accept loop hands connections to
 //! short-lived connection threads; a fixed worker pool (`--workers`) drains
-//! the priority queue; one watchdog thread enforces deadlines and detects
-//! wedged workers. All mutable state
-//! lives behind a single mutex ([`State`]) with two condvars — one waking
-//! workers, one waking request threads blocked on job completion — so
-//! every transition is a small critical section around the lock.
+//! the FIFO job queue; one watchdog thread enforces deadlines and detects
+//! wedged workers. All mutable state lives behind a single mutex
+//! ([`State`]) with two condvars — one waking workers, one waking request
+//! threads blocked on job completion — so every transition is a small
+//! critical section around the lock.
 //!
 //! The failure-mode contract (DESIGN.md §13): a full queue is an explicit
 //! 503 with `Retry-After`, a deadline overrun is a structured error that
@@ -20,7 +20,7 @@ use crate::http::{self, json_escape, Request};
 use crate::job::{self, JobEnd, JobSpec, RunPlan};
 use crate::journal::{Journal, PendingJob};
 use crate::metrics::ServeMetrics;
-use crate::queue::{JobQueue, Priority, Reject};
+use crate::queue::JobQueue;
 use sas_query::Val;
 use sas_runner::{heartbeat, supervisor, sweep};
 use sas_telemetry::expo;
@@ -48,8 +48,6 @@ pub struct Config {
     pub default_deadline: Duration,
     /// How long drain waits for workers to finish or park.
     pub drain_deadline: Duration,
-    /// Max in-flight (queued + running) jobs per client tag.
-    pub per_client_cap: usize,
     /// Extra time past its deadline a cancelled job may keep its worker
     /// before the watchdog declares the worker wedged.
     pub hang_grace: Duration,
@@ -67,7 +65,6 @@ impl Config {
             state_dir,
             default_deadline: Duration::from_secs(120),
             drain_deadline: Duration::from_secs(30),
-            per_client_cap: 8,
             hang_grace: Duration::from_secs(5),
             chunk: 1_000_000,
         }
@@ -93,12 +90,8 @@ pub struct Counters {
     pub stalled: u64,
     /// 503s: queue full.
     pub rejected_full: u64,
-    /// 503s: load shedding (low priority above the shed threshold).
-    pub rejected_shed: u64,
     /// 503s: draining.
     pub rejected_draining: u64,
-    /// 429s: per-client in-flight cap.
-    pub rejected_client: u64,
 }
 
 #[derive(Debug)]
@@ -121,8 +114,6 @@ enum Phase {
 #[derive(Debug)]
 struct JobEntry {
     spec: JobSpec,
-    priority: Priority,
-    client: String,
     deadline_ms: u64,
     cancel: Arc<AtomicBool>,
     phase: Phase,
@@ -199,13 +190,11 @@ impl Server {
         };
         for p in &recovery.pending {
             eprintln!("sas-serve: resuming journaled job {} ({})", p.id, p.spec.label());
-            state.queue.push(p.priority, p.id).expect("resume capacity reserved above");
+            state.queue.push(p.id).expect("resume capacity reserved above");
             state.jobs.insert(
                 p.id,
                 JobEntry {
                     spec: p.spec.clone(),
-                    priority: p.priority,
-                    client: p.client.clone(),
                     deadline_ms: p.deadline_ms,
                     cancel: Arc::new(AtomicBool::new(false)),
                     phase: Phase::Queued,
@@ -316,7 +305,7 @@ fn worker_loop(shared: &Shared) {
         let claimed = {
             let mut st = shared.state.lock().expect("state lock");
             loop {
-                if let Some((_, id)) = st.queue.pop() {
+                if let Some(id) = st.queue.pop() {
                     break Some(id);
                 }
                 if shared.draining.load(Ordering::SeqCst) {
@@ -487,7 +476,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, stop: &AtomicBool) 
             return;
         }
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok((stream, _)) => {
                 if shared.connections.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
                     let mut stream = stream;
@@ -503,7 +492,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, stop: &AtomicBool) 
                 }
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || {
-                    handle_connection(&shared, stream, peer.ip().to_string());
+                    handle_connection(&shared, stream);
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
                 });
             }
@@ -518,7 +507,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, stop: &AtomicBool) 
     }
 }
 
-fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: String) {
+fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let t0 = Instant::now();
@@ -567,7 +556,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: String) {
         record_request(shared, "watch", status, t0);
         return;
     }
-    let ((status, reason, headers, body), label) = route(shared, &req, &peer);
+    let ((status, reason, headers, body), label) = route(shared, &req);
     let header_refs: Vec<(&str, &str)> =
         headers.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
     let _ = http::respond(&mut stream, status, reason, &header_refs, "application/json", &body);
@@ -591,7 +580,6 @@ fn unavailable(message: &str, counters_bump: &str, shared: &Shared) -> Response 
         let mut st = shared.state.lock().expect("state lock");
         match counters_bump {
             "full" => st.counters.rejected_full += 1,
-            "shed" => st.counters.rejected_shed += 1,
             "draining" => st.counters.rejected_draining += 1,
             _ => {}
         }
@@ -609,7 +597,7 @@ fn unavailable(message: &str, counters_bump: &str, shared: &Shared) -> Response 
 }
 
 /// Dispatches one parsed request; the second element is the metrics label.
-fn route(shared: &Shared, req: &Request, peer: &str) -> (Response, String) {
+fn route(shared: &Shared, req: &Request) -> (Response, String) {
     match (req.method.as_str(), req.path.split('?').next().unwrap_or("")) {
         ("GET", "/healthz") => {
             let resp = if shared.draining.load(Ordering::SeqCst) {
@@ -629,7 +617,7 @@ fn route(shared: &Shared, req: &Request, peer: &str) -> (Response, String) {
             drain(shared);
             (ok("{\"draining\":true}".into()), "drain".into())
         }
-        ("POST", "/rpc") => rpc(shared, req, peer),
+        ("POST", "/rpc") => rpc(shared, req),
         _ => (
             (
                 404,
@@ -647,10 +635,10 @@ fn status_body(shared: &Shared) -> String {
     let st = shared.state.lock().expect("state lock");
     let c = &st.counters;
     format!(
-        "{{\"schema\":\"sas-serve-status-v2\",\
+        "{{\"schema\":\"sas-serve-status-v3\",\
          \"draining\":{},\"queued\":{},\"running\":{},\"workers\":{},\"queue_cap\":{},\
          \"accepted\":{},\"resumed\":{},\"completed\":{},\"failed\":{},\"cancelled\":{},\
-         \"parked\":{},\"stalled\":{},\"rejected\":{{\"full\":{},\"shed\":{},\"draining\":{},\"client\":{}}}}}",
+         \"parked\":{},\"stalled\":{},\"rejected\":{{\"full\":{},\"draining\":{}}}}}",
         shared.draining.load(Ordering::SeqCst),
         st.queue.len(),
         st.running,
@@ -664,9 +652,7 @@ fn status_body(shared: &Shared) -> String {
         c.parked,
         c.stalled,
         c.rejected_full,
-        c.rejected_shed,
         c.rejected_draining,
-        c.rejected_client,
     )
 }
 
@@ -725,12 +711,7 @@ fn metrics_body(shared: &Shared) -> String {
         expo::line(&mut out, "sas_serve_jobs_total", &[("outcome", outcome)], n as f64);
     }
     expo::type_line(&mut out, "sas_serve_rejected_total", "counter");
-    for (reason, n) in [
-        ("full", c.rejected_full),
-        ("shed", c.rejected_shed),
-        ("draining", c.rejected_draining),
-        ("client", c.rejected_client),
-    ] {
+    for (reason, n) in [("full", c.rejected_full), ("draining", c.rejected_draining)] {
         expo::line(&mut out, "sas_serve_rejected_total", &[("reason", reason)], n as f64);
     }
     let journal_bytes = {
@@ -872,7 +853,7 @@ fn rpc_result(id: &str, result: &str) -> String {
     format!("{{\"jsonrpc\":\"2.0\",\"id\":{id},\"result\":{result}}}")
 }
 
-fn rpc(shared: &Shared, req: &Request, peer: &str) -> (Response, String) {
+fn rpc(shared: &Shared, req: &Request) -> (Response, String) {
     let text = String::from_utf8_lossy(&req.body);
     let doc = match json::parse(&text) {
         Ok(doc) => doc,
@@ -908,7 +889,7 @@ fn rpc(shared: &Shared, req: &Request, peer: &str) -> (Response, String) {
         "job" => rpc_job_query(shared, &id, params),
         "cancel" => rpc_cancel(shared, &id, params),
         "query" => rpc_query(shared, &id, params),
-        "simulate" | "trace" | "lint" | "spin" => rpc_submit(shared, req, peer, &id, method, params),
+        "simulate" | "trace" | "lint" | "spin" => rpc_submit(shared, &id, method, params),
         other => {
             let msg = format!("unknown method {other:?}");
             return (
@@ -953,7 +934,6 @@ fn rpc_query(shared: &Shared, id: &str, params: &Json) -> Response {
                 ("job".into(), Val::Num(jid as f64)),
                 ("kind".into(), Val::Str(entry.spec.kind().into())),
                 ("label".into(), Val::Str(entry.spec.label())),
-                ("priority".into(), Val::Str(entry.priority.token().into())),
             ];
             match &entry.phase {
                 Phase::Queued => row.push(("status".into(), Val::Str("queued".into()))),
@@ -995,10 +975,9 @@ fn job_status_json(entry: &JobEntry, id: u64) -> String {
         }
     };
     format!(
-        "{{\"job\":{id},\"kind\":\"{}\",\"label\":\"{}\",\"priority\":\"{}\",\"status\":\"{}\"{}}}",
+        "{{\"job\":{id},\"kind\":\"{}\",\"label\":\"{}\",\"status\":\"{}\"{}}}",
         entry.spec.kind(),
         json_escape(&entry.spec.label()),
-        entry.priority.token(),
         status,
         extra
     )
@@ -1045,74 +1024,27 @@ fn rpc_cancel(shared: &Shared, id: &str, params: &Json) -> Response {
     }
 }
 
-fn rpc_submit(
-    shared: &Shared,
-    req: &Request,
-    peer: &str,
-    id: &str,
-    method: &str,
-    params: &Json,
-) -> Response {
+fn rpc_submit(shared: &Shared, id: &str, method: &str, params: &Json) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return unavailable("draining: not admitting new jobs", "draining", shared);
     }
-    let (spec, priority, deadline_ms) = match job::parse_request(method, params) {
+    let (spec, deadline_ms, wait) = match job::parse_request(method, params) {
         Ok(parsed) => parsed,
         Err(msg) => return (400, "Bad Request", Vec::new(), rpc_error(id, -32602, &msg, None)),
     };
     let deadline_ms =
         deadline_ms.unwrap_or(shared.cfg.default_deadline.as_millis() as u64).max(1);
-    let client = params
-        .get("client")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .or_else(|| req.header("x-client").map(str::to_string))
-        .unwrap_or_else(|| peer.to_string());
-    let wait = match params.get("wait") {
-        Some(Json::Bool(b)) => *b,
-        _ => true,
-    };
 
     // Admission, under one critical section.
     let job_id = {
         let mut st = shared.state.lock().expect("state lock");
-        let in_flight = st
-            .jobs
-            .values()
-            .filter(|e| {
-                e.client == client && matches!(e.phase, Phase::Queued | Phase::Running { .. })
-            })
-            .count();
-        if in_flight >= shared.cfg.per_client_cap {
-            st.counters.rejected_client += 1;
-            let msg = format!("client {client:?} already has {in_flight} jobs in flight");
-            return (
-                429,
-                "Too Many Requests",
-                vec![("retry-after".into(), "2".into())],
-                rpc_error(id, -32000, &msg, Some("client-cap")),
-            );
-        }
         let job_id = st.next_id;
-        match st.queue.push(priority, job_id) {
-            Err(Reject::Full) => {
-                drop(st);
-                return unavailable("queue full", "full", shared);
-            }
-            Err(Reject::Shed) => {
-                drop(st);
-                return unavailable("shedding low-priority load", "shed", shared);
-            }
-            Ok(()) => {}
+        if st.queue.push(job_id).is_err() {
+            drop(st);
+            return unavailable("queue full", "full", shared);
         }
         st.next_id += 1;
-        let pending = PendingJob {
-            id: job_id,
-            priority,
-            spec: spec.clone(),
-            deadline_ms,
-            client: client.clone(),
-        };
+        let pending = PendingJob { id: job_id, spec: spec.clone(), deadline_ms };
         // Journal before acknowledging: an accepted job must survive
         // SIGKILL. (A crash before this line loses only a job nobody was
         // told was accepted.)
@@ -1130,8 +1062,6 @@ fn rpc_submit(
             job_id,
             JobEntry {
                 spec,
-                priority,
-                client,
                 deadline_ms,
                 cancel: Arc::new(AtomicBool::new(false)),
                 phase: Phase::Queued,

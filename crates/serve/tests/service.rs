@@ -51,11 +51,11 @@ fn small_config(tag: &str) -> Config {
 }
 
 /// Sends one raw HTTP request, returns (status, raw headers, parsed body).
-fn http(port: u16, method: &str, path: &str, body: &str, client: &str) -> (u16, String, Json) {
+fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String, Json) {
     let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(180))).unwrap();
     let req = format!(
-        "{method} {path} HTTP/1.1\r\nhost: t\r\nx-client: {client}\r\ncontent-length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
     );
     s.write_all(req.as_bytes()).unwrap();
@@ -73,11 +73,7 @@ fn http(port: u16, method: &str, path: &str, body: &str, client: &str) -> (u16, 
 }
 
 fn rpc(port: u16, body: &str) -> (u16, String, Json) {
-    http(port, "POST", "/rpc", body, "test")
-}
-
-fn rpc_as(port: u16, client: &str, body: &str) -> (u16, String, Json) {
-    http(port, "POST", "/rpc", body, client)
+    http(port, "POST", "/rpc", body)
 }
 
 fn result_of(doc: &Json) -> &Json {
@@ -164,11 +160,11 @@ fn smoke_simulate_trace_lint_status_healthz() {
     assert_eq!(status, 200);
     assert!(result_of(&doc).get("gadgets").and_then(Json::as_num).is_some(), "{doc:?}");
 
-    let (status, _, doc) = http(port, "GET", "/status", "", "test");
+    let (status, _, doc) = http(port, "GET", "/status", "");
     assert_eq!(status, 200);
     assert!(doc.get("accepted").and_then(Json::as_num).unwrap_or(0.0) >= 3.0, "{doc:?}");
 
-    let (status, _, doc) = http(port, "GET", "/healthz", "", "test");
+    let (status, _, doc) = http(port, "GET", "/healthz", "");
     assert_eq!(status, 200);
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
 }
@@ -183,7 +179,7 @@ fn a_deeply_nested_body_is_a_parse_error_not_a_crash() {
     assert_eq!(status, 400, "{doc:?}");
     let code = doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_num);
     assert_eq!(code, Some(-32700.0), "{doc:?}");
-    let (status, _, doc) = http(port, "GET", "/healthz", "", "test");
+    let (status, _, doc) = http(port, "GET", "/healthz", "");
     assert_eq!(status, 200);
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
 }
@@ -196,7 +192,6 @@ fn json_string(s: &str) -> String {
 fn a_saturated_queue_rejects_with_structured_503s() {
     let mut cfg = small_config("saturate");
     cfg.queue_cap = 2;
-    cfg.per_client_cap = 64;
     let server = Server::start(cfg).unwrap();
     let port = server.port();
 
@@ -221,25 +216,9 @@ fn a_saturated_queue_rejects_with_structured_503s() {
     assert_eq!(status, 503, "{doc:?}");
     assert!(head.contains("retry-after"), "{head}");
     assert_eq!(error_kind_top(&doc), "full");
-
-    // Load shedding: with one of two slots taken, low priority sheds while
-    // normal is still admitted (shed threshold = ¾ of the cap).
-    let (_, _, _) = rpc(
-        port,
-        &format!(
-            "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"cancel\",\"params\":{{\"job\":{}}}}}",
-            id + 2
-        ),
-    );
-    let (status, _, doc) = rpc(
-        port,
-        &format!(
-            "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"simulate\",\"params\":{{\"program\":{},\"wait\":false,\"priority\":\"low\",\"deadline_ms\":8000}}}}",
-            json_string(FOREVER)
-        ),
-    );
-    assert_eq!(status, 503, "{doc:?}");
-    assert_eq!(error_kind_top(&doc), "shed");
+    let (_, _, doc) = http(port, "GET", "/status", "");
+    let rejected = doc.get("rejected").expect("rejected counters");
+    assert_eq!(rejected.get("full").and_then(Json::as_num), Some(1.0), "{doc:?}");
 }
 
 /// The 503 body shape for plain (non-JSON-RPC-level) rejections.
@@ -287,25 +266,31 @@ fn deadlines_fail_cleanly_and_queued_jobs_cancel() {
     assert_eq!(st.get("status").and_then(Json::as_str), Some("done:cancelled"), "{st:?}");
 }
 
+/// A mistyped submit option is a 400 naming the field, never a silent
+/// default: a string `wait` used to block, a string `deadline_ms` used to
+/// get the default budget.
 #[test]
-fn the_per_client_cap_returns_429_for_the_greedy_client_only() {
-    let mut cfg = small_config("clientcap");
-    cfg.per_client_cap = 1;
-    let server = Server::start(cfg).unwrap();
+fn mistyped_submit_options_are_rejected_naming_the_field() {
+    let server = Server::start(small_config("strict")).unwrap();
     let port = server.port();
-
-    let body = format!(
-        "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"simulate\",\"params\":{{\"program\":{},\"wait\":false,\"deadline_ms\":5000}}}}",
-        json_string(FOREVER)
-    );
-    let (status, _, _) = rpc_as(port, "greedy", &body);
-    assert_eq!(status, 200);
-    let (status, head, doc) = rpc_as(port, "greedy", &body);
-    assert_eq!(status, 429, "{doc:?}");
-    assert!(head.contains("retry-after"), "{head}");
-    // A different client still gets in.
-    let (status, _, _) = rpc_as(port, "patient", &body);
-    assert_eq!(status, 200);
+    for (field, value) in [("wait", "\"no\""), ("deadline_ms", "\"500\"")] {
+        let (status, _, doc) = rpc(
+            port,
+            &format!(
+                "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"simulate\",\"params\":{{\"program\":{},\"{field}\":{value}}}}}",
+                json_string(QUICK)
+            ),
+        );
+        assert_eq!(status, 400, "{field}: {doc:?}");
+        let message = doc
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("no error message in {doc:?}"));
+        assert!(message.contains(&format!("\"{field}\"")), "{field}: {message}");
+    }
+    let (_, _, doc) = http(port, "GET", "/status", "");
+    assert_eq!(doc.get("accepted").and_then(Json::as_num), Some(0.0), "{doc:?}");
 }
 
 #[test]
@@ -335,7 +320,7 @@ fn a_wedged_worker_is_failed_and_the_pool_recovers() {
     assert_eq!(status, 200);
     assert!(result_of(&doc).get("cycles").is_some(), "{doc:?}");
 
-    let (_, _, doc) = http(port, "GET", "/status", "", "test");
+    let (_, _, doc) = http(port, "GET", "/status", "");
     assert_eq!(doc.get("stalled").and_then(Json::as_num), Some(1.0), "{doc:?}");
 }
 
@@ -425,9 +410,9 @@ fn metrics_watch_and_query_expose_the_service() {
     let port = server.port();
 
     // The status document is schema-tagged.
-    let (status, _, doc) = http(port, "GET", "/status", "", "test");
+    let (status, _, doc) = http(port, "GET", "/status", "");
     assert_eq!(status, 200);
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sas-serve-status-v2"), "{doc:?}");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sas-serve-status-v3"), "{doc:?}");
 
     // One quick completed job gives the query corpus a result row.
     let (status, _, doc) = rpc(

@@ -185,7 +185,9 @@ echo "== tier1: service (sas-serve: smoke RPCs, 503 saturation, SIGKILL resume, 
 # The persistent daemon's end-to-end robustness contract (DESIGN.md §13),
 # exercised over raw TCP (bash /dev/tcp — hermetic, no curl):
 #   1. simulate / lint / trace smoke against a live daemon;
-#   2. a saturated queue answers an explicit 503 (kind:"full"), never hangs;
+#   2. a saturated queue answers an explicit 503 (kind:"full"), never hangs,
+#      and /status counts it as the one rejection; journal rows carry no
+#      `priority` or `client` field;
 #   3. SIGKILL mid-simulation, restart: the journaled job resumes from its
 #      checkpoint and reports cycle counts identical to an uninterrupted run;
 #   4. SIGTERM with a job in flight: the daemon parks it and exits 0 inside
@@ -198,6 +200,13 @@ rpc() { # rpc <port> <json-body> — one JSON-RPC POST, prints the full response
   exec 3<>"/dev/tcp/127.0.0.1/$port"
   printf 'POST /rpc HTTP/1.1\r\nhost: t\r\ncontent-length: %d\r\n\r\n%s' \
     "${#body}" "$body" >&3
+  cat <&3
+  exec 3<&- 3>&-
+}
+http_get() { # http_get <port> <path> — raw GET, prints the full response
+  local port=$1 path=$2
+  exec 3<>"/dev/tcp/127.0.0.1/$port"
+  printf 'GET %s HTTP/1.1\r\nhost: t\r\n\r\n' "$path" >&3
   cat <&3
   exec 3<&- 3>&-
 }
@@ -240,6 +249,8 @@ saturated=$(rpc "$SERVE_PORT" "$occupy")
 echo "$saturated" | grep -q '503 Service Unavailable'
 echo "$saturated" | grep -qi 'retry-after'
 echo "$saturated" | grep -q '"kind":"full"'
+http_get "$SERVE_PORT" /status | grep -q '"rejected":{"full":1,"draining":0}'
+[ "$(grep -cE '"priority"|"client"' "$SERVEDIR/a/journal.jsonl")" -eq 0 ]
 kill -9 "$SERVE_PID" 2>/dev/null; wait "$SERVE_PID" 2>/dev/null || true
 
 # --- SIGKILL mid-job, restart, bit-identical resume (instance B) ---
@@ -308,13 +319,6 @@ echo "== tier1: campaign analytics + live observability (sas-query, /metrics, /w
 #      queue gauges, and the `query` RPC slices the journal + job table.
 QUERYDIR=target/sas-query/tier1
 rm -rf "$QUERYDIR"; mkdir -p "$QUERYDIR"
-http_get() { # http_get <port> <path> — raw GET, prints the full response
-  local port=$1 path=$2
-  exec 3<>"/dev/tcp/127.0.0.1/$port"
-  printf 'GET %s HTTP/1.1\r\nhost: t\r\n\r\n' "$path" >&3
-  cat <&3
-  exec 3<&- 3>&-
-}
 
 ./target/release/sas-trace query \
   'where mitigation=stt and cpi.mem_bound>0 sort wall_ms desc limit 5' \
@@ -341,7 +345,7 @@ diff -u scripts/golden_queries.txt "$QUERYDIR/golden_queries.out"
 
 # --- live daemon: SSE watch, metrics exposition, query RPC ---
 serve_start "$SERVEDIR/q" "$SERVEDIR/q.log" --workers 1 --chunk 100000
-http_get "$SERVE_PORT" /status | grep -q '"schema":"sas-serve-status-v2"'
+http_get "$SERVE_PORT" /status | grep -q '"schema":"sas-serve-status-v3"'
 resp=$(rpc "$SERVE_PORT" '{"jsonrpc":"2.0","id":11,"method":"simulate","params":{"program":"'"$LONG"'","wait":false,"deadline_ms":120000}}')
 job=$(echo "$resp" | sed -n 's/.*"job":\([0-9]*\).*/\1/p' | head -1)
 [ -n "$job" ]

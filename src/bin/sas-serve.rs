@@ -70,7 +70,7 @@ OPTIONS:
 ENDPOINTS:
   POST /rpc          JSON-RPC: simulate, trace, lint, spin, job, cancel, query,
                      status, drain
-  GET  /status       counters and queue state (schema sas-serve-status-v2)
+  GET  /status       counters and queue state (schema sas-serve-status-v3)
   GET  /metrics      Prometheus-style text exposition: request counters,
                      latency histograms + quantiles, queue/worker gauges
   GET  /watch/<job>  server-sent events: queued / progress / done frames
