@@ -23,15 +23,12 @@ pub struct DataSegment {
 pub enum AsmError {
     /// A label was referenced but never bound with [`ProgramBuilder::bind`].
     UnboundLabel(Label),
-    /// A label was bound twice.
-    Rebound(Label),
 }
 
 impl fmt::Display for AsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AsmError::UnboundLabel(l) => write!(f, "label {:?} referenced but never bound", l),
-            AsmError::Rebound(l) => write!(f, "label {:?} bound more than once", l),
         }
     }
 }

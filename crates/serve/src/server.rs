@@ -1,13 +1,13 @@
 //! The service: accept loop, worker pool, admission control, deadline
 //! watchdog, hung-worker supervision, drain, and crash recovery.
 //!
-//! Concurrency model: one nonblocking accept loop hands connections to
-//! short-lived connection threads; a fixed worker pool (`--workers`) drains
-//! the FIFO job queue; one watchdog thread enforces deadlines and detects
-//! wedged workers. All mutable state lives behind a single mutex
-//! ([`State`]) with two condvars — one waking workers, one waking request
-//! threads blocked on job completion — so every transition is a small
-//! critical section around the lock.
+//! Concurrency model: one accept thread, blocked in `accept`, hands
+//! connections to short-lived connection threads; a fixed worker pool
+//! (`--workers`) drains the FIFO job queue; one watchdog thread enforces
+//! deadlines and detects wedged workers. All mutable state lives behind a
+//! single mutex ([`State`]) with two condvars — one waking workers, one
+//! waking request threads blocked on job completion — so every transition
+//! is a small critical section around the lock.
 //!
 //! The failure-mode contract (DESIGN.md §13): a full queue is an explicit
 //! 503 with `Retry-After`, a deadline overrun is a structured error that
@@ -157,7 +157,6 @@ const DONE_RETENTION: usize = 256;
 pub struct Server {
     shared: Arc<Shared>,
     port: u16,
-    stop_accept: Arc<AtomicBool>,
 }
 
 impl Server {
@@ -205,7 +204,6 @@ impl Server {
         }
 
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
 
         let workers = cfg.workers;
@@ -228,13 +226,11 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || watchdog_loop(shared));
         }
-        let stop_accept = Arc::new(AtomicBool::new(false));
         {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop_accept);
-            std::thread::spawn(move || accept_loop(&shared, &listener, &stop));
+            std::thread::spawn(move || accept_loop(&shared, &listener));
         }
-        Ok(Server { shared, port, stop_accept })
+        Ok(Server { shared, port })
     }
 
     /// The bound port.
@@ -273,11 +269,6 @@ impl Server {
             st = guard;
         }
         true
-    }
-
-    /// Stops the accept loop (used at the very end of shutdown).
-    pub fn stop_accepting(&self) {
-        self.stop_accept.store(true, Ordering::SeqCst);
     }
 }
 
@@ -470,11 +461,10 @@ fn watchdog_loop(shared: Arc<Shared>) {
 // HTTP front end
 // ---------------------------------------------------------------------------
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, stop: &AtomicBool) {
+/// Blocks in `accept` for the life of the process: there is no poll
+/// interval, and the thread ends when `main` returns.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
         match listener.accept() {
             Ok((stream, _)) => {
                 if shared.connections.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
@@ -495,9 +485,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, stop: &AtomicBool) 
                     handle_connection(&shared, stream);
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
                 });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => {
                 eprintln!("sas-serve: accept error: {e}");

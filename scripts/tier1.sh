@@ -184,7 +184,9 @@ grep -q '"cell":"spec/505.mcf_r/stt","ok":false' \
 echo "== tier1: service (sas-serve: smoke RPCs, 503 saturation, SIGKILL resume, SIGTERM drain) =="
 # The persistent daemon's end-to-end robustness contract (DESIGN.md §13),
 # exercised over raw TCP (bash /dev/tcp — hermetic, no curl):
-#   1. simulate / lint / trace smoke against a live daemon;
+#   1. simulate / lint / trace smoke against a live daemon, and a lint of a
+#      program binding one label twice answers kind:"parse" and leaves the
+#      only worker alive;
 #   2. a saturated queue answers an explicit 503 (kind:"full"), never hangs,
 #      and /status counts it as the one rejection; journal rows carry no
 #      `priority` or `client` field;
@@ -234,6 +236,10 @@ rpc "$SERVE_PORT" '{"jsonrpc":"2.0","id":2,"method":"lint","params":{"program":"
   | grep -q '"gadgets":'
 rpc "$SERVE_PORT" '{"jsonrpc":"2.0","id":3,"method":"trace","params":{"program":"'"$QUICK"'","chrome":true}}' \
   | grep -q '"chrome":'
+# A label bound twice is a parse error, not a panic that kills the only
+# worker: the occupy job below must still reach "running".
+rpc "$SERVE_PORT" '{"jsonrpc":"2.0","id":3,"method":"lint","params":{"program":"a:\na:\nHALT\n"}}' \
+  | grep -q '"kind":"parse"'
 occupy='{"jsonrpc":"2.0","id":4,"method":"simulate","params":{"program":"'"$FOREVER"'","wait":false,"deadline_ms":60000}}'
 resp=$(rpc "$SERVE_PORT" "$occupy")
 echo "$resp" | grep -q '"status":"queued"'

@@ -154,7 +154,6 @@ fn main() -> ExitCode {
         }
     }
     let clean = server.drain_wait();
-    server.stop_accepting();
     if clean {
         eprintln!("sas-serve: drain complete, exiting");
         ExitCode::SUCCESS
