@@ -8,7 +8,7 @@
 //!
 //! A failing case prints its seed; `SAS_PTEST_SEED=<seed>` replays it.
 
-use sas_isa::{parse_program, Program, Reg};
+use sas_isa::{parse_program, Operand, Program, ProgramBuilder, Reg};
 use sas_pipeline::System;
 use sas_ptest::{check, gens, FaultPlan};
 use sas_snap::{SnapError, Snapshot, FLAG_TELEMETRY, FLAG_WARM_BASE};
@@ -16,7 +16,7 @@ use specasan::snapshot::{
     restore_system, restore_system_checked, restore_system_from, snapshot_system,
     write_system_snapshot,
 };
-use specasan::{build_system, Mitigation, SimConfig};
+use specasan::{build_multicore, build_system, Mitigation, SimConfig};
 
 /// Cycle budget for a run to completion.
 const MAX_CYCLES: u64 = 100_000_000;
@@ -292,5 +292,46 @@ fn snapshot_files_round_trip_atomically() {
     restore_system_from(&mut b, &path).expect("restore_from");
     assert_eq!(finish(&mut a), finish(&mut b));
     assert_eq!(b.core(0).reg(Reg::X3), 30);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Four cores, each rewriting its own three-page data image: a multi-core
+/// machine whose `mem` section spans many pages.
+fn multicore_writers() -> System {
+    let programs = (0..4u64)
+        .map(|core| {
+            let base = 0x10_0000 * (core + 1);
+            let mut asm = ProgramBuilder::new();
+            asm.data_segment(base, (0..3 * 4096u64).map(|i| (i * 7 + core) as u8).collect());
+            asm.mov_imm64(Reg::X2, base);
+            asm.movz(Reg::X1, 300, 0);
+            let top = asm.here();
+            asm.str(Reg::X1, Reg::X2, 0);
+            asm.add(Reg::X2, Reg::X2, Operand::imm(40));
+            asm.sub(Reg::X1, Reg::X1, Operand::imm(1));
+            asm.cbnz_idx(Reg::X1, top);
+            asm.halt();
+            asm.build().unwrap()
+        })
+        .collect();
+    build_multicore(&SimConfig::table2(), programs, Mitigation::SpecAsan)
+}
+
+/// `write_atomic` streams the image to its file through the same framing
+/// as `to_bytes`: the file holds exactly the `to_bytes` image.
+#[test]
+fn write_atomic_writes_exactly_the_to_bytes_image() {
+    let dir = std::env::temp_dir().join(format!("sas-snap-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("multicore.snap");
+    let mut sys = multicore_writers();
+    for until in [0, 1_500, 4_000] {
+        sys.run(until);
+        let b = snapshot_system(&sys, until > 0);
+        b.write_atomic(&path).expect("write_atomic");
+        let written = std::fs::read(&path).unwrap();
+        assert!(written.len() > 12 * 4096, "{} bytes: not a multi-page image", written.len());
+        assert!(written == b.to_bytes(), "cycle {until}: the file differs from to_bytes");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,6 +4,7 @@ use crate::inst::{AluOp, AmoOp, BtiKind, Cond, Inst, MemWidth, Operand};
 use crate::reg::Reg;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A symbolic branch target handed out by [`ProgramBuilder::new_label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,12 +37,36 @@ impl fmt::Display for AsmError {
 impl std::error::Error for AsmError {}
 
 /// An executable SAS-IR program: instructions plus initial data memory.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Program {
     insts: Vec<Inst>,
     data: Vec<DataSegment>,
     entry: usize,
     label_addrs: HashMap<String, usize>,
+    /// [`Program::fingerprint`], computed on first use. `set_entry` clears
+    /// it and `with_nops` returns a copy without it; `PartialEq` and `Debug`
+    /// ignore it.
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.insts == other.insts
+            && self.data == other.data
+            && self.entry == other.entry
+            && self.label_addrs == other.label_addrs
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("insts", &self.insts)
+            .field("data", &self.data)
+            .field("entry", &self.entry)
+            .field("label_addrs", &self.label_addrs)
+            .finish()
+    }
 }
 
 impl Program {
@@ -89,6 +114,7 @@ impl Program {
     pub fn set_entry(&mut self, entry: usize) {
         assert!(entry < self.insts.len(), "entry {entry} out of range");
         self.entry = entry;
+        self.fingerprint = OnceLock::new();
     }
 
     /// Renders a human-readable listing (one instruction per line). Branch
@@ -132,6 +158,7 @@ impl Program {
                 p.insts[i] = Inst::Nop;
             }
         }
+        p.fingerprint = OnceLock::new();
         p
     }
 
@@ -141,7 +168,14 @@ impl Program {
     ///
     /// Snapshots persist this value, so it is a hand-rolled FNV-1a rather
     /// than `std::hash`, whose output may change between Rust releases.
+    /// It is computed once per program value: every checkpoint and restore
+    /// asks for it, and hashing a multi-megabyte data image each time cost
+    /// as much as encoding the machine.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut h = Fnv1a::new();
         h.u64(self.insts.len() as u64);
@@ -201,6 +235,10 @@ impl Program {
                 ref other => other.to_string(),
             };
             let _ = writeln!(out, "    {line}");
+        }
+        // A label bound after the last instruction is still a branch target.
+        if targets.contains(&self.insts.len()) {
+            let _ = writeln!(out, "{}:", label(self.insts.len()));
         }
         for seg in &self.data {
             for (k, chunk) in seg.bytes.chunks(32).enumerate() {
@@ -604,7 +642,7 @@ impl ProgramBuilder {
             .into_iter()
             .filter_map(|(name, l)| labels[l.0].map(|i| (name, i)))
             .collect();
-        Ok(Program { insts, data, entry, label_addrs })
+        Ok(Program { insts, data, entry, label_addrs, fingerprint: OnceLock::new() })
     }
 }
 
@@ -758,6 +796,22 @@ mod tests {
         assert_eq!(fingerprint_sample(0, vec![1, 2, 3], "loop").fingerprint(), base);
         let nopped = fingerprint_sample(0, vec![1, 2, 3], "top").with_nops(&[0]);
         assert_ne!(nopped.fingerprint(), base);
+    }
+
+    #[test]
+    fn fingerprint_memo_is_reset_and_invisible() {
+        let uncached = |entry| fingerprint_sample(entry, vec![1, 2, 3], "top");
+        let mut p = uncached(0);
+        let (debug, fresh) = (format!("{p:?}"), uncached(0));
+        assert_eq!(p.fingerprint(), uncached(0).fingerprint());
+        assert_eq!(format!("{p:?}"), debug);
+        assert!(p == fresh, "the memo is not compared");
+        // Derived programs start without the memo.
+        let nopped = uncached(0).with_nops(&[0]).compute_fingerprint();
+        assert_eq!(p.with_nops(&[0]).fingerprint(), nopped);
+        p.set_entry(1);
+        assert_eq!(p.fingerprint(), uncached(1).compute_fingerprint());
+        assert_ne!(p.fingerprint(), fresh.fingerprint());
     }
 
     #[test]

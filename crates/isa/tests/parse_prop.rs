@@ -167,7 +167,9 @@ fn mutated_corpus_programs_never_panic_the_assembler() {
 fn every_corpus_program_round_trips_through_to_sasm() {
     let corpus = corpus();
     assert_eq!(corpus.len(), 28, "the fuzz corpus holds 28 programs");
-    for (name, text) in &corpus {
+    // A label bound after the last instruction is a branch target too.
+    let trailing_label = ("trailing label".to_string(), "B end\nend:\n".to_string());
+    for (name, text) in corpus.iter().chain([&trailing_label]) {
         let program = parse_program(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let back = parse_program(&program.to_sasm()).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(back.fingerprint(), program.fingerprint(), "{name}");

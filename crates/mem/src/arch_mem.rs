@@ -136,6 +136,14 @@ impl MainMemory {
         }
     }
 
+    /// Bytes [`MainMemory::encode`] writes: the page count, then per page
+    /// its key, its length and its 4 KiB.
+    pub fn encoded_len(&self) -> usize {
+        use sas_snap::uv_len;
+        let per_page = |&k: &u64| uv_len(k) + uv_len(PAGE_BYTES as u64) + PAGE_BYTES;
+        uv_len(self.pages.len() as u64) + self.pages.keys().map(per_page).sum::<usize>()
+    }
+
     /// Restores an image serialized by [`MainMemory::encode`], replacing the
     /// current contents.
     ///
@@ -169,6 +177,17 @@ impl MainMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn encoded_len_is_what_encode_writes() {
+        let mut m = MainMemory::new();
+        for addr in [0, 0x7F_F000, 0x1234_5000, 0xFFFF_FFFF_F000] {
+            let mut e = sas_snap::Enc::new();
+            m.encode(&mut e);
+            assert_eq!(m.encoded_len(), e.len(), "{} pages", m.resident_pages());
+            m.write(VirtAddr::new(addr), 8, addr);
+        }
+    }
 
     #[test]
     fn zero_fill_semantics() {

@@ -31,6 +31,11 @@ use sas_ptest::{FaultPlan, FaultStream, InjectionPoint};
 /// pipeline's deadlock detector must trip and produce a crash dump.
 const DROPPED_FILL_STALL: u64 = 50_000_000;
 
+/// Room [`MemSystem::encode`] reserves for what follows the page images:
+/// caches, buffers, prefetchers and statistics, about 185 KB for the
+/// four-core canneal machine. A larger tail only costs one doubling copy.
+const ENCODED_TAIL_BYTES: usize = 1 << 20;
+
 /// Armed fault-injection streams for the memory side of a [`FaultPlan`].
 #[derive(Debug, Clone)]
 struct MemFaults {
@@ -963,6 +968,12 @@ impl MemSystem {
     /// (geometry, latencies, capacities) is not written: a restore target is
     /// built from the same config, and structural codecs reject mismatches.
     pub fn encode(&self, e: &mut sas_snap::Enc) {
+        // The page images lead the section and are nearly all of it.
+        // Reserving the whole section first spares the encoder doubling
+        // copies of a multi-megabyte buffer, which were most of its encode
+        // time; capacity left unwritten costs no resident memory.
+        let images = self.arch.encoded_len() + self.tags.encoded_len();
+        e.reserve(sas_snap::uv_len(self.cores as u64) + images + ENCODED_TAIL_BYTES);
         e.usz(self.cores);
         self.arch.encode(e);
         self.tags.encode(e);

@@ -184,6 +184,16 @@ impl TagStorage {
         e.uv(self.reads);
     }
 
+    /// Bytes [`TagStorage::encode`] writes.
+    pub fn encoded_len(&self) -> usize {
+        use sas_snap::uv_len;
+        let per_page = |&k: &u64| uv_len(k) + uv_len(PAGE_GRANULES as u64) + PAGE_GRANULES;
+        uv_len(self.pages.len() as u64)
+            + self.pages.keys().map(per_page).sum::<usize>()
+            + uv_len(self.writes)
+            + uv_len(self.reads)
+    }
+
     /// Restores the store from a snapshot section, replacing all state.
     ///
     /// # Errors
@@ -313,6 +323,18 @@ mod tests {
         assert_eq!(t.write_count(), 4);
         let _ = t.read_tag(VirtAddr::new(0));
         assert_eq!(t.read_count(), 1);
+    }
+
+    #[test]
+    fn encoded_len_is_what_encode_writes() {
+        let mut t = TagStorage::new();
+        for addr in [0, 0x7F_F000, 0x1234_5000, 0xFFFF_FFFF_F000] {
+            let mut e = sas_snap::Enc::new();
+            t.encode(&mut e);
+            assert_eq!(t.encoded_len(), e.len(), "after tagging below {addr:#x}");
+            t.set_range(VirtAddr::new(addr), 64, TagNibble::new(3));
+            let _ = t.read_tag(VirtAddr::new(addr));
+        }
     }
 
     #[test]

@@ -310,6 +310,20 @@ pub fn run_job(spec: &JobSpec, plan: &RunPlan, cancel: &AtomicBool, park: &Atomi
     }
 }
 
+/// Runs `job`, resolving a panic on its path as `Failed { code: "panic" }`
+/// with the panic message, so a panicking job ends like any failed one
+/// instead of killing the worker thread that runs it.
+pub(crate) fn catch_panic(job: impl FnOnce() -> JobEnd) -> JobEnd {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let detail = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "panic (non-string payload)".to_string());
+        JobEnd::Failed { code: "panic".into(), detail }
+    })
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_sim(
     target: &Target,
@@ -501,6 +515,17 @@ mod tests {
         row.push('}');
         let doc = sas_telemetry::json::parse(&row).unwrap_or_else(|e| panic!("row {row}: {e}"));
         JobSpec::from_journal(&doc).unwrap_or_else(|| panic!("undecodable row {row}"))
+    }
+
+    #[test]
+    fn a_panicking_job_resolves_as_failed() {
+        let failed = |detail: &str| JobEnd::Failed { code: "panic".into(), detail: detail.into() };
+        let line = 7;
+        assert_eq!(catch_panic(|| panic!("bound at line {line}")), failed("bound at line 7"));
+        assert_eq!(catch_panic(|| panic!("static message")), failed("static message"));
+        let opaque = failed("panic (non-string payload)");
+        assert_eq!(catch_panic(|| std::panic::panic_any(7u8)), opaque);
+        assert_eq!(catch_panic(|| JobEnd::Parked), JobEnd::Parked);
     }
 
     #[test]

@@ -335,7 +335,8 @@ fn worker_loop(shared: &Shared) {
             (spec, cancel, plan)
         };
 
-        let end = job::run_job(&spec, &plan, &cancel, &shared.park);
+        // A panic resolves the job as failed; the worker lives on.
+        let end = job::catch_panic(|| job::run_job(&spec, &plan, &cancel, &shared.park));
 
         // Resolve (unless the watchdog already did, declaring us wedged).
         let mut st = shared.state.lock().expect("state lock");

@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// File magic: "SASNAP" + NUL + format generation.
@@ -181,8 +182,18 @@ static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_parts(&[data])
+}
+
+/// CRC32 (IEEE) of the concatenation of `parts`, without concatenating
+/// them.
+fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    parts.iter().fold(0xFFFF_FFFF, |c, p| crc32_update(c, p)) ^ 0xFFFF_FFFF
+}
+
+/// Folds `data` into the raw (pre-inversion) CRC register `c`.
+fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for b in &mut chunks {
         let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -198,7 +209,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
 // ---------------------------------------------------------------------------
@@ -206,7 +217,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// Bytes [`Enc::uv`] takes to encode `v`.
-fn uv_len(v: u64) -> usize {
+pub fn uv_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
@@ -225,6 +236,12 @@ impl Enc {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Reserves room for at least `additional` more bytes, so an encoder
+    /// whose size is known up front is not grown by doubling copies.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Current encoded length in bytes.
@@ -498,39 +515,49 @@ impl SnapshotBuilder {
                 4 + 1 + name.len() + uv_len(payload.len() as u64) + payload.len()
             })
             .sum();
-        let mut out = Vec::with_capacity(MAGIC.len() + 2 + 2 + 4 + 4 + framed);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.flags.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let hcrc = crc32(&out);
-        out.extend_from_slice(&hcrc.to_le_bytes());
-        for (name, payload) in &self.sections {
-            // The section CRC covers the framing (name + length) AND the
-            // payload, so a flip anywhere inside the section is detected.
-            // The frame is written in place after a CRC placeholder.
-            let crc_at = out.len();
-            out.extend_from_slice(&[0; 4]);
-            out.push(name.len() as u8);
-            out.extend_from_slice(name.as_bytes());
-            let mut e = Enc::new();
-            e.usz(payload.len());
-            out.extend_from_slice(&e.into_bytes());
-            out.extend_from_slice(payload);
-            let crc = crc32(&out[crc_at + 4..]);
-            out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(HEADER_LEN + framed);
+        self.write_to(&mut out).expect("writing to a Vec cannot fail");
         out
     }
 
     /// Writes the snapshot atomically: the bytes go to `<path>.tmp` first
     /// and are renamed over `path` only once fully written, so a kill at any
     /// point leaves either the old file or a stale temp — never a torn live
-    /// checkpoint.
+    /// checkpoint. The sections stream straight to the file; no framed
+    /// copy of the image is built.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapError> {
         let tmp = temp_path(path);
-        std::fs::write(&tmp, self.to_bytes())?;
+        let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        self.write_to(&mut f)?;
+        f.flush()?;
+        drop(f);
         std::fs::rename(&tmp, path)?;
+        Ok(())
+    }
+
+    /// The one framing path: the header, then per section its CRC, name,
+    /// varint payload length and payload. The section CRC covers the framing
+    /// (name + length) AND the payload, so a flip anywhere inside the
+    /// section is detected; it is folded over the pieces in place.
+    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut head = [0u8; HEADER_LEN];
+        head[..8].copy_from_slice(&MAGIC);
+        head[8..10].copy_from_slice(&VERSION.to_le_bytes());
+        head[10..12].copy_from_slice(&self.flags.to_le_bytes());
+        head[12..16].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        let hcrc = crc32(&head[..16]);
+        head[16..].copy_from_slice(&hcrc.to_le_bytes());
+        w.write_all(&head)?;
+        for (name, payload) in &self.sections {
+            let name_len = [name.len() as u8];
+            let mut len = Enc::new();
+            len.usz(payload.len());
+            let pieces = [&name_len[..], name.as_bytes(), &len.buf, payload];
+            w.write_all(&crc32_parts(&pieces).to_le_bytes())?;
+            for piece in pieces {
+                w.write_all(piece)?;
+            }
+        }
         Ok(())
     }
 }
@@ -725,6 +752,18 @@ mod tests {
             let data = &buf[start..];
             assert_eq!(crc32(data), crc32_bytewise(data), "len {len}, offset {start}");
         });
+    }
+
+    #[test]
+    fn crc_over_pieces_matches_the_crc_of_their_concatenation() {
+        sas_ptest::check("crc_over_pieces_matches_the_crc_of_their_concatenation", 256, |rng| {
+            let buf: Vec<u8> = (0..rng.range(0, 300)).map(|_| rng.next_u64() as u8).collect();
+            let (a, rest) = buf.split_at(rng.range(0, buf.len() as u64 + 1) as usize);
+            let (b, c) = rest.split_at(rng.range(0, rest.len() as u64 + 1) as usize);
+            let split = (a.len(), b.len(), c.len());
+            assert_eq!(crc32_parts(&[a, b, c]), crc32(&buf), "split {split:?}");
+        });
+        assert_eq!(crc32_parts(&[]), 0);
     }
 
     #[test]

@@ -97,11 +97,14 @@ echo "== tier1: differential fuzzing (corpus replay + 500-case campaign) =="
 # its recorded static and dynamic verdicts, and a fixed-seed smoke campaign
 # must classify every synthesized gadget as agree or documented imprecision
 # — an unexplained disagreement fails the stage and prints per-case replay
-# seeds plus the campaign SAS_PTEST_SEED. The campaign also emits the
-# committed BENCH_lint.json throughput/tally artifact.
+# seeds plus the campaign SAS_PTEST_SEED. The campaign also emits a
+# BENCH_lint.json throughput/tally artifact, under target/ so the gate
+# leaves the committed copy (and the tree) as it found them.
+FUZZDIR=target/sas-fuzz/tier1
+rm -rf "$FUZZDIR"; mkdir -p "$FUZZDIR"
 ./target/release/sas-fuzz replay
-./target/release/sas-fuzz campaign --cases 500 --bench BENCH_lint.json
-./target/release/sas-fuzz validate BENCH_lint.json
+./target/release/sas-fuzz campaign --cases 500 --bench "$FUZZDIR/BENCH_lint.json"
+./target/release/sas-fuzz validate "$FUZZDIR/BENCH_lint.json"
 
 echo "== tier1: chaos campaigns (60 seeded fault campaigns via sas-runner) =="
 # Every injected corruption must be caught (oracle divergence, fault,
@@ -314,8 +317,8 @@ echo "== tier1: campaign analytics + live observability (sas-query, /metrics, /w
 # The query layer (DESIGN.md §14) over the fig6 smoke manifest:
 #   1. the ISSUE-10 acceptance query returns exactly 5 stt rows (the engine
 #      itself is oracle-property-tested in crates/query/tests/query_prop.rs)
-#      and emits the committed BENCH_query.json ingest/query-throughput
-#      artifact;
+#      and emits a BENCH_query.json ingest/query-throughput artifact
+#      (under $QUERYDIR, so the committed copy is left as it is);
 #   2. three pinned queries (group-by/agg, aliased CPI filter, sorted row
 #      slice) must render byte-identically to scripts/golden_queries.txt —
 #      cycle counts are pinned by crates/bench/golden_fig6_cycles.txt;
@@ -329,12 +332,12 @@ rm -rf "$QUERYDIR"; mkdir -p "$QUERYDIR"
 ./target/release/sas-trace query \
   'where mitigation=stt and cpi.mem_bound>0 sort wall_ms desc limit 5' \
   --from target/sas-runner/tier1-fig6.jsonl \
-  --bench BENCH_query.json > "$QUERYDIR/acceptance.txt"
+  --bench "$QUERYDIR/BENCH_query.json" > "$QUERYDIR/acceptance.txt"
 [ "$(tail -n +3 "$QUERYDIR/acceptance.txt" | wc -l)" -eq 5 ]
 [ "$(grep -c '/stt' "$QUERYDIR/acceptance.txt")" -eq 5 ]
-grep -q '"schema": "sas-bench-query-v1"' BENCH_query.json
-grep -q '"rows": 75' BENCH_query.json
-grep -q '"index_rows_per_sec"' BENCH_query.json
+grep -q '"schema": "sas-bench-query-v1"' "$QUERYDIR/BENCH_query.json"
+grep -q '"rows": 75' "$QUERYDIR/BENCH_query.json"
+grep -q '"index_rows_per_sec"' "$QUERYDIR/BENCH_query.json"
 
 {
   sed -n '1,/^$/p' scripts/golden_queries.txt   # keep the header comment
