@@ -7,8 +7,9 @@
 //!   applied to a differently-configured machine.
 //! * `system` — the cycle counter and run-loop progress trackers, plus
 //!   system-level telemetry series when armed.
-//! * `mem` — architectural memory, MTE tags, every cache/LFB/MSHR, the
-//!   prefetchers, ghost buffers, fault-stream cursors and memory stats.
+//! * `mem` — the memory pages that differ from the machine's base image,
+//!   MTE tags, every cache/LFB/MSHR, the prefetchers, ghost buffers,
+//!   fault-stream cursors and memory stats.
 //! * `cores` — each core's full pipeline state (ROB, rename, fetch,
 //!   predictors, IRG RNG, stats, traces), concatenated. Policies are
 //!   stateless, so no section carries policy state.
@@ -17,6 +18,13 @@
 //! heap, waiter chains) from the restored ROB rather than trusting the
 //! image, so a restored machine continues **bit-identically** — proven by
 //! `crates/core/tests/snapshot_prop.rs` across every mitigation.
+//!
+//! The *base* is architectural memory as [`System`]'s constructors leave it:
+//! every core's data segments, loaded in core order. A restore resets the
+//! target's memory to its own base and lays the stored pages over it. That
+//! is sound because `meta` is checked first: each core's fingerprint covers
+//! its program's data segments (base, length and bytes), so two machines
+//! that pass the check loaded the same bytes into the same pages.
 //!
 //! A *warmed-baseline* snapshot ([`FLAG_WARM_BASE`]) only relaxes the
 //! policy-name check; it restores through the same path as any other
@@ -158,6 +166,8 @@ pub fn write_system_snapshot(
 /// restore runs into a clone of `system`, which replaces it only on
 /// success. This is what checkpoint consumers want: a rejected snapshot
 /// degrades to "run from where you were", never to a half-restored machine.
+/// Memory pages are copy-on-write, so the staging clone shares them with
+/// `system` rather than copying them.
 pub fn restore_system_checked(system: &mut System, snap: &Snapshot) -> Result<(), SnapError> {
     let mut staged = system.clone();
     restore_system(&mut staged, snap)?;

@@ -11,7 +11,7 @@
 use sas_isa::{parse_program, Operand, Program, ProgramBuilder, Reg};
 use sas_pipeline::System;
 use sas_ptest::{check, gens, FaultPlan};
-use sas_snap::{SnapError, Snapshot, FLAG_TELEMETRY, FLAG_WARM_BASE};
+use sas_snap::{Enc, SnapError, Snapshot, FLAG_TELEMETRY, FLAG_WARM_BASE};
 use specasan::snapshot::{
     restore_system, restore_system_checked, restore_system_from, snapshot_system,
     write_system_snapshot,
@@ -296,8 +296,9 @@ fn snapshot_files_round_trip_atomically() {
 }
 
 /// Four cores, each rewriting its own three-page data image: a multi-core
-/// machine whose `mem` section spans many pages.
-fn multicore_writers() -> System {
+/// machine with twelve base pages, which its `mem` section carries once
+/// the stores reach them.
+fn multicore_writers(m: Mitigation) -> System {
     let programs = (0..4u64)
         .map(|core| {
             let base = 0x10_0000 * (core + 1);
@@ -314,24 +315,141 @@ fn multicore_writers() -> System {
             asm.build().unwrap()
         })
         .collect();
-    build_multicore(&SimConfig::table2(), programs, Mitigation::SpecAsan)
+    build_multicore(&SimConfig::table2(), programs, m)
+}
+
+/// How many memory pages the `mem` section of `snap` carries: the count
+/// after the section's core count.
+fn carried_pages(snap: &Snapshot) -> usize {
+    let mut mem = snap.section("mem").expect("mem section");
+    mem.usz().expect("core count");
+    mem.usz().expect("page count")
 }
 
 /// `write_atomic` streams the image to its file through the same framing
-/// as `to_bytes`: the file holds exactly the `to_bytes` image.
+/// as `to_bytes`: the file holds exactly the `to_bytes` image. The image
+/// carries only the data pages the stores have reached: none at cycle 0,
+/// each core's first page by cycle 200 and all twelve by cycle 1,500. The
+/// exact lengths the `mem` encoder presizes from hold throughout.
 #[test]
 fn write_atomic_writes_exactly_the_to_bytes_image() {
     let dir = std::env::temp_dir().join(format!("sas-snap-stream-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("multicore.snap");
-    let mut sys = multicore_writers();
-    for until in [0, 1_500, 4_000] {
+    let mut sys = multicore_writers(Mitigation::SpecAsan);
+    for (until, pages) in [(0, 0), (200, 4), (1_500, 12)] {
         sys.run(until);
         let b = snapshot_system(&sys, until > 0);
         b.write_atomic(&path).expect("write_atomic");
         let written = std::fs::read(&path).unwrap();
-        assert!(written.len() > 12 * 4096, "{} bytes: not a multi-page image", written.len());
         assert!(written == b.to_bytes(), "cycle {until}: the file differs from to_bytes");
+        let carried = carried_pages(&Snapshot::parse(written).unwrap());
+        assert_eq!(carried, pages, "cycle {until}: pages carried");
+        // `MemSystem::encode` presizes from these two lengths.
+        let (mut arch, mut tags) = (Enc::new(), Enc::new());
+        sys.mem().arch.encode(&mut arch);
+        sys.mem().tags.encode(&mut tags);
+        assert_eq!(sys.mem().arch.encoded_len(), arch.len(), "cycle {until}: memory image");
+        assert_eq!(sys.mem().tags.encoded_len(), tags.len(), "cycle {until}: tag image");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The four-core writer, cut at a random cycle under each of the 8
+/// mitigations, continues bit-identically after a restore into a fresh
+/// machine, and ends with the same image.
+#[test]
+fn four_core_restore_continues_bit_identically_across_all_mitigations() {
+    check("four_core_restore_continues_bit_identically_across_all_mitigations", 2, |rng| {
+        let cut = rng.range(1, 6_000);
+        for m in Mitigation::all() {
+            let mut a = multicore_writers(m);
+            a.run(cut);
+            let snap = Snapshot::parse(image(&a)).unwrap();
+            let mut b = multicore_writers(m);
+            restore_system_checked(&mut b, &snap)
+                .unwrap_or_else(|e| panic!("{m:?}: restore failed: {e}"));
+            let (ra, rb) = (a.run(MAX_CYCLES), b.run(MAX_CYCLES));
+            assert_eq!(
+                format!("{:?}", (ra.exit, ra.cycles, ra.core_stats, ra.mem_stats)),
+                format!("{:?}", (rb.exit, rb.cycles, rb.core_stats, rb.mem_stats)),
+                "{m:?} (cut={cut}): diverged"
+            );
+            assert!(image(&a) == image(&b), "{m:?} (cut={cut}): final images differ");
+        }
+    });
+}
+
+/// A just-built machine's `mem` section carries no memory page: its
+/// memory is all base, which `meta`'s fingerprints pin.
+#[test]
+fn a_just_built_machine_carries_no_memory_pages() {
+    let one = build(&countdown_with_data(), Mitigation::SpecAsan, false);
+    let four = multicore_writers(Mitigation::SpecAsan);
+    for (sys, resident) in [(&one, 1), (&four, 12)] {
+        assert_eq!(sys.mem().arch.resident_pages(), resident);
+        assert_eq!(carried_pages(&Snapshot::parse(image(sys)).unwrap()), 0);
+    }
+}
+
+/// A countdown that adds its counter into a word of its data segment on
+/// every trip.
+fn countdown_with_data() -> Program {
+    parse_program(
+        ".data 0x8000 = 1, 2, 3, 4\n\
+         MOVZ X1, #40\nMOVZ X2, #0x8000\n\
+         loop:\nLDR X3, [X2]\nADD X3, X3, X1\nSTR X3, [X2]\n\
+         SUB X1, X1, #1\nCBNZ X1, loop\nHALT\n",
+    )
+    .unwrap()
+}
+
+/// Memory pages are shared copy-on-write: a write to a clone's memory
+/// leaves the original and an oracle-enabled twin (whose oracle starts
+/// from a clone too) unchanged, and the twin still runs lockstep-clean.
+#[test]
+fn a_write_to_a_clone_leaves_the_original_and_an_oracle_twin_unchanged() {
+    let original = build(&countdown_with_data(), Mitigation::SpecAsan, false);
+    let mut twin = original.clone();
+    twin.enable_oracle();
+    let mut clone = original.clone();
+    let word = sas_isa::VirtAddr::new(0x8000);
+    let start = original.mem().read_arch(word, 8);
+    clone.mem_mut().write_arch(word, 8, 0xDEAD);
+
+    assert_eq!(original.mem().read_arch(word, 8), start);
+    assert_eq!(twin.mem().read_arch(word, 8), start);
+    assert_eq!(twin.oracle().unwrap().mem().read(word, 8), start);
+
+    let run = twin.run(MAX_CYCLES);
+    assert_eq!(format!("{:?}", run.exit), "Halted", "the oracle twin diverged");
+    let oracle = twin.oracle().unwrap();
+    oracle.audit_memory(twin.mem(), 0x8000, 0x9000).expect("memory audit");
+    assert_eq!(twin.mem().read_arch(word, 8), start + (1..=40).sum::<u64>());
+    assert_eq!(original.mem().read_arch(word, 8), start, "the twin's run wrote the original");
+    assert_eq!(clone.mem().read_arch(word, 8), 0xDEAD);
+}
+
+/// The oracle's memory is a clone of the machine's and is stored against
+/// the same base: an oracle-armed image, taken after the stores began,
+/// restores into an oracle-armed twin, and both finish lockstep-clean with
+/// equal images.
+#[test]
+fn an_oracle_armed_image_restores_into_an_oracle_armed_twin() {
+    let armed = || {
+        let mut sys = build(&countdown_with_data(), Mitigation::SpecAsan, false);
+        sys.enable_oracle();
+        sys
+    };
+    let mut a = armed();
+    a.run(150);
+    assert_eq!(a.cycle(), 150, "the run ended before the cut");
+    let snap = Snapshot::parse(image(&a)).unwrap();
+    assert!(carried_pages(&snap) > 0, "the stores have not begun by cycle 150");
+    let mut b = armed();
+    restore_system_checked(&mut b, &snap).expect("oracle-armed restore");
+    for sys in [&mut a, &mut b] {
+        assert_eq!(format!("{:?}", sys.run(MAX_CYCLES).exit), "Halted");
+    }
+    assert!(image(&a) == image(&b), "the continuations differ");
 }

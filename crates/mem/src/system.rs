@@ -323,10 +323,8 @@ impl MemSystem {
         } else {
             3 // access runs to the end of the line; remainder approximated
         };
-        for g in first..=last {
-            if locks[g] != key {
-                return TagCheckOutcome::Unsafe;
-            }
+        if locks[first..=last].iter().any(|&lock| lock != key) {
+            return TagCheckOutcome::Unsafe;
         }
         TagCheckOutcome::Safe
     }
@@ -968,10 +966,11 @@ impl MemSystem {
     /// (geometry, latencies, capacities) is not written: a restore target is
     /// built from the same config, and structural codecs reject mismatches.
     pub fn encode(&self, e: &mut sas_snap::Enc) {
-        // The page images lead the section and are nearly all of it.
-        // Reserving the whole section first spares the encoder doubling
-        // copies of a multi-megabyte buffer, which were most of its encode
-        // time; capacity left unwritten costs no resident memory.
+        // The page images lead the section and are most of it: the memory
+        // pages a run changed and every tag page. Reserving the whole
+        // section first spares the encoder doubling copies of a
+        // multi-megabyte buffer; capacity left unwritten costs no resident
+        // memory.
         let images = self.arch.encoded_len() + self.tags.encoded_len();
         e.reserve(sas_snap::uv_len(self.cores as u64) + images + ENCODED_TAIL_BYTES);
         e.usz(self.cores);
@@ -1352,8 +1351,10 @@ mod tests {
     fn conventional_prefetcher_crosses_tag_boundaries() {
         // The §6 risk: a stride stream marching toward a secret pulls the
         // secret's line into the cache without any demand access.
-        let mut cfg = MemConfig::default();
-        cfg.prefetch = crate::prefetch::PrefetchConfig::conventional();
+        let cfg = MemConfig {
+            prefetch: crate::prefetch::PrefetchConfig::conventional(),
+            ..MemConfig::default()
+        };
         let mut m = MemSystem::new(1, cfg);
         let secret_line = VirtAddr::new(0x1100);
         m.tags.set_range(secret_line, 64, TagNibble::new(0x9));
@@ -1368,8 +1369,10 @@ mod tests {
 
     #[test]
     fn secure_prefetcher_stops_at_tag_boundaries() {
-        let mut cfg = MemConfig::default();
-        cfg.prefetch = crate::prefetch::PrefetchConfig::secure();
+        let cfg = MemConfig {
+            prefetch: crate::prefetch::PrefetchConfig::secure(),
+            ..MemConfig::default()
+        };
         let mut m = MemSystem::new(1, cfg);
         let secret_line = VirtAddr::new(0x1100);
         m.tags.set_range(secret_line, 64, TagNibble::new(0x9));

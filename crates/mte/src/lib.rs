@@ -30,11 +30,12 @@ pub use rng::{IrgRng, SplitMix64};
 pub use storage::TagStorage;
 
 /// Tagging discipline used when colouring allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TaggingPolicy {
     /// Random tag per allocation, excluding tag 0 and the tags of the two
     /// neighbouring chunks (so linear overflows always mismatch). This is the
     /// default behaviour of MTE-aware heap allocators.
+    #[default]
     RandomExcludeNeighbors,
     /// Deterministic alternating colours (odd/even stripes), as proposed by
     /// StickyTags-style deterministic schemes (§6 "deterministic tag
@@ -43,10 +44,4 @@ pub enum TaggingPolicy {
     /// Tag everything with a single non-zero colour; only frees are retagged.
     /// Models the minimal "protect security-critical data only" deployment.
     SingleColor,
-}
-
-impl Default for TaggingPolicy {
-    fn default() -> Self {
-        TaggingPolicy::RandomExcludeNeighbors
-    }
 }

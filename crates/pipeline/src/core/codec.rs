@@ -275,7 +275,7 @@ impl Core {
             enc_commit_record(e, r);
         }
         e.bool(self.finished);
-        e.opt_with(self.fault.as_ref(), |e, f| enc_fault_info(e, f));
+        e.opt_with(self.fault.as_ref(), enc_fault_info);
         e.opt_with(self.pending_fault.as_ref(), |e, (f, halt_at)| {
             enc_fault_info(e, f);
             e.uv(*halt_at);

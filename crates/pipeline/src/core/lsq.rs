@@ -81,13 +81,13 @@ impl Core {
             let sa = saddr.untagged().raw();
             let overlap = sa < la + lw && la < sa + u.width;
             if overlap {
-                if candidate.map_or(true, |(s, ..)| u.seq > s) {
+                if candidate.is_none_or(|(s, ..)| u.seq > s) {
                     candidate = Some((u.seq, saddr, u.width, u.store_value));
                 }
             } else if self.cfg.partial_stl_matching
                 && (sa & 0xFFF) == (la & 0xFFF)
                 && sa != la
-                && partial_alias.map_or(true, |(s, ..)| u.seq > s)
+                && partial_alias.is_none_or(|(s, ..)| u.seq > s)
             {
                 partial_alias = Some((u.seq, u.store_value, saddr));
             }
@@ -139,28 +139,26 @@ impl Core {
                     partial_alias = Some((0, Some(d.value), d.addr));
                 }
             }
-            if let Some((sseq, svalue, saddr)) = partial_alias {
-                if let Some(sv) = svalue {
-                    if !self.policy.allow_stl_forward(laddr.key(), saddr.key()) {
-                        // A refused *false* forward is not a violation — the
-                        // full addresses differ; the load simply proceeds to
-                        // memory (this is how the tagged SQ kills Fallout).
-                        self.stats.stl_blocked += 1;
-                        return Ok(None);
-                    }
-                    let outcome = if laddr.key() == saddr.key() && laddr.key() != TagNibble::ZERO
-                    {
-                        TagCheckOutcome::Safe
-                    } else if laddr.key() == TagNibble::ZERO
-                        && saddr.key() == TagNibble::ZERO
-                    {
-                        TagCheckOutcome::Unchecked
-                    } else {
-                        TagCheckOutcome::Unsafe
-                    };
-                    let mask = if lw == 8 { u64::MAX } else { (1u64 << (lw * 8)) - 1 };
-                    return Ok(Some((Some(sv & mask), sseq, true, outcome)));
+            if let Some((sseq, Some(sv), saddr)) = partial_alias {
+                if !self.policy.allow_stl_forward(laddr.key(), saddr.key()) {
+                    // A refused *false* forward is not a violation — the
+                    // full addresses differ; the load simply proceeds to
+                    // memory (this is how the tagged SQ kills Fallout).
+                    self.stats.stl_blocked += 1;
+                    return Ok(None);
                 }
+                let outcome = if laddr.key() == saddr.key() && laddr.key() != TagNibble::ZERO
+                {
+                    TagCheckOutcome::Safe
+                } else if laddr.key() == TagNibble::ZERO
+                    && saddr.key() == TagNibble::ZERO
+                {
+                    TagCheckOutcome::Unchecked
+                } else {
+                    TagCheckOutcome::Unsafe
+                };
+                let mask = if lw == 8 { u64::MAX } else { (1u64 << (lw * 8)) - 1 };
+                return Ok(Some((Some(sv & mask), sseq, true, outcome)));
             }
         }
 

@@ -29,7 +29,7 @@ impl Core {
             }
         }
         self.stats.squashed += removed;
-        if removed > 0 || self.fetch_pc.map_or(true, |p| p != redirect_pc) {
+        if removed > 0 || self.fetch_pc != Some(redirect_pc) {
             self.stats.squash_events += 1;
         }
         // Redirect + refill: the front end cannot feed dispatch again before
@@ -85,7 +85,7 @@ impl Core {
                 self.flags_rename = Some(seq);
             }
         }
-        if self.active_barrier.map_or(false, |b| b > after_seq) {
+        if self.active_barrier.is_some_and(|b| b > after_seq) {
             self.active_barrier = None;
         }
 

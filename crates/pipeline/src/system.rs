@@ -175,7 +175,9 @@ pub struct System {
 }
 
 impl System {
-    /// Builds a single-core system.
+    /// Builds a single-core system. The program's data segments become
+    /// memory's base image ([`sas_mem::MainMemory::seal_base`]), which
+    /// snapshots leave out.
     pub fn single_core(
         cfg: CoreConfig,
         mem_cfg: MemConfig,
@@ -185,6 +187,7 @@ impl System {
         let program = Arc::new(program);
         let mut mem = MemSystem::new(1, mem_cfg);
         Self::load_segments(&mut mem, &program);
+        mem.arch.seal_base();
         System {
             mem,
             cores: vec![Core::new(0, cfg, program, policy)],
@@ -206,7 +209,8 @@ impl System {
     }
 
     /// Builds a multi-core system; one `(program, policy)` pair per core,
-    /// all sharing the L2 and main memory.
+    /// all sharing the L2 and main memory. The data segments, loaded in
+    /// core order, become memory's base image.
     pub fn multi_core(
         cfg: CoreConfig,
         mem_cfg: MemConfig,
@@ -218,6 +222,7 @@ impl System {
         for (p, _) in &parts {
             Self::load_segments(&mut mem, p);
         }
+        mem.arch.seal_base();
         System {
             mem,
             cores: parts
@@ -337,7 +342,7 @@ impl System {
     /// respective intervals come due.
     fn sample_telemetry(&mut self) {
         if let Some(t) = &mut self.telemetry {
-            if self.cycle % t.interval == 0 {
+            if self.cycle.is_multiple_of(t.interval) {
                 for (i, c) in self.cores.iter().enumerate() {
                     let set = &mut t.per_core[i];
                     set[0].record(self.cycle, c.rob_occupancy() as u64);
@@ -353,7 +358,7 @@ impl System {
             }
         }
         if let Some((path, every)) = &self.heartbeat {
-            if self.cycle % *every == 0 {
+            if self.cycle.is_multiple_of(*every) {
                 let committed: u64 = self.cores.iter().map(|c| c.stats.committed).sum();
                 let mut cpi = sas_telemetry::CpiStack::default();
                 for c in &self.cores {

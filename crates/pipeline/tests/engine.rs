@@ -111,7 +111,7 @@ fn branch_misprediction_recovers_architecturally() {
     asm.b_cond_idx(Cond::Lo, top);
     asm.halt();
     let sys = run_single(asm.build().unwrap());
-    assert_eq!(sys.core(0).reg(Reg::X1), 10 * 1 + 10 * 100);
+    assert_eq!(sys.core(0).reg(Reg::X1), 10 + 10 * 100);
 }
 
 /// Builds the transient-leak training loop shared by the next two tests:

@@ -35,9 +35,11 @@ pub const MAGIC: [u8; 8] = *b"SASNAP\x00\x01";
 /// anything newer is unknown, version 1 recorded program fingerprints over
 /// rendered `.sasm` text, which this build no longer computes, version 2
 /// carried per-core policy-state blobs and ghost-buffer epochs, which no
-/// longer exist, and version 3 carried per-core event traces, which no
-/// longer exist either (see DESIGN.md §11 for the migration policy).
-pub const VERSION: u16 = 4;
+/// longer exist, version 3 carried per-core event traces, which no longer
+/// exist either, and version 4 stored every resident memory page where
+/// version 5 stores only the pages that differ from the build-time image
+/// (see DESIGN.md §11 for the migration policy).
+pub const VERSION: u16 = 5;
 
 /// Header flag: the snapshot is a warmed-baseline image — caches, predictors
 /// and architectural state warmed under the unprotected baseline. Restoring
@@ -292,10 +294,16 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// Raw bytes with no length prefix, for payloads whose size the
+    /// schema fixes.
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// A length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usz(v.len());
-        self.buf.extend_from_slice(v);
+        self.raw(v);
     }
 
     /// A length-prefixed UTF-8 string.
@@ -367,7 +375,8 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+    /// The next `n` raw bytes (the counterpart of [`Enc::raw`]).
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Truncated(self.what));
         }
@@ -378,7 +387,7 @@ impl<'a> Dec<'a> {
 
     /// One raw byte.
     pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        Ok(self.raw(1)?[0])
     }
 
     /// LEB128 varint.
@@ -430,14 +439,14 @@ impl<'a> Dec<'a> {
 
     /// A bit-exact `f64`.
     pub fn f64(&mut self) -> Result<f64, SnapError> {
-        let b = self.take(8)?;
+        let b = self.raw(8)?;
         Ok(f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
     }
 
     /// A length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.usz()?;
-        self.take(n)
+        self.raw(n)
     }
 
     /// A length-prefixed UTF-8 string.
@@ -823,6 +832,7 @@ mod tests {
         e.opt_uv(Some(9));
         e.opt_uv(None);
         e.seq(&[1u64, 2, 3], |e, &v| e.uv(v));
+        e.raw(b"xyz");
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes, "test");
         assert!(d.bool().unwrap());
@@ -833,6 +843,7 @@ mod tests {
         assert_eq!(d.opt_uv().unwrap(), Some(9));
         assert_eq!(d.opt_uv().unwrap(), None);
         assert_eq!(d.seq(10, |d| d.uv()).unwrap(), vec![1, 2, 3]);
+        assert_eq!(d.raw(3).unwrap(), b"xyz");
         d.finish().unwrap();
     }
 
@@ -867,10 +878,11 @@ mod tests {
     }
 
     /// `to_bytes` output is pinned byte for byte: header, then per section
-    /// CRC, name, varint length and payload.
+    /// CRC, name, varint length and payload. Only the version field and the
+    /// header CRC over it change with a format version.
     #[test]
     fn two_section_bytes_are_pinned() {
-        let want = "5341534e41500001040002000200000089b1a3c5\
+        let want = "5341534e41500001050002000200000017b10909\
                     48af875f046d6574610d0c6d6574612d636f6e74656e74\
                     1f56c1a50573746174650403070809";
         let got: String = sample().iter().map(|b| format!("{b:02x}")).collect();
@@ -956,9 +968,9 @@ mod tests {
     fn older_versions_are_rejected() {
         // Version 1 fingerprinted programs over rendered `.sasm`; version 2
         // carried policy-state blobs and ghost epochs; version 3 carried
-        // event traces. Their images are rejected (and checkpoints
-        // replayed), never misread.
-        for found in [1, 2, 3] {
+        // event traces; version 4 stored every resident memory page. Their
+        // images are rejected (and checkpoints replayed), never misread.
+        for found in [1, 2, 3, 4] {
             let err = Snapshot::parse(sample_as_version(found)).err();
             assert_eq!(err, Some(SnapError::BadVersion { found, supported: VERSION }));
             let msg = err.unwrap().to_string();
