@@ -5,12 +5,17 @@
 //! [`CheckpointPlan`] + [`run_supervised_with`] are the whole protocol. A
 //! caller (a `sas-runner cell` child, the `sas-serve` daemon's worker pool,
 //! a test harness) describes *where* checkpoints go and *how often*, and
-//! supplies a control callback polled at every cycle-chunk boundary; the
-//! callback can let the run continue, **park** it (write a checkpoint and
-//! stop, so a later run resumes bit-identically — graceful drain), or
-//! **abort** it (stop without a checkpoint — deadline enforcement). Nothing
-//! here reads the environment or any other global state, so concurrent runs
-//! in one process are fully independent.
+//! supplies a control callback. The run loop always runs in chunks: it
+//! stops every [`STOP_EVERY`] cycles and at every checkpoint boundary, and
+//! at each stop it (1) writes the checkpoint if one is due, (2) rewrites
+//! the heartbeat file if the plan names one, and (3) hands the stop's
+//! [`Heartbeat`] to the callback. The callback can let the run continue,
+//! **park** it (write a checkpoint and stop, so a later run resumes
+//! bit-identically — graceful drain), or **abort** it (stop without a
+//! checkpoint — deadline enforcement). This loop, not the simulator
+//! engine, is the only place run progress is reported. Nothing here reads
+//! the environment or any other global state, so concurrent runs in one
+//! process are fully independent.
 //!
 //! The plan's fields (the `sas-runner cell` flags that set them):
 //!
@@ -34,17 +39,15 @@
 //!   after writing N checkpoints, simulating a mid-cell crash at a
 //!   deterministic point so the supervisor's retry path resumes from the
 //!   checkpoint.
-//! * [`CheckpointPlan::poll_every`] (no flag) — the control-poll period of
-//!   hosts that interrupt runs, such as the `sas-serve` worker pool.
 //! * [`CheckpointPlan::faults`] (`--fault-plan SPEC`) — a [`FaultPlan`]
 //!   armed on the machine before anything is restored.
 //! * [`CheckpointPlan::heartbeat`] (`--heartbeat PATH`) — a liveness file
-//!   `System::set_heartbeat` rewrites every `poll_every` cycles, capped at
-//!   100 000 (the cap alone when `poll_every` is unset).
+//!   the run loop rewrites with one [`Heartbeat`] line at every stop.
 //!
 //! Cells that ran from a restored image (checkpoint or warm base) are
 //! tagged `restored: true` in their JSONL/BENCH rows (see [`crate::Cell`]).
 
+use crate::heartbeat::Heartbeat;
 use sas_pipeline::{FaultPlan, RunExit, RunResult, System};
 use specasan::snapshot;
 use std::path::PathBuf;
@@ -53,8 +56,13 @@ use std::path::PathBuf;
 /// *environmental* failure code, so the cell is retried (and resumes).
 pub const EXIT_AFTER_CODE: u8 = 11;
 
+/// The run loop stops at every multiple of this many cycles (besides the
+/// checkpoint boundaries): the heartbeat cadence and the longest stretch a
+/// control callback goes unpolled.
+pub const STOP_EVERY: u64 = 100_000;
+
 /// What a [`run_supervised_with`] control callback tells the run loop at a
-/// cycle-chunk boundary.
+/// stop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Interrupt {
     /// Keep running.
@@ -78,7 +86,7 @@ pub enum Interrupted {
 }
 
 /// A parameterized description of the checkpoint/warm-fork protocol for one
-/// supervised run, plus the fault plan and heartbeat armed before it.
+/// supervised run, plus its fault plan and heartbeat file.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointPlan {
     /// Checkpoint file for this run; `None` disables checkpointing.
@@ -91,18 +99,14 @@ pub struct CheckpointPlan {
     pub warm_cycles: u64,
     /// Test hook: crash (exit [`EXIT_AFTER_CODE`]) after N checkpoints.
     pub exit_after: u64,
-    /// Control-poll period in cycles: the callback runs at least this often
-    /// even between checkpoints. `None` polls only on checkpoint boundaries.
-    pub poll_every: Option<u64>,
     /// Fault plan armed on the machine before any restore.
     pub faults: Option<FaultPlan>,
-    /// Heartbeat file armed on the machine before any restore.
+    /// Heartbeat file rewritten at every stop of the run loop.
     pub heartbeat: Option<PathBuf>,
 }
 
 impl CheckpointPlan {
-    /// A plan that neither checkpoints nor forks: `run` is one plain
-    /// `sys.run(budget)` (unless `poll_every` is later set).
+    /// A plan that neither checkpoints nor forks nor writes a heartbeat.
     pub fn none() -> CheckpointPlan {
         CheckpointPlan::default()
     }
@@ -123,13 +127,6 @@ impl CheckpointPlan {
         } else {
             50_000
         }
-    }
-
-    /// The heartbeat rewrite period: the poll cadence, capped at 100 000
-    /// cycles.
-    fn heartbeat_every(&self) -> u64 {
-        const CAP: u64 = 100_000;
-        self.poll_every.filter(|&p| p > 0).unwrap_or(CAP).min(CAP)
     }
 }
 
@@ -153,21 +150,18 @@ fn is_baseline(sys: &System) -> bool {
     (0..sys.cores()).all(|i| sys.core(i).policy_name() == "unsafe-baseline")
 }
 
-/// Runs `sys` to `budget` cycles under `plan`, polling `control` at every
-/// cycle-chunk boundary (checkpoint periods, plus `plan.poll_every` when
-/// set). See [`Interrupt`] for what the callback can do; chunking is proven
-/// bit-identical to an uninterrupted `sys.run(budget)`.
+/// Runs `sys` to `budget` cycles under `plan`, calling `control` with the
+/// run's progress at every stop (every [`STOP_EVERY`] cycles and every
+/// checkpoint boundary). See [`Interrupt`] for what the callback can do;
+/// chunking is proven bit-identical to an uninterrupted `sys.run(budget)`.
 pub fn run_supervised_with(
     sys: &mut System,
     budget: u64,
     plan: &CheckpointPlan,
-    mut control: impl FnMut(&System) -> Interrupt,
+    mut control: impl FnMut(&Heartbeat) -> Interrupt,
 ) -> SupervisedRun {
     if let Some(faults) = &plan.faults {
         sys.arm_faults(faults);
-    }
-    if let Some(path) = &plan.heartbeat {
-        sys.set_heartbeat(path.clone(), plan.heartbeat_every());
     }
     let mut restored = false;
 
@@ -244,34 +238,15 @@ pub fn run_supervised_with(
         }
     }
 
-    // 3. The measurement itself, chunked on checkpoint and poll boundaries.
-    if plan.path.is_none() && plan.poll_every.is_none() {
-        return SupervisedRun { run: sys.run(budget), restored, interrupted: None };
-    }
+    // 3. The measurement itself, in chunks that end at every stop.
     let every = plan.period();
     let mut written = 0u64;
-    // Parks the run behind a checkpoint (when one is configured); a parked
-    // job without a checkpoint path is simply cut short and must replay.
-    let park = |sys: &mut System, run: RunResult, reason: String, restored: bool| {
-        if let Some(path) = &plan.path {
-            if let Err(e) = snapshot::write_system_snapshot(sys, path, false) {
-                eprintln!("sas-bench: cannot write park checkpoint {}: {e}", path.display());
-            }
-        }
-        SupervisedRun { run, restored, interrupted: Some(Interrupted::Parked(reason)) }
-    };
     loop {
-        let next_ckpt = if plan.path.is_some() {
-            (sys.cycle() / every + 1) * every
-        } else {
-            budget
-        };
-        let next_poll = match plan.poll_every.filter(|&p| p > 0) {
-            Some(p) => (sys.cycle() / p + 1) * p,
-            None => budget,
-        };
-        let next = next_ckpt.min(next_poll).min(budget);
-        let run = sys.run(next);
+        let mut next = (sys.cycle() / STOP_EVERY + 1) * STOP_EVERY;
+        if plan.path.is_some() {
+            next = next.min((sys.cycle() / every + 1) * every);
+        }
+        let run = sys.run(next.min(budget));
         if !matches!(run.exit, RunExit::CycleLimit) || sys.cycle() >= budget {
             // Done (or genuinely out of budget): drop the checkpoint so a
             // later run of this job cannot resume stale state.
@@ -280,8 +255,7 @@ pub fn run_supervised_with(
             }
             return SupervisedRun { run, restored, interrupted: None };
         }
-        if plan.path.is_some() && sys.cycle() >= next_ckpt {
-            let path = plan.path.as_ref().expect("checked above");
+        if let Some(path) = plan.path.as_ref().filter(|_| sys.cycle().is_multiple_of(every)) {
             match snapshot::write_system_snapshot(sys, path, false) {
                 Ok(()) => {
                     written += 1;
@@ -297,16 +271,29 @@ pub fn run_supervised_with(
                 Err(e) => eprintln!("sas-bench: cannot write checkpoint {}: {e}", path.display()),
             }
         }
-        match control(sys) {
-            Interrupt::None => {}
-            Interrupt::Park(reason) => return park(sys, run, reason, restored),
-            Interrupt::Abort(reason) => {
-                return SupervisedRun {
-                    run,
-                    restored,
-                    interrupted: Some(Interrupted::Aborted(reason)),
-                }
-            }
+        let progress = Heartbeat::of(&run);
+        if let Some(path) = &plan.heartbeat {
+            // Liveness is best-effort too: a failed write leaves the last
+            // complete line in place.
+            let _ = progress.write(path);
         }
+        let interrupted = match control(&progress) {
+            Interrupt::None => continue,
+            Interrupt::Park(reason) => {
+                // A parked job without a checkpoint path is simply cut
+                // short and must replay.
+                if let Some(path) = &plan.path {
+                    if let Err(e) = snapshot::write_system_snapshot(sys, path, false) {
+                        eprintln!(
+                            "sas-bench: cannot write park checkpoint {}: {e}",
+                            path.display()
+                        );
+                    }
+                }
+                Interrupted::Parked(reason)
+            }
+            Interrupt::Abort(reason) => Interrupted::Aborted(reason),
+        };
+        return SupervisedRun { run, restored, interrupted: Some(interrupted) };
     }
 }

@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use crate::checkpoint::{CheckpointPlan, Interrupt};
-use sas_pipeline::{CpiStack, DelayCause, RunExit, RunResult, System};
+use sas_pipeline::{DelayCause, RunExit, RunResult, System};
 use sas_workloads::{build_parsec_workload, build_workload, parse_iterations, Profile, Workload};
 use specasan::{build_multicore, build_system, Mitigation, SimConfig};
 use std::collections::HashMap;
@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 pub mod checkpoint;
+pub mod heartbeat;
 pub mod jsonl;
 pub mod timing;
 
@@ -297,21 +298,10 @@ fn finish(run: RunResult, restored: bool) -> Cell {
     }
 }
 
-/// The run's commit-time CPI stack, merged across cores. Each core's
-/// cycles are attributed to exactly one bucket, so the merged stack sums to
-/// the per-core cycle total (which on multicore exceeds wall-clock cycles).
-pub fn cpi_breakdown(run: &RunResult) -> CpiStack {
-    let mut cpi = CpiStack::default();
-    for s in &run.core_stats {
-        cpi.merge(&s.cpi);
-    }
-    cpi
-}
-
 /// The nested-JSON `cpi` field value for a cell's JSONL record; splice it
 /// in with [`jsonl::Value::Raw`].
 pub fn cpi_json(cell: &Cell) -> String {
-    cpi_breakdown(&cell.run).to_json(&DelayCause::ALL.map(|c| c.name()))
+    cell.run.cpi().to_json(&DelayCause::ALL.map(|c| c.name()))
 }
 
 /// The Figure 8 restriction metric for one cell: STT counts instructions it

@@ -1,12 +1,17 @@
 //! The bench-layer checkpoint/warm-fork protocol, end to end in-process:
 //! resume is bit-identical, torn temp files are cleaned, corrupt
-//! checkpoints degrade to replay-from-start, and warmed-baseline images are
-//! created by the baseline cell and forked by every other mitigation.
+//! checkpoints degrade to replay-from-start, warmed-baseline images are
+//! created by the baseline cell and forked by every other mitigation, and
+//! the run loop's stops poll the control callback and rewrite the heartbeat
+//! without touching the numbers.
 //!
 //! Each test hands its own `CheckpointPlan` to `run_supervised_with`, so
 //! the tests share no process state and run in parallel.
 
-use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, SupervisedRun};
+use sas_bench::checkpoint::{
+    run_supervised_with, CheckpointPlan, Interrupt, Interrupted, SupervisedRun, STOP_EVERY,
+};
+use sas_bench::heartbeat::{self, Heartbeat};
 use sas_pipeline::{RunExit, RunResult, System};
 use specasan::{build_system, chaos, Mitigation, SimConfig};
 use std::path::{Path, PathBuf};
@@ -159,4 +164,64 @@ fn subject_final_reg(seed: u64, m: Mitigation, r: sas_isa::Reg) -> u64 {
     let mut sys = subject(seed, m);
     sys.run(BUDGET);
     sys.core(0).reg(r)
+}
+
+#[test]
+fn control_is_polled_every_stop_without_a_checkpoint() {
+    // A program that never halts: only the control callback can end it.
+    let program = sas_isa::parse_program(".entry main\nmain:\nloop:\nADD X1, X1, #1\nB loop\n")
+        .expect("loop program parses");
+    let mut sys = build_system(&SimConfig::table2(), program, Mitigation::Unsafe);
+    let mut seen: Vec<Heartbeat> = Vec::new();
+    let sr = run_supervised_with(&mut sys, 10 * STOP_EVERY, &CheckpointPlan::none(), |hb| {
+        seen.push(hb.clone());
+        if hb.cycle >= 3 * STOP_EVERY {
+            Interrupt::Abort("enough".into())
+        } else {
+            Interrupt::None
+        }
+    });
+    let cycles: Vec<u64> = seen.iter().map(|hb| hb.cycle).collect();
+    assert_eq!(cycles, [STOP_EVERY, 2 * STOP_EVERY, 3 * STOP_EVERY]);
+    assert!(seen.windows(2).all(|w| w[0].committed < w[1].committed), "{seen:?}");
+    assert_eq!(sr.interrupted, Some(Interrupted::Aborted("enough".into())));
+    assert_eq!(sr.run.cycles, 3 * STOP_EVERY);
+    assert_eq!(Heartbeat::of(&sr.run), seen[2], "the record is the stop's run result");
+}
+
+#[test]
+fn a_heartbeat_armed_cell_matches_an_unarmed_one() {
+    // Long enough to cross at least one stop under both mitigations.
+    const ITERS: u32 = 100;
+    let suite = sas_workloads::spec_suite();
+    let mcf = suite.iter().find(|p| p.name == "505.mcf_r").expect("mcf profile");
+    let dir = state_dir("heartbeat");
+    for m in [Mitigation::Fence, Mitigation::SpecAsan] {
+        let hb_path = dir.join(format!("hb-{}.json", m.token()));
+        let armed_plan =
+            CheckpointPlan { heartbeat: Some(hb_path.clone()), ..CheckpointPlan::none() };
+        // One uninterrupted engine run is the reference for both cells.
+        let reference = sas_bench::build_spec_system(mcf, m, ITERS).run(BUDGET);
+        assert!(reference.cycles > STOP_EVERY, "{m:?}: {} cycles cross no stop", reference.cycles);
+        let cell = |plan: &CheckpointPlan| {
+            let sys = sas_bench::build_spec_system(mcf, m, ITERS);
+            let cell = sas_bench::run_cell_with(sys, "spec", mcf.name, m, plan)
+                .expect("mcf halts cleanly");
+            assert_eq!(
+                (cell.cycles, cell.committed, cell.run.cpi()),
+                (reference.cycles, reference.committed(), reference.cpi()),
+                "{m:?}: neither the stops nor the heartbeat may change the numbers"
+            );
+            cell
+        };
+        cell(&CheckpointPlan::none());
+        let armed = cell(&armed_plan);
+        let text = std::fs::read_to_string(&hb_path).expect("heartbeat file written");
+        assert_eq!(text.lines().count(), 1, "{m:?}: one record: {text:?}");
+        let hb = Heartbeat::parse(&text).expect("a complete sas-hb-v2 record");
+        assert!(hb.cycle > 0 && hb.cycle.is_multiple_of(STOP_EVERY), "{m:?}: {hb:?}");
+        assert!(hb.cycle < armed.cycles && hb.committed < armed.committed, "{m:?}: {hb:?}");
+        assert!(!heartbeat::temp_path(&hb_path).exists(), "{m:?}: staging file must not linger");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,9 +14,8 @@ use sas_isa::Program;
 use sas_mem::{MemConfig, MemSystem, MemSystemStats, MshrEntry, SimError};
 use sas_oracle::{Divergence, FaultClass, Oracle};
 use sas_ptest::FaultPlan;
-use sas_telemetry::{GaugeSeries, MetricsRegistry, Timeline};
+use sas_telemetry::{CpiStack, GaugeSeries, MetricsRegistry, Timeline};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Why a run ended.
@@ -116,6 +115,17 @@ impl RunResult {
     pub fn committed(&self) -> u64 {
         self.core_stats.iter().map(|s| s.committed).sum()
     }
+
+    /// The commit-time CPI stack, merged across cores. Each core's cycles
+    /// are attributed to exactly one bucket, so the merged stack sums to the
+    /// per-core cycle total (which on multicore exceeds wall-clock cycles).
+    pub fn cpi(&self) -> CpiStack {
+        let mut cpi = CpiStack::default();
+        for s in &self.core_stats {
+            cpi.merge(&s.cpi);
+        }
+        cpi
+    }
 }
 
 /// Per-core occupancy gauge set, in sampling order.
@@ -164,8 +174,6 @@ pub struct System {
     oracle: Option<Oracle>,
     fault_plan_desc: Option<String>,
     telemetry: Option<SystemTelemetry>,
-    /// Liveness file rewritten every `.1` cycles with `{"cycle","committed"}`.
-    heartbeat: Option<(PathBuf, u64)>,
     /// Deadlock tracking: cycle of the last committed-count change and the
     /// count itself. Fields (not `run()` locals) so that a run split into
     /// multiple `run()` calls — the checkpointing loop — tracks progress
@@ -196,7 +204,6 @@ impl System {
             oracle: None,
             fault_plan_desc: None,
             telemetry: None,
-            heartbeat: None,
             last_progress: 0,
             last_total: 0,
         }
@@ -235,7 +242,6 @@ impl System {
             oracle: None,
             fault_plan_desc: None,
             telemetry: None,
-            heartbeat: None,
             last_progress: 0,
             last_total: 0,
         }
@@ -291,16 +297,6 @@ impl System {
         });
     }
 
-    /// Arms a liveness heartbeat: every `every` cycles the file at `path`
-    /// is atomically rewritten with one line,
-    /// `{"schema":"sas-hb-v2","cycle":<current>,"committed":<total>,"cpi":"base=…"}`
-    /// — cheap enough for long campaigns (the flat CPI string is built
-    /// only at heartbeat boundaries, never in the per-cycle loop) and
-    /// trivially parseable by a supervisor polling the file.
-    pub fn set_heartbeat(&mut self, path: impl Into<PathBuf>, every: u64) {
-        self.heartbeat = Some((path.into(), every.max(1)));
-    }
-
     /// Core `i`'s per-instruction stage timeline (telemetry must be on).
     pub fn timeline(&self, i: usize) -> Option<&Timeline> {
         self.cores[i].timeline()
@@ -322,6 +318,18 @@ impl System {
         out
     }
 
+    /// The Chrome trace-event document (Perfetto-loadable) of every core's
+    /// stage timeline and every occupancy gauge; telemetry must be on for
+    /// it to hold anything.
+    pub fn chrome_trace(&self) -> String {
+        let timelines: Vec<(usize, &Timeline)> =
+            (0..self.cores()).filter_map(|i| self.timeline(i).map(|t| (i, t))).collect();
+        let gauges = self.occupancy_gauges();
+        let gauge_refs: Vec<(&str, &GaugeSeries)> =
+            gauges.iter().map(|(n, g)| (n.as_str(), *g)).collect();
+        sas_telemetry::chrome::export(&timelines, &gauge_refs)
+    }
+
     /// Exports every layer's metrics — per-core pipeline counters, delay
     /// tables, CPI stacks and histograms; occupancy gauges; memory-system
     /// and MTE tag-storage counters.
@@ -338,8 +346,7 @@ impl System {
         reg
     }
 
-    /// Samples occupancy gauges and rewrites the heartbeat file when their
-    /// respective intervals come due.
+    /// Samples occupancy gauges when their interval comes due.
     fn sample_telemetry(&mut self) {
         if let Some(t) = &mut self.telemetry {
             if self.cycle.is_multiple_of(t.interval) {
@@ -355,29 +362,6 @@ impl System {
                         .record(self.cycle, self.mem.l1_mshr_occupancy(i, self.cycle) as u64);
                 }
                 t.l2_mshr.record(self.cycle, self.mem.l2_mshr_occupancy(self.cycle) as u64);
-            }
-        }
-        if let Some((path, every)) = &self.heartbeat {
-            if self.cycle.is_multiple_of(*every) {
-                let committed: u64 = self.cores.iter().map(|c| c.stats.committed).sum();
-                let mut cpi = sas_telemetry::CpiStack::default();
-                for c in &self.cores {
-                    cpi.merge(&c.stats.cpi);
-                }
-                let flat =
-                    cpi.encode_flat(&crate::policy::DelayCause::ALL.map(|c| c.name()));
-                let line = format!(
-                    "{{\"schema\":\"sas-hb-v2\",\"cycle\":{},\"committed\":{committed},\"cpi\":\"{flat}\"}}\n",
-                    self.cycle
-                );
-                // Write-temp-then-rename: the supervisor polls this file from
-                // another process, and a truncate-rewrite would let it observe
-                // an empty or half-written line. A rename swaps the content
-                // atomically, so readers only ever see a complete record.
-                let tmp = path.with_extension("hb.tmp");
-                if std::fs::write(&tmp, line).is_ok() {
-                    let _ = std::fs::rename(&tmp, path);
-                }
             }
         }
     }
@@ -473,8 +457,8 @@ impl System {
     /// act now (or nothing would be skipped).
     ///
     /// The wake-up is the earliest core event, clamped so that no skipped
-    /// cycle could have observed anything: telemetry and heartbeat sampling
-    /// boundaries, the deadlock deadline (`last_progress + window + 1`, the
+    /// cycle could have observed anything: telemetry sampling boundaries,
+    /// the deadlock deadline (`last_progress + window + 1`, the
     /// exact cycle the tick-by-tick loop would declare deadlock), and the
     /// cycle budget. Skipped cycles are attributed by
     /// [`Core::skip_quiescent`], which charges the same CPI bucket every
@@ -488,9 +472,6 @@ impl System {
         }
         if let Some(t) = &self.telemetry {
             wake = wake.min(next.div_ceil(t.interval) * t.interval);
-        }
-        if let Some((_, every)) = &self.heartbeat {
-            wake = wake.min(next.div_ceil(*every) * *every);
         }
         wake = wake.min(last_progress + self.deadlock_window + 1);
         wake = wake.min(max_cycles);
@@ -525,7 +506,7 @@ impl System {
                 }
                 all_done &= self.cores[i].finished();
             }
-            if self.telemetry.is_some() || self.heartbeat.is_some() {
+            if self.telemetry.is_some() {
                 self.sample_telemetry();
             }
             self.cycle += 1;
@@ -588,8 +569,8 @@ impl System {
     /// Serializes driver-level state: the cycle counter, deadlock-progress
     /// tracking, occupancy gauges (when telemetry is on) and the lockstep
     /// oracle (when attached). Configuration — deadlock window, telemetry
-    /// interval, heartbeat — is not serialized; the restore target carries
-    /// it from its own construction.
+    /// interval — is not serialized; the restore target carries it from its
+    /// own construction.
     pub fn encode_state(&self, e: &mut sas_snap::Enc) {
         e.uv(self.cycle);
         e.uv(self.last_progress);

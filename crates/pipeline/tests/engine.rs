@@ -401,38 +401,6 @@ fn commit_recording_without_consumer_stays_bounded() {
 }
 
 #[test]
-fn heartbeat_file_is_replaced_atomically() {
-    // Regression: the heartbeat used to be truncate-rewritten in place, so a
-    // supervisor polling it from another process could read an empty or torn
-    // line. It is now staged to a `.hb.tmp` sibling and renamed over the
-    // target: after a run the target holds one complete record and the
-    // staging file is gone.
-    let path = std::env::temp_dir().join(format!("sas-hb-test-{}.json", std::process::id()));
-    let mut asm = ProgramBuilder::new();
-    asm.movz(Reg::X0, 200, 0);
-    let top = asm.here();
-    asm.sub(Reg::X0, Reg::X0, Operand::imm(1));
-    asm.cbnz_idx(Reg::X0, top);
-    asm.halt();
-    let mut sys = System::single_core(
-        CoreConfig::table2(),
-        MemConfig::default(),
-        asm.build().unwrap(),
-        Box::new(NoPolicy),
-    );
-    sys.set_heartbeat(path.clone(), 1); // rewrite every cycle: maximal rename traffic
-    let r = sys.run(1_000_000);
-    assert_eq!(r.exit, RunExit::Halted);
-    let text = std::fs::read_to_string(&path).expect("heartbeat file must exist");
-    assert!(
-        text.starts_with("{\"schema\":\"sas-hb-v2\",\"cycle\":") && text.trim_end().ends_with('}'),
-        "heartbeat must be one complete record: {text:?}"
-    );
-    assert!(!path.with_extension("hb.tmp").exists(), "staging file must not linger");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn two_cores_share_memory_through_amo() {
     // Both cores atomically add to a shared counter.
     fn worker(n: u16) -> Program {

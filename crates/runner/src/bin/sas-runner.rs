@@ -40,7 +40,8 @@
 //!   --checkpoint PATH  --checkpoint-every N  --warm-base PATH
 //!   --warm-cycles N    --crash-after-checkpoints N
 //!   --fault-plan SPEC  fault plan to arm (see FaultPlan::from_spec)
-//!   --heartbeat PATH   liveness file, rewritten every 100000 cycles
+//!   --heartbeat PATH   progress file the run loop rewrites every 100000
+//!                     cycles and at every checkpoint
 //!   --attempt N        1-based spawn attempt      (default 1)
 //! ```
 //!
@@ -180,7 +181,7 @@ fn campaign(cells: Vec<CellId>, cfg: &Config, norms: bool) -> ExitCode {
     // Regression digest: index the manifest we just wrote and surface the
     // slowest cells / per-mitigation profile / failures. Best-effort —
     // a digest problem must never fail a green campaign.
-    if let Ok((idx, _)) = sas_query::load::index_paths(&[cfg.manifest_path.clone()]) {
+    if let Ok((idx, _)) = sas_query::load::index_paths(std::slice::from_ref(&cfg.manifest_path)) {
         let digest = sas_query::digest::campaign_digest(&idx);
         if !digest.is_empty() {
             println!("\n{digest}");
@@ -311,7 +312,6 @@ fn cell_plan(args: &[String]) -> Result<CheckpointPlan, String> {
         warm_base: flag_value(args, "--warm-base").map(PathBuf::from),
         warm_cycles: flag_u64(args, "--warm-cycles")?.unwrap_or(0),
         exit_after: flag_u64(args, "--crash-after-checkpoints")?.unwrap_or(0),
-        poll_every: None,
         faults,
         heartbeat: flag_value(args, "--heartbeat").map(PathBuf::from),
     })

@@ -261,10 +261,7 @@ impl CellOutcome {
     fn ok_with_cpi(cell: &CellId, c: &sas_bench::Cell) -> CellOutcome {
         let mut o = CellOutcome::ok(cell, c.cycles);
         o.restored = c.restored;
-        o.cpi = Some(
-            sas_bench::cpi_breakdown(&c.run)
-                .encode_flat(&sas_pipeline::DelayCause::ALL.map(|c| c.name())),
-        );
+        o.cpi = Some(c.run.cpi().encode_flat(&sas_pipeline::DelayCause::ALL.map(|c| c.name())));
         o
     }
 

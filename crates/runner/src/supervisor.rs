@@ -456,8 +456,8 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
                     heartbeat::remove(&hb_path);
                     return ChildEnd::Timeout;
                 }
-                // Each watchdog poll also checks the child's heartbeat file;
-                // progress lines are throttled so they stay readable.
+                // Throttled progress lines from the child's heartbeat file
+                // (informational: the watchdog judges only elapsed time).
                 if last_print.elapsed() >= HEARTBEAT_PRINT_PERIOD {
                     last_print = Instant::now();
                     if let Some(hb) = heartbeat::read(&hb_path) {

@@ -6,19 +6,22 @@
 //! one spec on a worker thread under a [`RunPlan`]: simulation jobs step the
 //! `System` in cycle chunks through `sas-bench`'s interruptible checkpoint
 //! protocol, so cancellation, deadlines and drain-parking all take effect at
-//! the next chunk boundary and a parked job's `sas-snap` image resumes
-//! bit-identically after a restart.
+//! the next stop of its run loop, each stop stores the job's [`Progress`],
+//! and a parked job's `sas-snap` image resumes bit-identically after a
+//! restart.
 
 use crate::http::json_escape;
 use sas_attacks::spectre::spectre_v1_program;
 use sas_attacks::{layout, GadgetFlavor};
 use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, Interrupted};
+use sas_bench::heartbeat::Heartbeat;
 use sas_pipeline::{DelayCause, RunExit, RunResult, System};
 use sas_telemetry::json::Json;
 use sas_workloads::spec_suite;
 use specasan::{build_system, Mitigation, SimConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// What a simulation or trace job runs.
@@ -221,6 +224,24 @@ pub const SIM_BUDGET: u64 = 1_000_000_000;
 /// Cycle budget for trace jobs (matches `sas-trace`).
 pub const TRACE_BUDGET: u64 = 20_000_000;
 
+/// A simulation job's latest progress record, stored by the worker at every
+/// stop of the run loop and at its end, and read by `/watch` and the
+/// watchdog from the job table. Clones share one record.
+#[derive(Debug, Clone, Default)]
+pub struct Progress(Arc<Mutex<Option<Heartbeat>>>);
+
+impl Progress {
+    /// Replaces the stored record.
+    pub fn store(&self, hb: Heartbeat) {
+        *self.0.lock().expect("progress lock") = Some(hb);
+    }
+
+    /// The latest record; `None` before the job's first stop.
+    pub fn latest(&self) -> Option<Heartbeat> {
+        self.0.lock().expect("progress lock").clone()
+    }
+}
+
 /// Everything a worker needs to run one job.
 #[derive(Debug, Clone, Default)]
 pub struct RunPlan {
@@ -228,11 +249,11 @@ pub struct RunPlan {
     pub checkpoint: Option<PathBuf>,
     /// The shared warmed-baseline image for the job's benchmark.
     pub warm_base: Option<PathBuf>,
-    /// Heartbeat file the hung-worker supervisor polls.
-    pub heartbeat: Option<PathBuf>,
-    /// Cycle-chunk size: checkpoint period and control-poll period.
+    /// Where the worker stores the job's progress.
+    pub progress: Progress,
+    /// Checkpoint period in cycles (0 = the 1 M default).
     pub chunk: u64,
-    /// Absolute deadline; crossing it aborts at the next chunk boundary.
+    /// Absolute deadline; crossing it aborts at the next stop of the run.
     pub deadline: Option<Instant>,
 }
 
@@ -294,9 +315,11 @@ fn exit_failure(run: &RunResult) -> JobEnd {
 }
 
 /// Runs one job to an end state. Cooperative interruption: `cancel` aborts,
-/// `park` checkpoints-and-stops (drain), both taking effect at the next
-/// cycle-chunk boundary; the deadline in `plan` aborts the same way. Jobs
-/// that refuse to yield are the hung-worker supervisor's problem, not ours.
+/// `park` checkpoints-and-stops (drain), both taking effect at the next stop
+/// of the run loop (every checkpoint and at least every
+/// [`sas_bench::checkpoint::STOP_EVERY`] cycles); the deadline in `plan`
+/// aborts the same way. Jobs that refuse to yield are the hung-worker
+/// supervisor's problem, not ours.
 pub fn run_job(spec: &JobSpec, plan: &RunPlan, cancel: &AtomicBool, park: &AtomicBool) -> JobEnd {
     match spec {
         JobSpec::Simulate { target, mitigation, iters } => {
@@ -342,21 +365,17 @@ fn run_sim(
     if trace.is_some() {
         sys.enable_telemetry(64, 65_536);
     }
-    let chunk = plan.chunk.max(1);
     // Trace runs carry telemetry state no snapshot round-trips, so they
     // re-run from scratch after a restart instead of checkpointing.
     let ckpt = CheckpointPlan {
         path: if trace.is_none() { plan.checkpoint.clone() } else { None },
-        every: chunk,
+        every: plan.chunk,
         warm_base: if trace.is_none() { plan.warm_base.clone() } else { None },
-        warm_cycles: 0,
-        exit_after: 0,
-        poll_every: Some(chunk),
-        faults: None,
-        heartbeat: plan.heartbeat.clone(),
+        ..CheckpointPlan::none()
     };
     let deadline = plan.deadline;
-    let control = move |_: &System| {
+    let control = |hb: &Heartbeat| {
+        plan.progress.store(hb.clone());
         // Deadline before cancel: the watchdog requests cancellation for
         // overrun jobs, so at any poll past the deadline both can be true
         // — classifying by the deadline keeps the outcome deterministic
@@ -372,6 +391,7 @@ fn run_sim(
         }
     };
     let sr = run_supervised_with(&mut sys, budget, &ckpt, control);
+    plan.progress.store(Heartbeat::of(&sr.run));
     match sr.interrupted {
         Some(Interrupted::Parked(_)) => return JobEnd::Parked,
         Some(Interrupted::Aborted(code)) => {
@@ -384,10 +404,12 @@ fn run_sim(
     }
     // A trace budget genuinely runs out (sas-trace semantics: report what
     // ran); a simulate hitting the 1 G-cycle budget is a failure.
-    let accept_cycle_limit = trace.is_some();
-    if !matches!(sr.run.exit, RunExit::Halted)
-        && !(accept_cycle_limit && matches!(sr.run.exit, RunExit::CycleLimit))
-    {
+    let accepted = match sr.run.exit {
+        RunExit::Halted => true,
+        RunExit::CycleLimit => trace.is_some(),
+        _ => false,
+    };
+    if !accepted {
         return exit_failure(&sr.run);
     }
     let mut result = format!(
@@ -397,16 +419,10 @@ fn run_sim(
         sr.run.cycles,
         sr.run.committed(),
         sr.restored,
-        sas_bench::cpi_breakdown(&sr.run).to_json(&DelayCause::ALL.map(|c| c.name()))
+        sr.run.cpi().to_json(&DelayCause::ALL.map(|c| c.name()))
     );
     if trace == Some(true) {
-        let timelines: Vec<(usize, &sas_telemetry::Timeline)> =
-            (0..sys.cores()).filter_map(|i| sys.timeline(i).map(|t| (i, t))).collect();
-        let gauges = sys.occupancy_gauges();
-        let gauge_refs: Vec<(&str, &sas_telemetry::GaugeSeries)> =
-            gauges.iter().map(|(n, g)| (n.as_str(), *g)).collect();
-        let doc = sas_telemetry::chrome::export(&timelines, &gauge_refs);
-        result.push_str(&format!(",\"chrome\":\"{}\"", json_escape(&doc)));
+        result.push_str(&format!(",\"chrome\":\"{}\"", json_escape(&sys.chrome_trace())));
     }
     result.push('}');
     JobEnd::Completed { result }
@@ -615,6 +631,22 @@ mod tests {
             }
             other => panic!("expected completion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn progress_ends_at_the_result() {
+        let spec = JobSpec::Simulate {
+            target: Target::Spec("505.mcf_r".into()),
+            mitigation: Mitigation::SpecAsan,
+            iters: 100,
+        };
+        let plan = RunPlan::default();
+        let end = run_job(&spec, &plan, &AtomicBool::new(false), &AtomicBool::new(false));
+        let JobEnd::Completed { result } = end else { panic!("expected completion, got {end:?}") };
+        let doc = sas_telemetry::json::parse(&result).unwrap();
+        let hb = plan.progress.latest().expect("progress stored");
+        assert_eq!(Some(hb.committed), doc.get("committed").and_then(Json::as_u64), "{result}");
+        assert_eq!(Some(hb.cycle), doc.get("cycles").and_then(Json::as_u64), "{result}");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! * **Observability** ([`metrics`]) — `GET /metrics` renders per-method
 //!   request counters, latency histograms with quantile summaries, and
 //!   queue/worker gauges in Prometheus text exposition; `GET /watch/<job>`
-//!   streams server-sent progress events bridged from the worker's
-//!   heartbeat file; the `query` RPC method runs `sas-query` expressions
+//!   streams server-sent progress events from the job's in-memory progress
+//!   record; the `query` RPC method runs `sas-query` expressions
 //!   over the daemon's journal and live job table.
 //!
 //! Hermetic like the rest of the workspace: the HTTP layer, JSON handling,

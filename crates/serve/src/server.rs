@@ -17,12 +17,12 @@
 //! simulations behind `sas-snap` checkpoints and exits 0.
 
 use crate::http::{self, json_escape, Request};
-use crate::job::{self, JobEnd, JobSpec, RunPlan};
+use crate::job::{self, JobEnd, JobSpec, Progress, RunPlan};
 use crate::journal::{Journal, PendingJob};
 use crate::metrics::ServeMetrics;
 use crate::queue::JobQueue;
 use sas_query::Val;
-use sas_runner::{heartbeat, supervisor, sweep};
+use sas_runner::{supervisor, sweep};
 use sas_telemetry::expo;
 use sas_telemetry::json::{self, Json};
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ pub struct Config {
     pub workers: usize,
     /// Queue capacity (admission bound).
     pub queue_cap: usize,
-    /// State directory: journal, job checkpoints, warm bases, heartbeats.
+    /// State directory: journal, job checkpoints, warm bases.
     pub state_dir: PathBuf,
     /// Deadline budget for requests that do not set `deadline_ms`.
     pub default_deadline: Duration,
@@ -51,7 +51,7 @@ pub struct Config {
     /// Extra time past its deadline a cancelled job may keep its worker
     /// before the watchdog declares the worker wedged.
     pub hang_grace: Duration,
-    /// Cycle-chunk size: checkpoint period, control-poll period.
+    /// Checkpoint period of simulation jobs, in cycles.
     pub chunk: u64,
 }
 
@@ -99,7 +99,7 @@ enum Phase {
     Queued,
     Running {
         deadline: Instant,
-        hb: PathBuf,
+        progress: Progress,
     },
     /// Parked behind a checkpoint (drain); resumable after restart.
     Parked,
@@ -164,9 +164,8 @@ impl Server {
     /// worker pool, and watchdog.
     pub fn start(cfg: Config) -> std::io::Result<Server> {
         std::fs::create_dir_all(&cfg.state_dir)?;
-        // A SIGKILLed predecessor leaves staging temps and orphaned
-        // heartbeats; checkpoints and warm bases are kept — they are the
-        // resumable state.
+        // A SIGKILLed predecessor leaves staging temps; checkpoints and warm
+        // bases are kept — they are the resumable state.
         let swept = sweep::sweep_stale_artifacts(&cfg.state_dir, true)?;
         if !swept.is_empty() {
             eprintln!("sas-serve: swept {} stale artifact(s)", swept.len());
@@ -314,8 +313,8 @@ fn worker_loop(shared: &Shared) {
             let mut st = shared.state.lock().expect("state lock");
             let Some(entry) = st.jobs.get_mut(&id) else { continue };
             let deadline = Instant::now() + Duration::from_millis(entry.deadline_ms);
-            let hb = heartbeat::path_in(&shared.cfg.state_dir, &format!("job-{id}"));
-            entry.phase = Phase::Running { deadline, hb: hb.clone() };
+            let progress = Progress::default();
+            entry.phase = Phase::Running { deadline, progress: progress.clone() };
             let spec = entry.spec.clone();
             let cancel = Arc::clone(&entry.cancel);
             st.running += 1;
@@ -328,7 +327,7 @@ fn worker_loop(shared: &Shared) {
                     .map(|(suite, bench)| {
                         supervisor::warm_base_path(&shared.cfg.state_dir, suite, bench)
                     }),
-                heartbeat: Some(hb),
+                progress,
                 chunk: shared.cfg.chunk,
                 deadline: Some(deadline),
             };
@@ -341,9 +340,6 @@ fn worker_loop(shared: &Shared) {
         // Resolve (unless the watchdog already did, declaring us wedged).
         let mut st = shared.state.lock().expect("state lock");
         st.running = st.running.saturating_sub(1);
-        if let Some(hb) = &plan.heartbeat {
-            heartbeat::remove(hb);
-        }
         let Some(entry) = st.jobs.get_mut(&id) else { continue };
         if entry.stalled {
             // The watchdog gave up on this worker, resolved the job, and
@@ -412,7 +408,7 @@ fn watchdog_loop(shared: Arc<Shared>) {
             let mut st = shared.state.lock().expect("state lock");
             let mut to_fail: Vec<u64> = Vec::new();
             for (&id, entry) in &st.jobs {
-                let Phase::Running { deadline, hb } = &entry.phase else { continue };
+                let Phase::Running { deadline, progress } = &entry.phase else { continue };
                 if now < *deadline || entry.stalled {
                     continue;
                 }
@@ -424,10 +420,9 @@ fn watchdog_loop(shared: Arc<Shared>) {
                     continue;
                 }
                 // Cancellation ignored through the whole grace window: the
-                // worker is wedged. (The heartbeat tells the same story —
-                // a live simulation would have hit a chunk boundary long
-                // ago — and names the last cycle for the log line.)
-                let last = heartbeat::read(hb).map(|h| h.cycle);
+                // worker is wedged. The log line names the last cycle the
+                // job's progress recorded.
+                let last = progress.latest().map(|h| h.cycle);
                 eprintln!(
                     "sas-serve: job {id} ignored cancellation for {:?} (last heartbeat cycle {:?}); failing it and replacing the worker",
                     shared.cfg.hang_grace,
@@ -715,8 +710,8 @@ fn metrics_body(shared: &Shared) -> String {
 /// How long one `/watch` stream may stay open before the server closes it.
 const WATCH_CAP: Duration = Duration::from_secs(600);
 
-/// Poll period for the `/watch` bridge: phase + heartbeat file reads only,
-/// never the worker hot path.
+/// Poll period for the `/watch` bridge: phase + progress reads only, never
+/// the worker hot path.
 const WATCH_POLL: Duration = Duration::from_millis(50);
 
 fn sse_send(stream: &mut TcpStream, event: &str, data: &str) -> std::io::Result<()> {
@@ -726,8 +721,8 @@ fn sse_send(stream: &mut TcpStream, event: &str, data: &str) -> std::io::Result<
 
 /// `GET /watch/<job>`: streams `queued` / `progress` / `done` server-sent
 /// events until the job resolves, the client hangs up, or [`WATCH_CAP`]
-/// expires. Progress frames are bridged from the worker's heartbeat file
-/// and deduplicated on cycle, so they are strictly monotonic.
+/// expires. Progress frames carry the job's in-memory progress record and
+/// are deduplicated on cycle, so they are strictly monotonic.
 fn serve_watch(shared: &Shared, stream: &mut TcpStream, path: &str) -> u16 {
     let Ok(job_id) = path["/watch/".len()..].parse::<u64>() else {
         let _ = http::respond(
@@ -751,7 +746,7 @@ fn serve_watch(shared: &Shared, stream: &mut TcpStream, path: &str) -> u16 {
     enum Snap {
         Gone,
         Queued,
-        Running(PathBuf),
+        Running(Progress),
         Terminal(String),
     }
     let opened = Instant::now();
@@ -764,7 +759,7 @@ fn serve_watch(shared: &Shared, stream: &mut TcpStream, path: &str) -> u16 {
                 None => Snap::Gone,
                 Some(e) => match &e.phase {
                     Phase::Queued => Snap::Queued,
-                    Phase::Running { hb, .. } => Snap::Running(hb.clone()),
+                    Phase::Running { progress, .. } => Snap::Running(progress.clone()),
                     Phase::Parked | Phase::Done { .. } => {
                         Snap::Terminal(job_status_json(e, job_id))
                     }
@@ -781,17 +776,16 @@ fn serve_watch(shared: &Shared, stream: &mut TcpStream, path: &str) -> u16 {
                 Some(("queued", format!("{{\"job\":{job_id},\"status\":\"queued\"}}"), false))
             }
             Snap::Queued => None,
-            Snap::Running(hb) => match heartbeat::read(&hb) {
-                Some(h) if last_cycle.map_or(true, |c| h.cycle > c) => {
+            Snap::Running(progress) => match progress.latest() {
+                Some(h) if last_cycle.is_none_or(|c| h.cycle > c) => {
                     last_cycle = Some(h.cycle);
-                    let cpi = h.cpi.as_deref().unwrap_or("");
                     Some((
                         "progress",
                         format!(
                             "{{\"job\":{job_id},\"cycle\":{},\"committed\":{},\"cpi\":\"{}\"}}",
                             h.cycle,
                             h.committed,
-                            json_escape(cpi)
+                            json_escape(&h.cpi)
                         ),
                         false,
                     ))

@@ -9,6 +9,8 @@ use sas_telemetry::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A quick program: a handful of cycles, then HALT.
@@ -455,7 +457,9 @@ fn http_text(port: u16, path: &str) -> (u16, String) {
 
 #[test]
 fn metrics_watch_and_query_expose_the_service() {
-    let server = Server::start(small_config("obsv")).unwrap();
+    let cfg = small_config("obsv");
+    let dir = cfg.state_dir.clone();
+    let server = Server::start(cfg).unwrap();
     let port = server.port();
 
     // The status document is schema-tagged.
@@ -474,7 +478,26 @@ fn metrics_watch_and_query_expose_the_service() {
     assert_eq!(status, 200, "{doc:?}");
 
     // Watch a long job end to end: the SSE stream must carry at least two
-    // strictly monotonic progress frames and a terminal done frame.
+    // strictly monotonic progress frames and a terminal done frame. Job
+    // progress lives in memory: the state dir never holds a heartbeat file
+    // while the job runs.
+    let watching = Arc::new(AtomicBool::new(true));
+    let hb_poller = {
+        let (dir, watching) = (dir.clone(), Arc::clone(&watching));
+        std::thread::spawn(move || {
+            let mut seen = std::collections::BTreeSet::new();
+            while watching.load(Ordering::SeqCst) {
+                for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    if name.starts_with("hb-") && name.ends_with(".json") {
+                        seen.insert(name);
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            seen
+        })
+    };
     let id = submit_async(
         port,
         &format!("{{\"program\":{},\"wait\":false,\"deadline_ms\":120000}}", json_string(LONG)),
@@ -504,6 +527,9 @@ fn metrics_watch_and_query_expose_the_service() {
     assert_eq!(done, 1, "no terminal frame in {stream:?}");
     assert!(cycles.len() >= 2, "want >=2 progress frames, got {cycles:?}");
     assert!(cycles.windows(2).all(|w| w[0] < w[1]), "not monotonic: {cycles:?}");
+    watching.store(false, Ordering::SeqCst);
+    let hb_files = hb_poller.join().unwrap();
+    assert!(hb_files.is_empty(), "heartbeat files in the state dir: {hb_files:?}");
 
     // The exposition reflects the traffic above.
     let (status, text) = http_text(port, "/metrics");

@@ -26,7 +26,7 @@ fn main() {
     // Security column: how many of the 11 attack variants each defense
     // fully mitigates (from the Table 1 machinery).
     println!("(evaluating the 11-attack security matrix; ~a minute on a laptop)");
-    let matrix = security_matrix(&cfg, &Mitigation::all()[2..].to_vec());
+    let matrix = security_matrix(&cfg, &Mitigation::all()[2..]);
 
     let mut base_cycles = None;
     println!();

@@ -30,6 +30,12 @@ if grep -rnE 'env::var' crates/{isa,mte,mem,pipeline,telemetry,oracle,core,snap,
   echo "tier1: FAIL — simulator code reads the environment (lines above)" >&2
   exit 1
 fi
+# Nor does the engine touch files: progress reporting (heartbeats) belongs
+# to the supervised-run loop in sas-bench, checkpoints to sas-snap/core.
+if grep -rn 'std::fs' crates/{isa,mte,mem,pipeline,telemetry,oracle,workloads}/src; then
+  echo "tier1: FAIL — simulator engine code does file I/O (lines above)" >&2
+  exit 1
+fi
 
 echo "== tier1: offline test suite =="
 cargo test -q --offline

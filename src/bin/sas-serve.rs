@@ -64,8 +64,9 @@ OPTIONS:
   --drain-deadline-ms N      drain grace before giving up (default 30000)
   --hang-grace-ms N          cancellation grace before a worker is declared
                              wedged (default 5000)
-  --chunk N                  cycle chunk: checkpoint + control-poll period
-                             (default 1000000)
+  --chunk N                  checkpoint period of simulation jobs, in cycles
+                             (default 1000000); cancel, deadline and drain
+                             checks run every min(N, 100000) cycles
 
 ENDPOINTS:
   POST /rpc          JSON-RPC: simulate, trace, lint, spin, job, cancel, query,
@@ -74,7 +75,7 @@ ENDPOINTS:
   GET  /metrics      Prometheus-style text exposition: request counters,
                      latency histograms + quantiles, queue/worker gauges
   GET  /watch/<job>  server-sent events: queued / progress / done frames
-                     bridged from the worker's heartbeat (cycle, committed,
+                     from the job's in-memory progress (cycle, committed,
                      CPI stack)
   GET  /healthz      200 ok / 503 draining
   POST /drain        start a graceful drain

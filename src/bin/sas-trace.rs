@@ -22,9 +22,9 @@
 
 use sas_attacks::spectre::spectre_v1_program;
 use sas_attacks::{layout, GadgetFlavor};
-use sas_pipeline::{CpiStack, DelayCause, RunExit, System};
+use sas_pipeline::{DelayCause, RunExit, System};
 use sas_telemetry::json::validate_chrome_trace;
-use sas_telemetry::{chrome, konata};
+use sas_telemetry::konata;
 use sas_workloads::{build_workload, parse_iterations, spec_suite};
 use specasan::{build_system, Mitigation, SimConfig};
 use std::process::ExitCode;
@@ -223,10 +223,7 @@ fn run() -> Result<ExitCode, String> {
     let result = sys.run(20_000_000);
 
     let cause_names = DelayCause::ALL.map(|c| c.name());
-    let mut cpi = CpiStack::default();
-    for s in &result.core_stats {
-        cpi.merge(&s.cpi);
-    }
+    let cpi = result.cpi();
 
     // --- exports -----------------------------------------------------------
     let chrome_path = flag_value(&args, "--chrome");
@@ -234,15 +231,7 @@ fn run() -> Result<ExitCode, String> {
     let metrics_path = flag_value(&args, "--metrics");
     let verify = has_flag(&args, "--verify");
 
-    let mut chrome_doc = None;
-    if chrome_path.is_some() || verify {
-        let timelines: Vec<(usize, &sas_telemetry::Timeline)> =
-            (0..sys.cores()).filter_map(|i| sys.timeline(i).map(|t| (i, t))).collect();
-        let gauges = sys.occupancy_gauges();
-        let gauge_refs: Vec<(&str, &sas_telemetry::GaugeSeries)> =
-            gauges.iter().map(|(n, g)| (n.as_str(), *g)).collect();
-        chrome_doc = Some(chrome::export(&timelines, &gauge_refs));
-    }
+    let chrome_doc = (chrome_path.is_some() || verify).then(|| sys.chrome_trace());
     if let Some(path) = &chrome_path {
         let doc = chrome_doc.as_ref().expect("chrome doc built above");
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
