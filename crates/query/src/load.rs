@@ -13,10 +13,7 @@
 //!   derived `suite`/`benchmark`/`mitigation` columns, a `wall_ms` copy
 //!   of `duration_ms`, and decoded `cpi.<bucket>` columns from the flat
 //!   `base=12;fetch_stall=3` CPI string,
-//! - `BENCH_*.json` documents with a `cells` array become one row per
-//!   cell plus one `row=total` summary row (carrying the baseline and
-//!   the `prev_total_*`/`delta_*` trend fields), so "sim-ips trend
-//!   across PRs" is a plain query.
+//! - a `BENCH_*.json` document becomes one row, flattened like a line.
 //!
 //! Every row gets a `source` column naming the file it came from.
 
@@ -114,7 +111,7 @@ pub fn load_str(text: &str, source: &str) -> Loaded {
     // A whole-file parse that yields one object is a BENCH document;
     // anything else is treated as one JSON object per line.
     if let Ok(doc @ Json::Obj(_)) = parse(text.trim()) {
-        return Loaded { rows: bench_doc_rows(&doc, source), skipped: 0 };
+        return Loaded { rows: vec![object_row(&doc, source)], skipped: 0 };
     }
     let mut rows = Vec::new();
     let mut skipped = 0;
@@ -124,60 +121,20 @@ pub fn load_str(text: &str, source: &str) -> Loaded {
             continue;
         }
         match parse(line) {
-            Ok(doc @ Json::Obj(_)) => {
-                let mut row = Row::new();
-                flatten("", &doc, &mut row);
-                enrich(&mut row);
-                row.push(("source".to_string(), Val::Str(source.to_string())));
-                rows.push(row);
-            }
+            Ok(doc @ Json::Obj(_)) => rows.push(object_row(&doc, source)),
             _ => skipped += 1,
         }
     }
     Loaded { rows, skipped }
 }
 
-/// Splits a `BENCH_*.json` document into rows. Documents with a `cells`
-/// array (the fig6 perf trajectory) become one row per cell plus a
-/// `row=total` summary row; flat documents become a single row.
-fn bench_doc_rows(doc: &Json, source: &str) -> Vec<Row> {
-    let Json::Obj(top) = doc else { return Vec::new() };
-    let mut common = Row::new();
-    for (k, v) in top {
-        if !matches!(v, Json::Obj(_) | Json::Arr(_)) {
-            flatten(k, v, &mut common);
-        }
-    }
-    common.push(("source".to_string(), Val::Str(source.to_string())));
-
-    let Some(cells) = top.get("cells").and_then(Json::as_arr) else {
-        // Flat document (BENCH_lint.json style): flatten everything.
-        let mut row = Row::new();
-        flatten("", doc, &mut row);
-        enrich(&mut row);
-        row.push(("source".to_string(), Val::Str(source.to_string())));
-        return vec![row];
-    };
-
-    let mut rows = Vec::new();
-    for cell in cells {
-        let mut row = common.clone();
-        row.push(("row".to_string(), Val::Str("cell".to_string())));
-        flatten("", cell, &mut row);
-        enrich(&mut row);
-        rows.push(row);
-    }
-    if let Some(total) = top.get("total") {
-        let mut row = common.clone();
-        row.push(("row".to_string(), Val::Str("total".to_string())));
-        flatten("", total, &mut row);
-        if let Some(baseline) = top.get("baseline") {
-            flatten("baseline", baseline, &mut row);
-        }
-        enrich(&mut row);
-        rows.push(row);
-    }
-    rows
+/// One JSON object as a flattened, enriched row labelled with `source`.
+fn object_row(doc: &Json, source: &str) -> Row {
+    let mut row = Row::new();
+    flatten("", doc, &mut row);
+    enrich(&mut row);
+    row.push(("source".to_string(), Val::Str(source.to_string())));
+    row
 }
 
 /// Loads one artifact file.
@@ -273,30 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn bench_doc_becomes_cell_and_total_rows() {
-        let text = r#"{
-            "schema": "sas-bench-fig6-v3",
-            "bench": "fig6-perf",
-            "iters": 2,
-            "speedup_sim_ips": 1.5,
-            "prev_total_wall_ms": 100.0,
-            "delta_wall_ms": -8.0,
-            "cells": [
-                {"benchmark":"505.mcf_r","mitigation":"stt","cycles":100,"committed":80,"wall_ms":40.0,"sim_ips":2000.0,"restored":false},
-                {"benchmark":"505.mcf_r","mitigation":"fence","cycles":160,"committed":80,"wall_ms":52.0,"sim_ips":1500.0,"restored":false}
-            ],
-            "total": {"cycles":260,"committed":160,"wall_ms":92.0,"sim_ips":1700.0},
-            "baseline": {"schema":"x","sim_ips":1100.0}
-        }"#;
-        let loaded = load_str(text, "BENCH_fig6.json");
-        assert_eq!(loaded.rows.len(), 3);
-        let total = &loaded.rows[2];
-        let get = |k: &str| total.iter().find(|(name, _)| name == k).map(|(_, v)| v.clone());
-        assert_eq!(get("row"), Some(Val::Str("total".into())));
-        assert_eq!(get("prev_total_wall_ms"), Some(Val::Num(100.0)));
-        assert_eq!(get("baseline.sim_ips"), Some(Val::Num(1100.0)));
-        assert_eq!(get("wall_ms"), Some(Val::Num(92.0)));
-        // Cell rows carry the shared trend fields too.
-        assert!(loaded.rows[0].iter().any(|(k, _)| k == "delta_wall_ms"));
+    fn bench_doc_is_one_flat_row() {
+        let text = "{\n  \"schema\": \"sas-bench-query-v1\",\n  \"rows\": 75,\n  \"timing\": {\"index_ms\": 1.5}\n}\n";
+        let loaded = load_str(text, "BENCH_query.json");
+        assert_eq!((loaded.rows.len(), loaded.skipped), (1, 0));
+        let get = |k: &str| loaded.rows[0].iter().find(|(name, _)| name == k).map(|(_, v)| v.clone());
+        assert_eq!(get("rows"), Some(Val::Num(75.0)));
+        assert_eq!(get("timing.index_ms"), Some(Val::Num(1.5)));
+        assert_eq!(get("source"), Some(Val::Str("BENCH_query.json".into())));
     }
 }

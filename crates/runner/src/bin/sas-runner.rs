@@ -50,9 +50,9 @@
 
 use sas_bench::checkpoint::CheckpointPlan;
 use sas_pipeline::FaultPlan;
-use sas_runner::cell::{self, CellId, CellOutcome, SelftestKind};
-use sas_runner::supervisor::{self, Config, EXIT_DETERMINISTIC, EXIT_ENVIRONMENTAL};
-use sas_runner::{run_campaign, shrink};
+use sas_runner::cell::{self, CellId, SelftestKind};
+use sas_runner::supervisor::{self, Config, EXIT_DETERMINISTIC};
+use sas_runner::{run_campaign, shrink, Record};
 use sas_workloads::parse_iterations;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -317,9 +317,9 @@ fn cell_plan(args: &[String]) -> Result<CheckpointPlan, String> {
     })
 }
 
-/// Child mode: execute one cell in-process, print the result line, and exit
-/// with the supervisor's code taxonomy (0 ok / 10 deterministic /
-/// 11 environmental).
+/// Child mode: execute one cell in-process, print its manifest row as the
+/// result line, and exit with the supervisor's code taxonomy (0 ok /
+/// 10 deterministic / 11 environmental).
 fn cmd_cell(args: &[String]) -> ExitCode {
     let Some(id) = args.first() else { return usage() };
     let cell = match CellId::parse(id) {
@@ -342,25 +342,19 @@ fn cmd_cell(args: &[String]) -> ExitCode {
         }
     };
     let run = || cell::run_in_process(&cell, iters, attempt, &plan);
-    let outcome = match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(o) => o,
+    let (row, code) = match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(out) => out,
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "panic (non-string payload)".to_string());
-            CellOutcome::failure(&cell, "panic", msg, false)
+            (Record::new(cell.to_string(), false, "panic", msg), EXIT_DETERMINISTIC)
         }
     };
-    println!("{}{}", cell::RESULT_MARKER, outcome.to_json());
-    if outcome.ok {
-        ExitCode::SUCCESS
-    } else if outcome.retriable {
-        ExitCode::from(EXIT_ENVIRONMENTAL as u8)
-    } else {
-        ExitCode::from(EXIT_DETERMINISTIC as u8)
-    }
+    println!("{}{}", cell::RESULT_MARKER, row.to_json());
+    ExitCode::from(code as u8)
 }
 
 /// Child mode: run one shrinker probe and print its failure signature.
@@ -403,8 +397,7 @@ fn cmd_probe(args: &[String]) -> ExitCode {
 
 /// Re-checks a repro bundle: replays the recorded recipe in-process and
 /// verifies the failure signature matches the one recorded at shrink time.
-/// Bundles with a `tail.snap` fail-tail restore it and run only the last
-/// stretch; a rejected tail (corrupt, stale) degrades to the full replay.
+/// An unreadable bundle (a bad `meta.json` field, a bad plan) exits 2.
 fn cmd_replay(args: &[String]) -> ExitCode {
     let Some(dir) = args.first() else { return usage() };
     let dir = std::path::Path::new(dir);
@@ -425,26 +418,10 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         },
         None => None,
     };
-    let tail_sig = meta.tail_cycle.and_then(|at| {
-        let bytes = std::fs::read(dir.join("tail.snap")).ok()?;
-        match cell::replay_tail(&meta.cell, meta.iters, &meta.nops, plan.as_ref(), bytes) {
-            Ok(sig) => {
-                println!("sas-runner: replay — restored tail.snap at cycle {at}, ran the tail");
-                Some(sig)
-            }
-            Err(e) => {
-                eprintln!("sas-runner: tail.snap rejected ({e}); full replay instead");
-                None
-            }
-        }
-    });
-    let sig = match tail_sig {
-        Some(s) => s,
-        None => catch_unwind(AssertUnwindSafe(|| {
-            cell::probe_signature(&meta.cell, meta.iters, &meta.nops, plan.as_ref())
-        }))
-        .unwrap_or_else(|_| "panic".to_string()),
-    };
+    let sig = catch_unwind(AssertUnwindSafe(|| {
+        cell::probe_signature(&meta.cell, meta.iters, &meta.nops, plan.as_ref())
+    }))
+    .unwrap_or_else(|_| "panic".to_string());
     println!(
         "sas-runner: replay {} — recorded {}, observed {sig}",
         meta.cell, meta.signature

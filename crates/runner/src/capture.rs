@@ -1,8 +1,10 @@
-//! Bounded capture of child output pipes.
+//! Watched children and bounded capture of their output pipes.
 //!
-//! The supervisor drains every child's stdout/stderr on reader threads so a
-//! chatty child never blocks on a full pipe while the parent polls
-//! `try_wait`. Draining must not trade that deadlock for an OOM: a looping
+//! Every child the supervisor starts — a cell or a shrinker probe — runs
+//! through [`run_watched`]: spawn, drain both pipes, poll `try_wait` under
+//! a wall-clock watchdog, and kill on expiry. The pipes are drained on
+//! reader threads so a chatty child never blocks on a full pipe while the
+//! parent polls. Draining must not trade that deadlock for an OOM: a looping
 //! child printing gigabytes would otherwise grow the capture buffer without
 //! bound inside the supervisor process. [`BoundedCapture`] keeps the **head**
 //! and **tail** of the stream within a fixed byte budget and replaces the
@@ -11,7 +13,10 @@
 //! `SAS_RUNNER_RESULT` line on stdout, the last panic lines on stderr).
 
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{self, Read};
+use std::process::{Command, ExitStatus, Stdio};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Default per-stream capture budget (bytes). Far above anything a healthy
 /// cell prints; small enough that even `jobs` concurrent runaway children
@@ -103,6 +108,73 @@ pub fn capture_bounded(mut reader: impl Read, cap: usize) -> BoundedCapture {
     }
 }
 
+/// How often [`run_watched`] polls its child.
+const POLL_PERIOD: Duration = Duration::from_millis(15);
+
+/// How a watched child ended.
+#[derive(Debug)]
+pub enum Watched {
+    /// The child exited, or a signal killed it, within the budget.
+    Exited {
+        /// Its exit status.
+        status: ExitStatus,
+        /// Its bounded stdout capture.
+        stdout: String,
+        /// Its bounded stderr capture.
+        stderr: String,
+    },
+    /// The watchdog killed the child when its budget ran out.
+    TimedOut,
+    /// Polling the child failed; it was killed.
+    WaitFailed(io::Error),
+}
+
+/// Spawns `cmd` with stdin closed and both output pipes drained through
+/// [`capture_bounded`], polls it every 15 ms (calling `on_poll` with the
+/// elapsed time between polls), and kills it once `timeout` has passed.
+/// The error is a failed spawn.
+pub fn run_watched(
+    cmd: &mut Command,
+    timeout: Duration,
+    mut on_poll: impl FnMut(Duration),
+) -> io::Result<Watched> {
+    let mut child =
+        cmd.stdin(Stdio::null()).stdout(Stdio::piped()).stderr(Stdio::piped()).spawn()?;
+    let stdout = drain(child.stdout.take().expect("piped stdout"));
+    let stderr = drain(child.stderr.take().expect("piped stderr"));
+    let started = Instant::now();
+    // `Err(None)`: the watchdog fired; `Err(Some(e))`: `try_wait` failed.
+    let end = loop {
+        match child.try_wait() {
+            Ok(Some(status)) => break Ok(status),
+            Ok(None) if started.elapsed() >= timeout => break Err(None),
+            Ok(None) => {
+                on_poll(started.elapsed());
+                std::thread::sleep(POLL_PERIOD);
+            }
+            Err(e) => break Err(Some(e)),
+        }
+    };
+    if end.is_err() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    let (stdout, stderr) = (joined(stdout), joined(stderr));
+    Ok(match end {
+        Ok(status) => Watched::Exited { status, stdout, stderr },
+        Err(None) => Watched::TimedOut,
+        Err(Some(e)) => Watched::WaitFailed(e),
+    })
+}
+
+fn drain(pipe: impl Read + Send + 'static) -> JoinHandle<BoundedCapture> {
+    std::thread::spawn(move || capture_bounded(pipe, DEFAULT_CAP))
+}
+
+fn joined(reader: JoinHandle<BoundedCapture>) -> String {
+    reader.join().map(BoundedCapture::into_string).unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +229,25 @@ mod tests {
         noisy.push_str("SAS_RUNNER_RESULT {\"cell\":\"x\",\"ok\":true}\n");
         let s = capture_bounded(noisy.as_bytes(), DEFAULT_CAP).into_string();
         assert!(s.lines().rev().any(|l| l.starts_with("SAS_RUNNER_RESULT ")), "tail lost");
+    }
+
+    #[test]
+    fn watched_children_exit_with_captures_or_time_out() {
+        let mut talk = Command::new("sh");
+        talk.args(["-c", "echo out; echo err >&2; exit 3"]);
+        match run_watched(&mut talk, Duration::from_secs(30), |_| {}).unwrap() {
+            Watched::Exited { status, stdout, stderr } => {
+                assert_eq!((status.code(), stdout.as_str(), stderr.as_str()), (Some(3), "out\n", "err\n"));
+            }
+            other => panic!("{other:?}"),
+        }
+        let mut polls = 0;
+        let mut hang = Command::new("sleep");
+        hang.arg("30");
+        let end = run_watched(&mut hang, Duration::from_millis(100), |_| polls += 1).unwrap();
+        assert!(matches!(end, Watched::TimedOut), "{end:?}");
+        assert!(polls > 0);
+        assert!(run_watched(&mut Command::new("/nonexistent/child"), Duration::ZERO, |_| {}).is_err());
     }
 
     #[test]

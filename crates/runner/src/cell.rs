@@ -7,6 +7,8 @@
 //! [`CellId::parse`] — they key manifest rows, name child-process work, and
 //! appear in failure summaries.
 
+use crate::manifest::Record;
+use crate::supervisor::{EXIT_DETERMINISTIC, EXIT_ENVIRONMENTAL};
 use sas_bench::checkpoint::CheckpointPlan;
 use sas_bench::{build_parsec_system, build_spec_system, run_cell_with};
 use sas_pipeline::FaultPlan;
@@ -19,7 +21,9 @@ use std::fmt;
 /// kill path in CI).
 pub const SELFTEST_ENV: &str = "SAS_RUNNER_SELFTEST";
 
-/// Marker prefixing the one-line JSON result a child prints on stdout.
+/// Marker prefixing the result line a cell child prints on stdout: one
+/// manifest row ([`Record`]) as JSON. Probe children print
+/// `{"signature":…}` after the same marker.
 pub const RESULT_MARKER: &str = "SAS_RUNNER_RESULT ";
 
 /// The supervisor's built-in self-check cells.
@@ -219,101 +223,21 @@ pub fn selftest_cells() -> Vec<CellId> {
     cells
 }
 
-/// What one in-process cell execution reports back to the supervisor (the
-/// payload of the [`RESULT_MARKER`] line).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellOutcome {
-    /// The cell that ran.
-    pub cell: String,
-    /// Whether it produced valid numbers.
-    pub ok: bool,
-    /// Stable exit tag.
-    pub exit: String,
-    /// Failure diagnostic (empty on success; truncated to stay one line).
-    pub detail: String,
-    /// Simulated cycles (0 where the notion does not apply).
-    pub cycles: u64,
-    /// Whether the cell resumed from a checkpoint or warm-forked from a
-    /// baseline image instead of starting cold.
-    pub restored: bool,
-    /// Whether a failure looks environmental (worth retrying) rather than
-    /// deterministic.
-    pub retriable: bool,
-    /// Final commit-time CPI stack, flat-encoded (`CpiStack::encode_flat`),
-    /// for cells that ran a pipeline to completion.
-    pub cpi: Option<String>,
+/// A passing row for `cell`.
+fn passed(cell: &CellId, cycles: u64) -> (Record, i32) {
+    (Record { cycles, ..Record::new(cell.to_string(), true, "halted", String::new()) }, 0)
 }
 
-impl CellOutcome {
-    fn ok(cell: &CellId, cycles: u64) -> CellOutcome {
-        CellOutcome {
-            cell: cell.to_string(),
-            ok: true,
-            exit: "halted".to_string(),
-            detail: String::new(),
-            cycles,
-            restored: false,
-            retriable: false,
-            cpi: None,
-        }
-    }
+/// A passing bench row, with its restore flag and final CPI stack.
+fn measured(cell: &CellId, c: &sas_bench::Cell) -> (Record, i32) {
+    let cpi = c.run.cpi().encode_flat(&sas_pipeline::DelayCause::ALL.map(|c| c.name()));
+    let (row, code) = passed(cell, c.cycles);
+    (Record { restored: c.restored, cpi: Some(cpi), ..row }, code)
+}
 
-    fn ok_with_cpi(cell: &CellId, c: &sas_bench::Cell) -> CellOutcome {
-        let mut o = CellOutcome::ok(cell, c.cycles);
-        o.restored = c.restored;
-        o.cpi = Some(c.run.cpi().encode_flat(&sas_pipeline::DelayCause::ALL.map(|c| c.name())));
-        o
-    }
-
-    /// A failure with no numbers, carrying `detail` verbatim.
-    pub fn failure(cell: &CellId, exit: &str, detail: String, retriable: bool) -> CellOutcome {
-        CellOutcome {
-            cell: cell.to_string(),
-            ok: false,
-            exit: exit.to_string(),
-            detail,
-            cycles: 0,
-            restored: false,
-            retriable,
-            cpi: None,
-        }
-    }
-
-    fn failed(cell: &CellId, exit: &str, detail: String, retriable: bool) -> CellOutcome {
-        CellOutcome::failure(cell, exit, clip(&detail), retriable)
-    }
-
-    /// Renders the outcome as the child's one-line JSON payload.
-    pub fn to_json(&self) -> String {
-        let r = crate::manifest::Record {
-            cell: self.cell.clone(),
-            ok: self.ok,
-            exit: self.exit.clone(),
-            detail: self.detail.clone(),
-            attempts: u32::from(self.retriable),
-            cycles: self.cycles,
-            restored: self.restored,
-            duration_ms: 0,
-            repro: None,
-            cpi: self.cpi.clone(),
-        };
-        r.to_json()
-    }
-
-    /// Parses an outcome from a child's [`RESULT_MARKER`] payload.
-    pub fn from_json(line: &str) -> Option<CellOutcome> {
-        let r = crate::manifest::Record::from_json(line)?;
-        Some(CellOutcome {
-            cell: r.cell,
-            ok: r.ok,
-            exit: r.exit,
-            detail: r.detail,
-            cycles: r.cycles,
-            restored: r.restored,
-            retriable: r.attempts != 0,
-            cpi: r.cpi,
-        })
-    }
+/// A failing row for `cell` (`detail` clipped) and its exit class.
+fn failed(cell: &CellId, exit: &str, detail: &str, class: i32) -> (Record, i32) {
+    (Record::new(cell.to_string(), false, exit, clip(detail)), class)
 }
 
 /// Truncates a failure diagnostic to a manifest-friendly single chunk.
@@ -333,18 +257,19 @@ fn find_profile(suite: &[Profile], name: &str) -> Option<Profile> {
     suite.iter().find(|p| p.name == name).cloned()
 }
 
-/// Executes one cell in the current process and reports its outcome. This is
-/// what `sas-runner cell <id>` calls inside the child, with the 1-based
-/// spawn `attempt` and the plan its flags describe (SPEC/PARSEC cells run
-/// under it; every cell removes the plan's heartbeat file when it ends);
-/// panics are the *caller's* job to catch (the binary wraps this in
-/// `catch_unwind`).
+/// Executes one cell in the current process and returns its row together
+/// with the exit class the child exits with: 0, [`EXIT_DETERMINISTIC`] or
+/// [`EXIT_ENVIRONMENTAL`]. This is what `sas-runner cell <id>` calls inside
+/// the child, with the 1-based spawn `attempt` and the plan its flags
+/// describe (SPEC/PARSEC cells run under it; every cell removes the plan's
+/// heartbeat file when it ends); panics are the *caller's* job to catch
+/// (the binary wraps this in `catch_unwind`).
 pub fn run_in_process(
     cell: &CellId,
     iters: u32,
     attempt: u32,
     plan: &CheckpointPlan,
-) -> CellOutcome {
+) -> (Record, i32) {
     let outcome = run_cell(cell, iters, attempt, plan);
     // Remove the heartbeat (and its rename-staging sibling) once the cell is
     // done, so a later campaign that lands on the same cell id can never
@@ -355,86 +280,64 @@ pub fn run_in_process(
     outcome
 }
 
-fn run_cell(cell: &CellId, iters: u32, attempt: u32, plan: &CheckpointPlan) -> CellOutcome {
+fn run_cell(cell: &CellId, iters: u32, attempt: u32, plan: &CheckpointPlan) -> (Record, i32) {
     match cell {
         CellId::Spec { benchmark, mitigation } => {
             let Some(p) = find_profile(&spec_suite(), benchmark) else {
-                return CellOutcome::failed(
-                    cell,
-                    "unknown",
-                    format!("no SPEC benchmark named {benchmark:?}"),
-                    false,
-                );
+                let detail = format!("no SPEC benchmark named {benchmark:?}");
+                return failed(cell, "unknown", &detail, EXIT_DETERMINISTIC);
             };
             let sys = build_spec_system(&p, *mitigation, iters);
             match run_cell_with(sys, "spec", p.name, *mitigation, plan) {
-                Ok(c) => CellOutcome::ok_with_cpi(cell, &c),
-                Err(f) => CellOutcome::failed(cell, f.exit, f.detail, false),
+                Ok(c) => measured(cell, &c),
+                Err(f) => failed(cell, f.exit, &f.detail, EXIT_DETERMINISTIC),
             }
         }
         CellId::Parsec { benchmark, mitigation } => {
             let Some(p) = find_profile(&parsec_suite(), benchmark) else {
-                return CellOutcome::failed(
-                    cell,
-                    "unknown",
-                    format!("no PARSEC benchmark named {benchmark:?}"),
-                    false,
-                );
+                let detail = format!("no PARSEC benchmark named {benchmark:?}");
+                return failed(cell, "unknown", &detail, EXIT_DETERMINISTIC);
             };
             let sys = build_parsec_system(&p, *mitigation, iters);
             match run_cell_with(sys, "parsec", p.name, *mitigation, plan) {
-                Ok(c) => CellOutcome::ok_with_cpi(cell, &c),
-                Err(f) => CellOutcome::failed(cell, f.exit, f.detail, false),
+                Ok(c) => measured(cell, &c),
+                Err(f) => failed(cell, f.exit, &f.detail, EXIT_DETERMINISTIC),
             }
         }
         CellId::Chaos { seed } => {
             let failures = chaos::judge(*seed);
             if failures.is_empty() {
-                CellOutcome::ok(cell, 0)
+                passed(cell, 0)
             } else {
-                CellOutcome::failed(cell, "chaos", failures.join("; "), false)
+                failed(cell, "chaos", &failures.join("; "), EXIT_DETERMINISTIC)
             }
         }
         CellId::Fuzz { seed, cases } => {
             let c = sas_fuzz::Campaign { seed: *seed, cases: *cases, ..Default::default() };
             let report = sas_fuzz::run_campaign(&c);
             if report.tally.unexplained() == 0 {
-                CellOutcome::ok(cell, 0)
-            } else {
-                let seeds: Vec<String> = report
-                    .disagreements
-                    .iter()
-                    .map(|d| format!("{:#x}", d.case.case_seed))
-                    .collect();
-                CellOutcome::failed(
-                    cell,
-                    "fuzz",
-                    format!(
-                        "{} unexplained disagreement(s); replay: sas-fuzz one --seed {}",
-                        report.tally.unexplained(),
-                        seeds.join(" / ")
-                    ),
-                    false,
-                )
+                return passed(cell, 0);
             }
+            let seeds: Vec<String> =
+                report.disagreements.iter().map(|d| format!("{:#x}", d.case.case_seed)).collect();
+            let detail = format!(
+                "{} unexplained disagreement(s); replay: sas-fuzz one --seed {}",
+                report.tally.unexplained(),
+                seeds.join(" / ")
+            );
+            failed(cell, "fuzz", &detail, EXIT_DETERMINISTIC)
         }
         CellId::Selftest { kind } => match kind {
-            SelftestKind::Ok => CellOutcome::ok(cell, 0),
+            SelftestKind::Ok => passed(cell, 0),
             SelftestKind::Panic => panic!("selftest/panic: deliberate deterministic panic"),
             SelftestKind::Hang => loop {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             },
+            SelftestKind::Flaky if attempt >= 2 => passed(cell, 0),
             SelftestKind::Flaky => {
-                if attempt >= 2 {
-                    CellOutcome::ok(cell, 0)
-                } else {
-                    CellOutcome::failed(
-                        cell,
-                        "flaky",
-                        format!("selftest/flaky: simulated environmental failure on attempt {attempt}"),
-                        true,
-                    )
-                }
+                let detail =
+                    format!("selftest/flaky: simulated environmental failure on attempt {attempt}");
+                failed(cell, "flaky", &detail, EXIT_ENVIRONMENTAL)
             }
         },
     }
@@ -498,7 +401,7 @@ fn spec_signature(exit: &sas_pipeline::RunExit) -> String {
     }
 }
 
-/// Cycle budget for probe and tail-replay runs.
+/// Cycle budget for probe runs.
 const PROBE_BUDGET_CYCLES: u64 = 1_000_000_000;
 
 /// Builds the exact system a SPEC/PARSEC probe measures — workload, NOP
@@ -538,61 +441,6 @@ fn probe_system(
         sys.arm_faults(plan);
     }
     Some(sys)
-}
-
-/// A captured fail-tail: the machine state shortly before the failure.
-#[derive(Debug, Clone)]
-pub struct TailSnapshot {
-    /// The encoded snapshot (a `sas-snap` container).
-    pub bytes: Vec<u8>,
-    /// The absolute cycle the snapshot restores to.
-    pub cycle: u64,
-}
-
-/// Re-runs the (minimized) failing SPEC/PARSEC scenario and snapshots the
-/// machine `lead` cycles before its failure point, so a replay can restore
-/// and run only the last stretch instead of replaying from cycle zero.
-/// `None` when the cell has no probe system, the scenario no longer fails,
-/// or the failure lands inside the first `lead` cycles (replaying from zero
-/// is already that cheap).
-pub fn tail_snapshot(
-    cell: &CellId,
-    iters: u32,
-    nops: &[usize],
-    plan: Option<&FaultPlan>,
-    lead: u64,
-) -> Option<TailSnapshot> {
-    let mut sys = probe_system(cell, iters, nops, plan)?;
-    let run = sys.run(PROBE_BUDGET_CYCLES);
-    if matches!(run.exit, sas_pipeline::RunExit::Halted) {
-        return None;
-    }
-    let at = sys.cycle().saturating_sub(lead);
-    if at == 0 {
-        return None;
-    }
-    let mut warm = probe_system(cell, iters, nops, plan)?;
-    warm.run(at);
-    let bytes = specasan::snapshot::snapshot_system(&warm, false).to_bytes();
-    Some(TailSnapshot { bytes, cycle: warm.cycle() })
-}
-
-/// Replays a captured fail-tail: restores the snapshot into a freshly built
-/// probe system (same recipe, fault plan re-armed) and runs only the
-/// remaining cycles, returning the observed failure signature. Errors are
-/// the snapshot being rejected — parse, CRC, or target mismatch.
-pub fn replay_tail(
-    cell: &CellId,
-    iters: u32,
-    nops: &[usize],
-    plan: Option<&FaultPlan>,
-    bytes: Vec<u8>,
-) -> Result<String, String> {
-    let mut sys = probe_system(cell, iters, nops, plan)
-        .ok_or_else(|| format!("{cell}: cell has no probe system to restore into"))?;
-    let snap = sas_snap::Snapshot::parse(bytes).map_err(|e| e.to_string())?;
-    specasan::snapshot::restore_system(&mut sys, &snap).map_err(|e| e.to_string())?;
-    Ok(spec_signature(&sys.run(PROBE_BUDGET_CYCLES).exit))
 }
 
 /// The cell's (core-0) victim program — the index space the shrinker
@@ -665,9 +513,9 @@ mod tests {
         assert!(!cell.shrinkable(), "the fuzzer ddmins its own counterexamples");
         assert!(victim_program(&cell, 1).is_none());
         assert_eq!(probe_signature(&cell, 1, &[], None), "clean");
-        let out = run_in_process(&cell, 1, 1, &CheckpointPlan::none());
+        let (out, code) = run_in_process(&cell, 1, 1, &CheckpointPlan::none());
         assert!(out.ok, "fixed-seed smoke campaign must be clean: {}", out.detail);
-        assert_eq!(out.exit, "halted");
+        assert_eq!((out.exit.as_str(), code), ("halted", 0));
     }
 
     #[test]
@@ -683,12 +531,12 @@ mod tests {
     fn selftest_outcomes_follow_the_attempt_contract() {
         let flaky = CellId::Selftest { kind: SelftestKind::Flaky };
         let plan = CheckpointPlan::none();
-        let first = run_in_process(&flaky, 1, 1, &plan);
-        assert!(!first.ok && first.retriable && first.exit == "flaky");
-        let second = run_in_process(&flaky, 1, 2, &plan);
-        assert!(second.ok && !second.retriable && second.exit == "halted");
-        let ok = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, 1, &plan);
-        assert!(ok.ok && ok.exit == "halted");
+        let (first, code) = run_in_process(&flaky, 1, 1, &plan);
+        assert!(!first.ok && first.exit == "flaky" && code == EXIT_ENVIRONMENTAL, "{first:?}");
+        let (second, code) = run_in_process(&flaky, 1, 2, &plan);
+        assert!(second.ok && second.exit == "halted" && code == 0, "{second:?}");
+        let (ok, code) = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, 1, &plan);
+        assert!(ok.ok && ok.exit == "halted" && code == 0, "{ok:?}");
     }
 
     #[test]
@@ -700,7 +548,7 @@ mod tests {
         std::fs::write(&path, "{\"cycle\":1,\"committed\":1}\n").unwrap();
         std::fs::write(path.with_extension("hb.tmp"), "torn").unwrap();
         let plan = CheckpointPlan { heartbeat: Some(path.clone()), ..CheckpointPlan::none() };
-        let out = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, 1, &plan);
+        let (out, _) = run_in_process(&CellId::Selftest { kind: SelftestKind::Ok }, 1, 1, &plan);
         assert!(out.ok);
         assert!(!path.exists(), "cell finish must delete the heartbeat file");
         assert!(!path.with_extension("hb.tmp").exists(), "staging sibling must go too");
@@ -708,17 +556,16 @@ mod tests {
 
     #[test]
     fn outcomes_round_trip_through_json() {
-        let o = CellOutcome {
-            cell: "spec/505.mcf_r/stt".into(),
-            ok: false,
-            exit: "deadlock".into(),
-            detail: "MSHR \"wedged\"".into(),
-            cycles: 0,
-            restored: true,
-            retriable: false,
-            cpi: Some("base=1;memory_bound=2".into()),
-        };
-        assert_eq!(CellOutcome::from_json(&o.to_json()), Some(o));
+        // The child's row crosses the result line unchanged; whether a
+        // failure is worth retrying rides the exit code, not the row.
+        let unknown = CellId::Spec { benchmark: "nope".into(), mitigation: Mitigation::Stt };
+        let (row, code) = run_in_process(&unknown, 1, 1, &CheckpointPlan::none());
+        assert_eq!((row.exit.as_str(), row.attempts, code), ("unknown", 0, EXIT_DETERMINISTIC));
+        let cpi = Some("base=1;memory_bound=2".into());
+        let measured = Record { restored: true, cpi, ..passed(&unknown, 7).0 };
+        for r in [row, measured] {
+            assert_eq!(Record::from_json(&r.to_json()), Some(r));
+        }
     }
 
     #[test]

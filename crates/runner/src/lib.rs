@@ -9,9 +9,13 @@
 //!
 //! * **Process isolation** ([`supervisor`]) — every cell runs in a child
 //!   process (the current executable re-invoked in single-cell mode), so a
-//!   crash, hang or kill can only ever take down that cell.
+//!   crash, hang or kill can only ever take down that cell. The child
+//!   prints its manifest row as its result line; its exit code alone says
+//!   whether a failure is worth retrying.
 //! * **Watchdog timeouts** — a per-cell wall-clock budget; a child that
-//!   exceeds it is killed and recorded as `exit:"timeout"`.
+//!   exceeds it is killed and recorded as `exit:"timeout"`. Cells and
+//!   shrinker probes run under one watched-child loop
+//!   ([`capture::run_watched`]).
 //! * **Retry with backoff** — environmental failures (spawn errors,
 //!   signal kills, OOM) are retried with exponential backoff; deterministic
 //!   failures (deadlock, divergence, panic) are not, because a deterministic
@@ -24,8 +28,8 @@
 //!   cells without a recorded row.
 //! * **Failure minimization** ([`shrink`]) — a deterministic failure is
 //!   delta-debugged down to a minimal victim program and fault plan, emitted
-//!   as a repro bundle under `target/repro/` that `sas-runner replay`
-//!   re-checks.
+//!   as a repro bundle under `target/repro/` whose recipe `sas-runner
+//!   replay` re-runs from cycle zero.
 //!
 //! Everything is built from `std` only (threads + `std::process`), keeping
 //! the workspace hermetic.
@@ -41,6 +45,6 @@ pub mod shrink;
 pub mod supervisor;
 pub mod sweep;
 
-pub use cell::{CellId, CellOutcome, SelftestKind};
+pub use cell::{CellId, SelftestKind};
 pub use manifest::Record;
 pub use supervisor::{run_campaign, CampaignReport, Config};

@@ -4,6 +4,8 @@
 //! `sas_bench::jsonl`'s durable log: each record is a single append of the
 //! row and its newline, so concurrent workers never interleave inside a row
 //! and a supervisor killed mid-write can tear at most the trailing line.
+//! A [`Record`] is also what a cell child prints on its result line; the
+//! supervisor adds the attempt count and wall time and appends it.
 //!
 //! The manifest doubles as the campaign checkpoint: [`load_and_repair`]
 //! parses it back, truncates a torn trailing line in place, and returns the
@@ -47,6 +49,23 @@ pub struct Record {
 }
 
 impl Record {
+    /// A row as a child reports it: no cycles, not restored, no CPI stack,
+    /// and `attempts`, `duration_ms` and `repro` left for the supervisor.
+    pub fn new(cell: String, ok: bool, exit: &str, detail: String) -> Record {
+        Record {
+            cell,
+            ok,
+            exit: exit.to_string(),
+            detail,
+            attempts: 0,
+            cycles: 0,
+            restored: false,
+            duration_ms: 0,
+            repro: None,
+            cpi: None,
+        }
+    }
+
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = format!(

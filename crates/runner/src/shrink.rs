@@ -14,31 +14,24 @@
 //! * `plan.txt` — the minimized fault-plan spec, when faults were involved;
 //! * `repro.sasm` — the minimized victim program as parseable assembly
 //!   (chaos cells only: SPEC/PARSEC workloads carry multi-megabyte data
-//!   segments, so their bundles stay recipe-based);
-//! * `tail.snap` — SPEC/PARSEC cells only: a `sas-snap` snapshot of the
-//!   minimized scenario [`TAIL_LEAD_CYCLES`] before its failure point, so
-//!   `sas-runner replay` restores and runs just the last stretch instead of
-//!   replaying the whole workload from cycle zero.
+//!   segments, so their bundles stay recipe-based).
 //!
-//! Everything runs under a fixed probe budget; minimization is best-effort
-//! and monotone — the bundle always reproduces the signature, it just may
-//! not be globally minimal.
+//! `sas-runner replay` re-runs that recipe from cycle zero — one more
+//! probe-length run. Every probe, like every cell, is a watched child
+//! ([`crate::capture::run_watched`]); the shrinker runs no simulation in
+//! the supervisor's own process. Everything runs under a fixed probe
+//! budget; minimization is best-effort and monotone — the bundle always
+//! reproduces the signature, it just may not be globally minimal.
 
+use crate::capture::{run_watched, Watched};
 use crate::cell::{self, CellId};
-use crate::supervisor::Config;
+use crate::supervisor::{result_line, Config};
 use sas_pipeline::json::{self, escape, Json};
-use std::io::Read as _;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
 
 /// Maximum child probes one shrink may spend.
 pub const PROBE_BUDGET: u32 = 40;
-
-/// How many cycles before the failure point a bundle's fail-tail snapshot
-/// is taken: `sas-runner replay` restores it and runs only this last
-/// stretch instead of replaying the whole workload from cycle zero.
-pub const TAIL_LEAD_CYCLES: u64 = 10_000;
 
 /// What the shrinker produced for one failed cell.
 #[derive(Debug, Clone)]
@@ -55,9 +48,6 @@ pub struct ShrinkOutcome {
     pub total_insts: usize,
     /// The minimized fault-plan spec, when the failure involved one.
     pub plan: Option<String>,
-    /// Absolute cycle the bundle's `tail.snap` restores to, when a
-    /// fail-tail snapshot was captured (SPEC/PARSEC cells).
-    pub tail_cycle: Option<u64>,
 }
 
 struct Prober<'a> {
@@ -78,50 +68,27 @@ impl Prober<'_> {
         cmd.arg("probe")
             .arg(self.cell.to_string())
             .arg("--iters")
-            .arg(self.cfg.iters.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
+            .arg(self.cfg.iters.to_string());
         if !nops.is_empty() {
             cmd.arg("--nops").arg(csv(nops));
         }
         if let Some(p) = plan {
             cmd.arg("--plan").arg(p);
         }
-        let mut child = cmd.spawn().ok()?;
-        let mut pipe = child.stdout.take()?;
-        let reader = std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            let _ = pipe.read_to_end(&mut buf);
-            buf
-        });
         // Probes get the same watchdog budget as supervised cells; a probe
         // that hangs additionally burns extra budget so runaway candidates
         // (each costing a whole timeout) cannot stretch the shrink for long.
-        let timeout = self.cfg.timeout;
-        let started = Instant::now();
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if started.elapsed() >= timeout => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = reader.join();
-                    self.probes += 3;
-                    return Some("hang".to_string());
-                }
-                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                Err(_) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = reader.join();
-                    return None;
-                }
+        match run_watched(&mut cmd, self.cfg.timeout, |_| {}).ok()? {
+            Watched::Exited { stdout, .. } => {
+                let doc = json::parse(result_line(&stdout)?).ok()?;
+                doc.get("signature")?.as_str().map(str::to_string)
             }
+            Watched::TimedOut => {
+                self.probes += 3;
+                Some("hang".to_string())
+            }
+            Watched::WaitFailed(_) => None,
         }
-        let stdout = String::from_utf8_lossy(&reader.join().ok()?).into_owned();
-        let line = stdout.lines().rev().find_map(|l| l.trim().strip_prefix(cell::RESULT_MARKER))?;
-        json::parse(line).ok()?.get("signature")?.as_str().map(str::to_string)
     }
 }
 
@@ -238,11 +205,6 @@ pub fn shrink_cell(cell: &CellId, cfg: &Config) -> Option<ShrinkOutcome> {
     }
     let plan = plan0.map(|p| minimize_plan(&mut prober, &base_sig, &p));
     let nops = minimize_program(&mut prober, &base_sig, plan.as_deref(), total, &protected);
-    // Capture the fail-tail of the *minimized* scenario: replays restore
-    // this snapshot and run only the last stretch. Best-effort — a scenario
-    // whose minimized form stopped failing in-process just ships without.
-    let parsed_plan = plan.as_deref().and_then(|p| sas_pipeline::FaultPlan::from_spec(p).ok());
-    let tail = cell::tail_snapshot(cell, cfg.iters, &nops, parsed_plan.as_ref(), TAIL_LEAD_CYCLES);
     let outcome = ShrinkOutcome {
         dir: bundle_dir(cfg, cell),
         signature: base_sig,
@@ -250,9 +212,8 @@ pub fn shrink_cell(cell: &CellId, cfg: &Config) -> Option<ShrinkOutcome> {
         nops,
         total_insts: total,
         plan,
-        tail_cycle: tail.as_ref().map(|t| t.cycle),
     };
-    write_bundle(cell, cfg, &outcome, tail.as_ref().map(|t| t.bytes.as_slice())).ok()?;
+    write_bundle(cell, cfg, &outcome).ok()?;
     eprintln!(
         "sas-runner: shrink {cell}: signature {} reproduced with {}/{} instructions NOPped \
          ({} probes) — bundle at {}",
@@ -285,12 +246,7 @@ pub fn bundle_name(dir: &std::path::Path) -> Result<String, String> {
     })
 }
 
-fn write_bundle(
-    cell: &CellId,
-    cfg: &Config,
-    out: &ShrinkOutcome,
-    tail: Option<&[u8]>,
-) -> std::io::Result<()> {
+fn write_bundle(cell: &CellId, cfg: &Config, out: &ShrinkOutcome) -> std::io::Result<()> {
     use std::fmt::Write as _;
     std::fs::create_dir_all(&out.dir)?;
     let mut meta = format!(
@@ -305,16 +261,10 @@ fn write_bundle(
     if let Some(p) = &out.plan {
         let _ = write!(meta, ",\"plan\":\"{}\"", escape(p));
     }
-    if let Some(c) = out.tail_cycle {
-        let _ = write!(meta, ",\"tail_cycle\":{c}");
-    }
     meta.push_str("}\n");
     std::fs::write(out.dir.join("meta.json"), meta)?;
     if let Some(p) = &out.plan {
         std::fs::write(out.dir.join("plan.txt"), format!("{p}\n"))?;
-    }
-    if let Some(bytes) = tail {
-        std::fs::write(out.dir.join("tail.snap"), bytes)?;
     }
     if let Some(sasm) = cell::repro_sasm(cell, &out.nops) {
         std::fs::write(out.dir.join("repro.sasm"), sasm)?;
@@ -343,11 +293,10 @@ pub struct BundleMeta {
     pub nops: Vec<usize>,
     /// The fault-plan spec, if any.
     pub plan: Option<String>,
-    /// Absolute cycle `tail.snap` restores to, when the bundle has one.
-    pub tail_cycle: Option<u64>,
 }
 
-/// Loads a bundle's `meta.json`.
+/// Loads a bundle's `meta.json`. `iters` must be an integer in
+/// `1..=u32::MAX`, as on every other entry point.
 pub fn load_bundle(dir: &std::path::Path) -> Result<BundleMeta, String> {
     // Reject pathological replay paths (`/`, `bundle/..`) up front with a
     // structured message instead of a confusing read error further down.
@@ -369,10 +318,14 @@ pub fn load_bundle(dir: &std::path::Path) -> Result<BundleMeta, String> {
     Ok(BundleMeta {
         cell,
         signature: get("signature").ok_or("meta.json: missing signature")?,
-        iters: doc.get("iters").and_then(Json::as_u64).ok_or("meta.json: missing iters")? as u32,
+        iters: doc
+            .get("iters")
+            .and_then(Json::as_u64)
+            .and_then(|n| u32::try_from(n).ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("meta.json: \"iters\" must be an integer in 1..={}", u32::MAX))?,
         nops,
         plan: get("plan"),
-        tail_cycle: doc.get("tail_cycle").and_then(Json::as_u64),
     })
 }
 

@@ -21,12 +21,13 @@
 //! first and write the warm image; every other mitigation cell of the same
 //! benchmark forks from it past warmup.
 
-use crate::cell::{self, CellId, CellOutcome};
+use crate::capture::{self, Watched};
+use crate::cell::{self, CellId};
 use crate::manifest::{self, Record};
-use crate::{capture, heartbeat, sweep};
+use crate::{heartbeat, sweep};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -294,64 +295,27 @@ pub fn run_campaign(cells: &[CellId], cfg: &Config) -> std::io::Result<CampaignR
     })
 }
 
-enum ChildEnd {
-    /// Clean exit 0 with a parsed result line.
-    Ok(CellOutcome),
-    /// Deterministic failure — do not retry.
-    Deterministic(CellOutcome),
-    /// Watchdog kill — recorded as `timeout`, not retried.
-    Timeout,
-    /// Environmental failure — retry with backoff.
-    Environmental(CellOutcome),
-}
-
 /// Supervises one cell to completion: spawn, watchdog, classify, retry.
+/// The row is the child's own, with the attempt count and wall time set.
 pub fn supervise_cell(cell: &CellId, cfg: &Config) -> Record {
     let id = cell.to_string();
     let start = Instant::now();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let end = run_child(cell, cfg, attempt);
-        let finish = |ok: bool, o: CellOutcome| Record {
-            cell: id.clone(),
-            ok,
-            exit: o.exit,
-            detail: o.detail,
-            attempts: attempt,
-            cycles: o.cycles,
-            restored: o.restored,
-            duration_ms: start.elapsed().as_millis() as u64,
-            repro: None,
-            cpi: o.cpi,
-        };
-        match end {
-            ChildEnd::Ok(o) => return finish(true, o),
-            ChildEnd::Deterministic(o) => return finish(false, o),
-            ChildEnd::Timeout => {
-                return finish(
-                    false,
-                    env_failure(
-                        cell,
-                        "timeout",
-                        format!("watchdog killed the cell after {} ms", cfg.timeout.as_millis()),
-                    ),
-                )
-            }
-            ChildEnd::Environmental(o) => {
-                if attempt > cfg.retries {
-                    return finish(false, o);
-                }
-                let backoff = backoff_delay(cfg.backoff, attempt, sas_snap::fnv1a(id.as_bytes()));
-                eprintln!(
-                    "sas-runner: {} attempt {attempt} failed environmentally ({}); retrying in {} ms",
-                    id,
-                    o.exit,
-                    backoff.as_millis()
-                );
-                std::thread::sleep(backoff);
-            }
+        let (mut row, retriable) = run_child(cell, cfg, attempt);
+        if !retriable || attempt > cfg.retries {
+            row.attempts = attempt;
+            row.duration_ms = start.elapsed().as_millis() as u64;
+            return row;
         }
+        let backoff = backoff_delay(cfg.backoff, attempt, sas_snap::fnv1a(id.as_bytes()));
+        eprintln!(
+            "sas-runner: {id} attempt {attempt} failed environmentally ({}); retrying in {} ms",
+            row.exit,
+            backoff.as_millis()
+        );
+        std::thread::sleep(backoff);
     }
 }
 
@@ -377,14 +341,12 @@ pub fn backoff_delay(base: Duration, attempt: u32, seed: u64) -> Duration {
     (exp + jitter).min(BACKOFF_CAP)
 }
 
-fn env_failure(cell: &CellId, exit: &str, detail: String) -> CellOutcome {
-    CellOutcome::failure(cell, exit, detail, true)
-}
-
 /// How often the supervisor reports child heartbeats on stderr.
 const HEARTBEAT_PRINT_PERIOD: Duration = Duration::from_secs(2);
 
-fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
+/// Runs one attempt of a cell in a watched child: its row, and whether the
+/// failure (if any) is environmental and so worth retrying.
+fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> (Record, bool) {
     let id = cell.to_string();
     // With a state dir armed, heartbeats live next to the checkpoints so the
     // startup sweep can reclaim orphans after a SIGKILLed supervisor.
@@ -401,10 +363,7 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
         .arg("--attempt")
         .arg(attempt.to_string())
         .arg("--heartbeat")
-        .arg(&hb_path)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
+        .arg(&hb_path);
     if let (Some(dir), Some((suite, benchmark))) = (&cfg.checkpoint_dir, bench_target(cell)) {
         cmd.arg("--checkpoint").arg(checkpoint_path(dir, cell));
         if let Some(every) = cfg.checkpoint_every {
@@ -427,101 +386,65 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
             cmd.arg("--fault-plan").arg(plan);
         }
     }
-    let mut child = match cmd.spawn() {
-        Ok(c) => c,
-        Err(e) => return ChildEnd::Environmental(env_failure(cell, "spawn", e.to_string())),
-    };
-    // Drain both pipes on reader threads so a chatty child never blocks on a
-    // full pipe while the parent only polls `try_wait`; the captures are
-    // byte-bounded (head + tail) so a looping child cannot OOM the
-    // supervisor either.
-    let stdout_pipe = child.stdout.take().expect("piped stdout");
-    let stderr_pipe = child.stderr.take().expect("piped stderr");
-    let stdout_reader =
-        std::thread::spawn(move || capture::capture_bounded(stdout_pipe, capture::DEFAULT_CAP));
-    let stderr_reader =
-        std::thread::spawn(move || capture::capture_bounded(stderr_pipe, capture::DEFAULT_CAP));
-
-    let started = Instant::now();
-    let mut last_print = Instant::now();
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) => {
-                if started.elapsed() >= cfg.timeout {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = stdout_reader.join();
-                    let _ = stderr_reader.join();
-                    heartbeat::remove(&hb_path);
-                    return ChildEnd::Timeout;
-                }
-                // Throttled progress lines from the child's heartbeat file
-                // (informational: the watchdog judges only elapsed time).
-                if last_print.elapsed() >= HEARTBEAT_PRINT_PERIOD {
-                    last_print = Instant::now();
-                    if let Some(hb) = heartbeat::read(&hb_path) {
-                        eprintln!(
-                            "sas-runner: {} heartbeat — {:.1}s elapsed, cycle {}, {} committed",
-                            id,
-                            started.elapsed().as_secs_f64(),
-                            hb.cycle,
-                            hb.committed
-                        );
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                let _ = stdout_reader.join();
-                let _ = stderr_reader.join();
-                heartbeat::remove(&hb_path);
-                return ChildEnd::Environmental(env_failure(cell, "wait", e.to_string()));
+    // Throttled progress lines from the child's heartbeat file
+    // (informational: the watchdog judges only elapsed time).
+    let mut printed = Duration::ZERO;
+    let on_poll = |elapsed: Duration| {
+        if elapsed >= printed + HEARTBEAT_PRINT_PERIOD {
+            printed = elapsed;
+            if let Some(hb) = heartbeat::read(&hb_path) {
+                eprintln!(
+                    "sas-runner: {id} heartbeat — {:.1}s elapsed, cycle {}, {} committed",
+                    elapsed.as_secs_f64(),
+                    hb.cycle,
+                    hb.committed
+                );
             }
         }
     };
+    let end = capture::run_watched(&mut cmd, cfg.timeout, on_poll);
     heartbeat::remove(&hb_path);
-    let stdout = stdout_reader.join().map(capture::BoundedCapture::into_string).unwrap_or_default();
-    let stderr = stderr_reader.join().map(capture::BoundedCapture::into_string).unwrap_or_default();
-    let reported = parse_result_line(&stdout);
+    let fail = |exit: &str, detail: String| Record::new(id.clone(), false, exit, detail);
+    let (status, stdout, stderr) = match end {
+        Ok(Watched::Exited { status, stdout, stderr }) => (status, stdout, stderr),
+        Ok(Watched::TimedOut) => {
+            let detail = format!("watchdog killed the cell after {} ms", cfg.timeout.as_millis());
+            return (fail("timeout", detail), false);
+        }
+        Ok(Watched::WaitFailed(e)) => return (fail("wait", e.to_string()), true),
+        Err(e) => return (fail("spawn", e.to_string()), true),
+    };
+    // The child's row counts only when it names this cell and agrees with
+    // the exit code on whether the cell passed.
+    let reported = result_line(&stdout)
+        .and_then(Record::from_json)
+        .filter(|r| r.cell == id && r.ok == (status.code() == Some(0)));
     match status.code() {
         Some(0) => match reported {
-            Some(o) if o.ok => ChildEnd::Ok(o),
+            Some(row) => (row, false),
             // An exit-0 child that reported a failure (or nothing) broke the
-            // protocol; treat as environmental once, deterministic when it
-            // persists — retries sort it out.
-            _ => ChildEnd::Environmental(env_failure(
-                cell,
-                "protocol",
-                "child exited 0 without an ok result line".to_string(),
-            )),
+            // protocol; it is retried like an environmental failure.
+            None => (fail("protocol", "child exited 0 without an ok result line".to_string()), true),
         },
-        Some(EXIT_DETERMINISTIC) => ChildEnd::Deterministic(
-            reported.unwrap_or_else(|| CellOutcome::failure(cell, "failed", tail(&stderr), false)),
-        ),
-        Some(EXIT_ENVIRONMENTAL) => ChildEnd::Environmental(
-            reported.unwrap_or_else(|| env_failure(cell, "environmental", tail(&stderr))),
-        ),
+        Some(EXIT_DETERMINISTIC) => (reported.unwrap_or_else(|| fail("failed", tail(&stderr))), false),
+        Some(EXIT_ENVIRONMENTAL) => {
+            (reported.unwrap_or_else(|| fail("environmental", tail(&stderr))), true)
+        }
         // A raw panic (or any unexpected exit code) is deterministic: the
         // simulator and harnesses are seeded, so re-running reproduces it.
         Some(code) => {
             let exit = if code == 101 { "panic".to_string() } else { format!("exit:{code}") };
-            ChildEnd::Deterministic(CellOutcome::failure(cell, &exit, tail(&stderr), false))
+            (fail(&exit, tail(&stderr)), false)
         }
         // Killed by a signal (OOM killer, operator): environmental.
-        None => ChildEnd::Environmental(env_failure(cell, "signal", tail(&stderr))),
+        None => (fail("signal", tail(&stderr)), true),
     }
 }
 
-/// The child's final `SAS_RUNNER_RESULT` line, if it printed one.
-fn parse_result_line(stdout: &str) -> Option<CellOutcome> {
-    stdout
-        .lines()
-        .rev()
-        .find_map(|l| l.trim().strip_prefix(cell::RESULT_MARKER))
-        .and_then(CellOutcome::from_json)
+/// The payload of the last [`cell::RESULT_MARKER`] line in a child's
+/// stdout, if it printed one.
+pub(crate) fn result_line(stdout: &str) -> Option<&str> {
+    stdout.lines().rev().find_map(|l| l.trim().strip_prefix(cell::RESULT_MARKER))
 }
 
 /// The last few stderr lines, for failure diagnostics.
@@ -710,18 +633,20 @@ mod tests {
 
     #[test]
     fn result_lines_parse_from_mixed_stdout() {
-        let o = CellOutcome {
-            cell: "selftest/ok".into(),
-            ok: true,
-            exit: "halted".into(),
-            detail: String::new(),
+        let row = Record {
             cycles: 5,
             restored: true,
-            retriable: false,
             cpi: Some("base=4;memory_bound=1".into()),
+            ..Record::new("selftest/ok".into(), true, "halted", String::new())
         };
-        let stdout = format!("noise\nmore noise\n{}{}\n", cell::RESULT_MARKER, o.to_json());
-        assert_eq!(parse_result_line(&stdout), Some(o));
-        assert_eq!(parse_result_line("no marker here\n"), None);
+        let stale = Record::new("selftest/ok".into(), false, "flaky", String::new());
+        let stdout = format!(
+            "noise\n{marker}{}\nmore noise\n{marker}{}\n",
+            stale.to_json(),
+            row.to_json(),
+            marker = cell::RESULT_MARKER
+        );
+        assert_eq!(result_line(&stdout).and_then(Record::from_json), Some(row));
+        assert_eq!(result_line("no marker here\n"), None);
     }
 }

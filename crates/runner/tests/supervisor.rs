@@ -272,6 +272,24 @@ fn shrinker_bundle_reproduces_the_failure_class() {
     assert!(stdout.contains("replay OK"), "{stdout}");
 }
 
+/// A bundle whose `meta.json` carries an iteration count outside
+/// `1..=u32::MAX` is unreadable: `replay` exits 2 naming `iters`.
+#[test]
+fn replay_refuses_a_bundle_with_a_bad_iteration_count() {
+    for (name, iters) in [("zero", "0"), ("wrap", "4294967296")] {
+        let dir = tmp_dir(&format!("bad-iters-{name}")).join("spec-505.mcf_r-stt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = format!(
+            "{{\"cell\":\"spec/505.mcf_r/stt\",\"signature\":\"abort:deadlock\",\"iters\":{iters},\"nops\":\"\"}}\n"
+        );
+        std::fs::write(dir.join("meta.json"), meta).unwrap();
+        let out = runner(&["replay", dir.to_str().unwrap()]).output().expect("spawn sas-runner");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "iters {iters}: {stderr}");
+        assert!(stderr.contains("\"iters\""), "iters {iters}: {stderr}");
+    }
+}
+
 /// The paper-grid acceptance scenario: a fault plan deterministically aborts
 /// one SPEC cell; the campaign completes every other cell, exits nonzero
 /// naming the failed cell, writes a replayable repro bundle, and a resumed

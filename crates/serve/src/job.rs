@@ -181,37 +181,12 @@ impl JobSpec {
     }
 
     /// Reparses a journal row's fields (inverse of
-    /// [`JobSpec::journal_fields`]).
+    /// [`JobSpec::journal_fields`]) through [`parse_request`], the decoder
+    /// every request passes at admission: the row's `kind` is the method,
+    /// the row itself the params.
     pub fn from_journal(row: &Json) -> Option<JobSpec> {
         let kind = row.get("kind")?.as_str()?;
-        let target = || {
-            Target::from_fields(
-                row.get("target").and_then(Json::as_str),
-                row.get("program").and_then(Json::as_str),
-            )
-            .ok()
-        };
-        let mitigation = || Mitigation::parse(row.get("mitigation")?.as_str()?);
-        let iters = || row.get("iters")?.as_u64().map(|n| n as u32);
-        match kind {
-            "simulate" => Some(JobSpec::Simulate {
-                target: target()?,
-                mitigation: mitigation()?,
-                iters: iters()?,
-            }),
-            "trace" => Some(JobSpec::Trace {
-                target: target()?,
-                mitigation: mitigation()?,
-                iters: iters()?,
-                chrome: row.get("chrome")?.as_bool()?,
-            }),
-            "lint" => Some(JobSpec::Lint {
-                program: row.get("program")?.as_str()?.to_string(),
-                suggest: row.get("suggest")?.as_bool()?,
-            }),
-            "spin" => Some(JobSpec::Spin { millis: row.get("millis")?.as_u64()? }),
-            _ => None,
-        }
+        parse_request(kind, row).ok().map(|(spec, _, _)| spec)
     }
 }
 

@@ -253,6 +253,25 @@ mod tests {
     }
 
     #[test]
+    fn an_accepted_row_with_an_out_of_range_iteration_count_is_refused() {
+        // No live request can carry these counts, so no replay may run them.
+        for (i, iters) in ["0", "4294967296"].iter().enumerate() {
+            let path = dir().join(format!("j5-{i}.jsonl"));
+            std::fs::write(
+                &path,
+                format!(
+                    "{{\"event\":\"accepted\",\"job\":1,\"deadline_ms\":9000,\"kind\":\"simulate\",\
+                     \"target\":\"505.mcf_r\",\"mitigation\":\"stt\",\"iters\":{iters}}}\n"
+                ),
+            )
+            .unwrap();
+            let err = Journal::open(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "iters {iters}: {err}");
+            assert!(err.to_string().contains("unreadable accepted row 1"), "{err}");
+        }
+    }
+
+    #[test]
     fn corrupt_interior_rows_are_refused() {
         let path = dir().join("j3.jsonl");
         std::fs::write(&path, "not json at all\n{\"event\":\"resolved\",\"job\":1}\n").unwrap();

@@ -36,6 +36,12 @@ if grep -rn 'std::fs' crates/{isa,mte,mem,pipeline,telemetry,oracle,workloads}/s
   echo "tier1: FAIL — simulator engine code does file I/O (lines above)" >&2
   exit 1
 fi
+# One restore path in workspace code: only `restore_system_checked` (in
+# crates/core/src/snapshot.rs) calls the unchecked `restore_system`.
+if grep -rn 'restore_system(' crates/*/src src | grep -v '^crates/core/src/snapshot.rs'; then
+  echo "tier1: FAIL — workspace code calls the unchecked restore_system (lines above)" >&2
+  exit 1
+fi
 
 echo "== tier1: offline test suite =="
 cargo test -q --offline
