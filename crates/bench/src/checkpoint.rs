@@ -29,11 +29,10 @@
 //!   from the start — corrupted state is never resumed.
 //! * [`CheckpointPlan::warm_base`] (`--warm-base PATH`) — the benchmark's
 //!   warmed-baseline snapshot. The `unsafe` baseline cell creates it after
-//!   [`CheckpointPlan::warm_cycles`] cycles (`--warm-cycles N`, default
-//!   50 000); every other mitigation cell of the same benchmark restores it
-//!   and skips simulating the warmup phase under its own policy. Cycle
-//!   counts stay comparable because restore resumes the absolute cycle
-//!   counter.
+//!   [`WARM_CYCLES`] cycles; every other mitigation cell of the same
+//!   benchmark restores it and skips simulating the warmup phase under its
+//!   own policy. Cycle counts stay comparable because restore resumes the
+//!   absolute cycle counter.
 //! * [`CheckpointPlan::exit_after`] (`--crash-after-checkpoints N`) — test
 //!   hook: exit with the environmental-failure code ([`EXIT_AFTER_CODE`])
 //!   after writing N checkpoints, simulating a mid-cell crash at a
@@ -60,6 +59,9 @@ pub const EXIT_AFTER_CODE: u8 = 11;
 /// checkpoint boundaries): the heartbeat cadence and the longest stretch a
 /// control callback goes unpolled.
 pub const STOP_EVERY: u64 = 100_000;
+
+/// The cycle at which the baseline cell writes its warmed-baseline image.
+pub const WARM_CYCLES: u64 = 50_000;
 
 /// What a [`run_supervised_with`] control callback tells the run loop at a
 /// stop.
@@ -95,8 +97,6 @@ pub struct CheckpointPlan {
     pub every: u64,
     /// The benchmark's shared warmed-baseline snapshot, if forking.
     pub warm_base: Option<PathBuf>,
-    /// Warmup length in cycles when *creating* the warm base (0 = 50 000).
-    pub warm_cycles: u64,
     /// Test hook: crash (exit [`EXIT_AFTER_CODE`]) after N checkpoints.
     pub exit_after: u64,
     /// Fault plan armed on the machine before any restore.
@@ -117,15 +117,6 @@ impl CheckpointPlan {
             self.every
         } else {
             1_000_000
-        }
-    }
-
-    /// The effective warmup length (defaulted).
-    fn warmup(&self) -> u64 {
-        if self.warm_cycles > 0 {
-            self.warm_cycles
-        } else {
-            50_000
         }
     }
 }
@@ -215,7 +206,7 @@ pub fn run_supervised_with(
                     ),
                 }
             } else if is_baseline(sys) {
-                let warm_at = plan.warmup().min(budget);
+                let warm_at = WARM_CYCLES.min(budget);
                 let run = sys.run(warm_at);
                 // Only a still-running machine is a useful fork point; a
                 // workload that finished inside the warmup window leaves no

@@ -3,7 +3,9 @@
 //! Shared plumbing for the bench targets that regenerate every table and
 //! figure of the paper (see `benches/`): workload execution under each
 //! mitigation, normalization against the unsafe baseline, and the figure
-//! renderers.
+//! renderers. [`Target`] is also the one way every other front end
+//! (`sas-runner`, `sas-serve`, `sas-sim`, `sas-trace`) turns a machine's
+//! name into a built [`System`].
 //!
 //! Run lengths are controlled by `SAS_BENCH_ITERS` (outer-loop iterations
 //! per benchmark; default 150 ≈ 40–80 k committed instructions each) so CI
@@ -13,8 +15,14 @@
 #![forbid(unsafe_code)]
 
 use crate::checkpoint::{CheckpointPlan, Interrupt};
+use sas_attacks::spectre::spectre_v1_program;
+use sas_attacks::{layout, GadgetFlavor};
+use sas_isa::Program;
 use sas_pipeline::{DelayCause, RunExit, RunResult, System};
-use sas_workloads::{build_parsec_workload, build_workload, parse_iterations, Profile, Workload};
+use sas_workloads::{
+    build_parsec_workload, build_workload, parse_iterations, parsec_suite, spec_suite, Profile,
+    Workload,
+};
 use specasan::{build_multicore, build_system, Mitigation, SimConfig};
 use std::collections::HashMap;
 use std::fmt;
@@ -43,6 +51,13 @@ pub fn bench_iterations() -> u32 {
 
 /// Deterministic seed used by every harness.
 pub const SEED: u64 = 0x5A5_CA5A;
+
+/// Gauge sampling period, in cycles, of a traced run (`sas-trace` and the
+/// `sas-serve` trace job).
+pub const TRACE_SAMPLE_INTERVAL: u64 = 64;
+
+/// Per-core instruction-timeline capacity of a traced run.
+pub const TRACE_TIMELINE_CAP: usize = 65_536;
 
 /// Why a (benchmark, mitigation) cell produced no valid numbers. Returned by
 /// [`check_clean_exit`] so abort handling is the *caller's* policy: direct
@@ -142,32 +157,127 @@ fn cached_workloads(
     cache.lock().unwrap().entry(key).or_insert(built).clone()
 }
 
-/// Builds the single-core system for one SPEC workload — program loaded,
-/// data installed, *not* run — through the shared workload cache. Hosts
-/// that drive runs themselves (the `sas-serve` worker pool, through
-/// [`checkpoint::run_supervised_with`]) start here; [`run_spec_checked`] is
-/// the batteries-included wrapper.
-pub fn build_spec_system(profile: &Profile, m: Mitigation, iterations: u32) -> System {
-    let ws = cached_workloads(("spec", profile.name, iterations), || {
-        vec![build_workload(profile, iterations, SEED, 0)]
-    });
-    let mut sys = build_system(&SimConfig::table2(), ws[0].program.clone(), m);
-    ws[0].setup.apply(&mut sys);
-    sys
+/// The name [`Target::parse`] gives the Listing-1 Spectre-v1 PoC.
+const SPECTRE_V1: &str = "spectre-v1";
+
+/// A machine a front end can name: the Listing-1 Spectre-v1
+/// bounds-check-bypass PoC, a SPEC profile on one core, or a PARSEC
+/// profile on four. [`Target::system`] is the one way every front end
+/// (bench targets, `sas-runner` cells and probes, `sas-serve` jobs,
+/// `sas-sim workload`, `sas-trace`) turns a name into a built machine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Target {
+    /// The Listing-1 PoC; `matching` picks the tag-matching gadget flavour
+    /// (the attack then goes undetected by tag checks).
+    SpectreV1 {
+        /// Use [`GadgetFlavor::TagMatching`] instead of the tag-violating
+        /// default.
+        matching: bool,
+    },
+    /// A SPEC CPU2017 profile, run on one core.
+    Spec(Profile),
+    /// A PARSEC profile, run on four cores.
+    Parsec(Profile),
 }
 
-/// Builds the 4-core system for one PARSEC workload (see
-/// [`build_spec_system`]).
-pub fn build_parsec_system(profile: &Profile, m: Mitigation, iterations: u32) -> System {
-    let ws = cached_workloads(("parsec", profile.name, iterations), || {
-        build_parsec_workload(profile, iterations, SEED, 4)
-    });
-    let mut sys =
-        build_multicore(&SimConfig::table2(), ws.iter().map(|w| w.program.clone()).collect(), m);
-    for w in ws.iter() {
-        w.setup.apply(&mut sys);
+impl Target {
+    /// Resolves a name, ignoring ASCII case: `spectre-v1` first, then the
+    /// SPEC names, then the PARSEC names. The PoC resolves to its
+    /// tag-violating flavour.
+    pub fn parse(name: &str) -> Result<Target, String> {
+        if name.eq_ignore_ascii_case(SPECTRE_V1) {
+            return Ok(Target::SpectreV1 { matching: false });
+        }
+        let find =
+            |suite: Vec<Profile>| suite.into_iter().find(|p| p.name.eq_ignore_ascii_case(name));
+        find(spec_suite())
+            .map(Target::Spec)
+            .or_else(|| find(parsec_suite()).map(Target::Parsec))
+            .ok_or_else(|| format!("unknown target {name:?}; `list` names every target"))
     }
-    sys
+
+    /// Every canonical name, in [`Target::parse`] order.
+    pub fn names() -> Vec<&'static str> {
+        let profiles = spec_suite().into_iter().chain(parsec_suite());
+        std::iter::once(SPECTRE_V1).chain(profiles.map(|p| p.name)).collect()
+    }
+
+    /// The canonical name ([`Target::parse`] gives this target back).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Target::SpectreV1 { .. } => SPECTRE_V1,
+            Target::Spec(p) | Target::Parsec(p) => p.name,
+        }
+    }
+
+    /// The suite tag bench rows and warm-base files carry: `spec`,
+    /// `parsec`, or the PoC's name.
+    pub fn suite(&self) -> &'static str {
+        match self {
+            Target::SpectreV1 { .. } => SPECTRE_V1,
+            Target::Spec(_) => "spec",
+            Target::Parsec(_) => "parsec",
+        }
+    }
+
+    /// The target's generated workloads, one per core, through the shared
+    /// cache; `None` for the PoC.
+    fn workloads(&self, iterations: u32) -> Option<Arc<Vec<Workload>>> {
+        let key = (self.suite(), self.name(), iterations);
+        match *self {
+            Target::SpectreV1 { .. } => None,
+            Target::Spec(p) => {
+                Some(cached_workloads(key, || vec![build_workload(&p, iterations, SEED, 0)]))
+            }
+            Target::Parsec(p) => {
+                Some(cached_workloads(key, || build_parsec_workload(&p, iterations, SEED, 4)))
+            }
+        }
+    }
+
+    /// Core 0's program at `iterations` outer-loop iterations (the PoC
+    /// ignores the count): the index space of [`Target::system`]'s NOP
+    /// mask.
+    pub fn program(&self, iterations: u32) -> Program {
+        if let Some(ws) = self.workloads(iterations) {
+            return ws[0].program.clone();
+        }
+        let flavor = if matches!(self, Target::SpectreV1 { matching: true }) {
+            GadgetFlavor::TagMatching
+        } else {
+            GadgetFlavor::TagViolating
+        };
+        spectre_v1_program(&SimConfig::table2(), flavor)
+    }
+
+    /// Builds the machine under `m` on the Table 2 configuration, with its
+    /// data installed and the instructions at `nops` in core 0's program
+    /// replaced by `NOP` (the shrinker's mask; empty for a measurement).
+    /// The machine is not run.
+    pub fn system(&self, m: Mitigation, iterations: u32, nops: &[usize]) -> System {
+        let mask = |p: &Program| if nops.is_empty() { p.clone() } else { p.with_nops(nops) };
+        let cfg = SimConfig::table2();
+        let Some(ws) = self.workloads(iterations) else {
+            let mut sys = build_system(&cfg, mask(&self.program(iterations)), m);
+            layout::install_victim(&mut sys);
+            return sys;
+        };
+        let programs = ws
+            .iter()
+            .enumerate()
+            .map(|(core, w)| if core == 0 { mask(&w.program) } else { w.program.clone() })
+            .collect();
+        let mut sys = build_multicore(&cfg, programs, m);
+        for w in ws.iter() {
+            w.setup.apply(&mut sys);
+        }
+        sys
+    }
+}
+
+/// Builds the 4-core system for one PARSEC workload, not yet run.
+pub fn build_parsec_system(profile: &Profile, m: Mitigation, iterations: u32) -> System {
+    Target::Parsec(*profile).system(m, iterations, &[])
 }
 
 /// Runs one SPEC-style (single-core) workload under a mitigation,
@@ -178,7 +288,7 @@ pub fn run_spec_checked(
     m: Mitigation,
     iterations: u32,
 ) -> Result<Cell, Box<CellFailure>> {
-    let sys = build_spec_system(profile, m, iterations);
+    let sys = Target::Spec(*profile).system(m, iterations, &[]);
     run_cell_with(sys, "spec", profile.name, m, &CheckpointPlan::none())
         .inspect_err(|f| f.emit_invalid())
 }
@@ -201,7 +311,7 @@ pub fn run_parsec_checked(
     m: Mitigation,
     iterations: u32,
 ) -> Result<Cell, Box<CellFailure>> {
-    let sys = build_parsec_system(profile, m, iterations);
+    let sys = Target::Parsec(*profile).system(m, iterations, &[]);
     run_cell_with(sys, "parsec", profile.name, m, &CheckpointPlan::none())
         .inspect_err(|f| f.emit_invalid())
 }
@@ -381,6 +491,56 @@ mod tests {
     fn geomean_of_identity_is_identity() {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_target_name_parses_back_to_itself_ignoring_case() {
+        let names = Target::names();
+        assert_eq!(names.len(), 1 + spec_suite().len() + sas_workloads::parsec_suite().len());
+        for name in names {
+            for spelled in [name.to_string(), name.to_ascii_uppercase()] {
+                assert_eq!(Target::parse(&spelled).map(|t| t.name()), Ok(name), "{spelled}");
+            }
+        }
+        assert!(matches!(Target::parse("spectre-v1"), Ok(Target::SpectreV1 { matching: false })));
+        assert!(matches!(Target::parse("canneal"), Ok(Target::Parsec(_))));
+        assert!(Target::parse("nope").unwrap_err().contains("`list`"));
+    }
+
+    /// A probe machine as `sas-runner` built it by hand before [`Target`]:
+    /// fresh workloads, core 0's program masked, the other cores as
+    /// generated.
+    fn hand_built_probe(target: &Target, m: Mitigation, iters: u32, nops: &[usize]) -> System {
+        let ws = match target {
+            Target::Spec(p) => vec![build_workload(p, iters, SEED, 0)],
+            Target::Parsec(p) => build_parsec_workload(p, iters, SEED, 4),
+            Target::SpectreV1 { .. } => unreachable!("the PoC has no workloads"),
+        };
+        let mut programs: Vec<Program> = ws.iter().map(|w| w.program.clone()).collect();
+        programs[0] = programs[0].with_nops(nops);
+        let mut sys = if programs.len() == 1 {
+            build_system(&SimConfig::table2(), programs.remove(0), m)
+        } else {
+            build_multicore(&SimConfig::table2(), programs, m)
+        };
+        for w in &ws {
+            w.setup.apply(&mut sys);
+        }
+        sys
+    }
+
+    #[test]
+    fn masked_machines_encode_like_the_hand_built_probe_machines() {
+        let nops = [3, 7, 11];
+        let image = |sys: &System| specasan::snapshot::snapshot_system(sys, false).to_bytes();
+        for (name, m) in [("505.mcf_r", Mitigation::Stt), ("canneal", Mitigation::SpecAsan)] {
+            let t = Target::parse(name).unwrap();
+            assert!(
+                image(&t.system(m, 2, &nops)) == image(&hand_built_probe(&t, m, 2, &nops)),
+                "{name}: the Target machine differs from the hand-built probe machine"
+            );
+            assert!(image(&t.system(m, 2, &[])) != image(&t.system(m, 2, &nops)), "{name}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use sas_bench::checkpoint::{
     run_supervised_with, CheckpointPlan, Interrupt, Interrupted, SupervisedRun, STOP_EVERY,
+    WARM_CYCLES,
 };
 use sas_bench::heartbeat::{self, Heartbeat};
 use sas_pipeline::{RunExit, RunResult, System};
@@ -30,7 +31,7 @@ fn checkpointing(path: &Path, every: u64) -> CheckpointPlan {
 }
 
 /// A deterministic chaos-schedule program that runs long enough to cross
-/// several checkpoint/warmup boundaries (picked once, reused everywhere).
+/// several checkpoint boundaries (picked once, reused everywhere).
 fn subject_seed() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
     *SEED.get_or_init(|| {
@@ -129,41 +130,50 @@ fn corrupt_checkpoint_degrades_to_replay_from_start() {
     assert_eq!(digest(&sr.run), digest(&reference), "degraded run must replay from the start");
 }
 
+/// A loop still running at [`WARM_CYCLES`]: its 60 000 trips carry a
+/// one-cycle dependence on `X0`, so it needs at least 60 000 cycles.
+fn long_subject(m: Mitigation) -> System {
+    let program = sas_isa::parse_program(
+        ".entry main\nmain:\nMOVZ X0, #60000\nloop:\nADD X1, X1, X0\nADD X2, X2, X1\n\
+         SUB X0, X0, #1\nCBNZ X0, loop\nHALT\n",
+    )
+    .expect("loop program parses");
+    build_system(&SimConfig::table2(), program, m)
+}
+
 #[test]
 fn warm_baseline_image_is_created_once_and_forked_by_mitigations() {
-    let seed = subject_seed();
     let warm = state_dir("warm").join("warm-subject.snap");
-    let plan =
-        CheckpointPlan { warm_base: Some(warm.clone()), warm_cycles: 100, ..CheckpointPlan::none() };
+    let plan = CheckpointPlan { warm_base: Some(warm.clone()), ..CheckpointPlan::none() };
 
     // The baseline cell runs warmup cold and writes the shared image.
-    let mut base = subject(seed, Mitigation::Unsafe);
+    let mut base = long_subject(Mitigation::Unsafe);
     let base_run = run(&mut base, &plan);
     assert!(!base_run.restored, "the baseline itself starts cold");
     assert!(matches!(base_run.run.exit, RunExit::Halted), "{:?}", base_run.run.exit);
+    assert!(
+        base_run.run.cycles > WARM_CYCLES,
+        "{} cycles end before the warm-up",
+        base_run.run.cycles
+    );
     assert!(warm.exists(), "the baseline must leave a warm image behind");
 
     // Every mitigation cell forks from it — and still computes the same
     // architectural result as its own cold run.
     for m in [Mitigation::SpecAsan, Mitigation::Fence] {
-        let mut forked = subject(seed, m);
+        let mut forked = long_subject(m);
         let sr = run(&mut forked, &plan);
         assert!(sr.restored, "{m:?} must fork from the warm image");
         assert!(matches!(sr.run.exit, RunExit::Halted), "{:?}", sr.run.exit);
         // The fork changes microarchitectural history, never architecture:
         // the forked run computes exactly what the cold run computes.
+        let mut cold = long_subject(m);
+        cold.run(BUDGET);
         for r in [sas_isa::Reg::X0, sas_isa::Reg::X1, sas_isa::Reg::X2, sas_isa::Reg::X3] {
-            assert_eq!(forked.core(0).reg(r), subject_final_reg(seed, m, r), "{m:?} {r:?}");
+            assert_eq!(forked.core(0).reg(r), cold.core(0).reg(r), "{m:?} {r:?}");
         }
     }
     assert!(warm.exists(), "warm images are shared — mitigation cells must not delete them");
-}
-
-/// The final value of `r` after a cold uninterrupted run under `m`.
-fn subject_final_reg(seed: u64, m: Mitigation, r: sas_isa::Reg) -> u64 {
-    let mut sys = subject(seed, m);
-    sys.run(BUDGET);
-    sys.core(0).reg(r)
 }
 
 #[test]
@@ -193,19 +203,18 @@ fn control_is_polled_every_stop_without_a_checkpoint() {
 fn a_heartbeat_armed_cell_matches_an_unarmed_one() {
     // Long enough to cross at least one stop under both mitigations.
     const ITERS: u32 = 100;
-    let suite = sas_workloads::spec_suite();
-    let mcf = suite.iter().find(|p| p.name == "505.mcf_r").expect("mcf profile");
+    let mcf = sas_bench::Target::parse("505.mcf_r").expect("mcf target");
     let dir = state_dir("heartbeat");
     for m in [Mitigation::Fence, Mitigation::SpecAsan] {
         let hb_path = dir.join(format!("hb-{}.json", m.token()));
         let armed_plan =
             CheckpointPlan { heartbeat: Some(hb_path.clone()), ..CheckpointPlan::none() };
         // One uninterrupted engine run is the reference for both cells.
-        let reference = sas_bench::build_spec_system(mcf, m, ITERS).run(BUDGET);
+        let reference = mcf.system(m, ITERS, &[]).run(BUDGET);
         assert!(reference.cycles > STOP_EVERY, "{m:?}: {} cycles cross no stop", reference.cycles);
         let cell = |plan: &CheckpointPlan| {
-            let sys = sas_bench::build_spec_system(mcf, m, ITERS);
-            let cell = sas_bench::run_cell_with(sys, "spec", mcf.name, m, plan)
+            let sys = mcf.system(m, ITERS, &[]);
+            let cell = sas_bench::run_cell_with(sys, "spec", mcf.name(), m, plan)
                 .expect("mcf halts cleanly");
             assert_eq!(
                 (cell.cycles, cell.committed, cell.run.cpi()),

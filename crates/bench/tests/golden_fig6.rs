@@ -20,7 +20,7 @@
 //! ```
 
 use sas_bench::checkpoint::CheckpointPlan;
-use sas_bench::{build_spec_system, cpi_json, run_cell_with, run_grid, run_spec, Cell};
+use sas_bench::{cpi_json, run_cell_with, run_grid, run_spec, Cell, Target};
 use sas_pipeline::{DelayCause, RunExit};
 use sas_workloads::{spec_suite, Profile};
 use specasan::Mitigation;
@@ -98,7 +98,7 @@ fn fig6_grid_is_cycle_exact() {
 #[test]
 fn fig6_grid_ticked_cycle_by_cycle_matches_golden() {
     let lines = run_fig6_grid(|p, m| {
-        let mut sys = build_spec_system(p, m, ITERS);
+        let mut sys = Target::Spec(*p).system(m, ITERS, &[]);
         sys.enable_telemetry(1, 1);
         run_cell_with(sys, "spec", p.name, m, &CheckpointPlan::none())
             .unwrap_or_else(|f| panic!("{f}"))
@@ -115,7 +115,7 @@ fn delay_histograms_match_between_ticked_and_skipped_runs() {
     for m in [Mitigation::Fence, Mitigation::Stt] {
         for p in spec_suite() {
             let histograms = |interval: u64| {
-                let mut sys = build_spec_system(&p, m, ITERS);
+                let mut sys = Target::Spec(p).system(m, ITERS, &[]);
                 sys.enable_telemetry(interval, 1);
                 let r = sys.run(1_000_000_000);
                 assert_eq!(r.exit, RunExit::Halted, "{}/{m:?}", p.name);

@@ -107,11 +107,6 @@ impl SramStructure {
         100.0 * self.extra_area_um2(t) / self.base_area_um2(t)
     }
 
-    /// Relative static-power overhead, percent.
-    pub fn static_overhead_pct(&self, t: &TechNode) -> f64 {
-        100.0 * self.extra_static_nw(t) / self.base_static_nw(t)
-    }
-
     /// Relative dynamic-energy overhead, percent.
     pub fn dynamic_overhead_pct(&self, t: &TechNode) -> f64 {
         100.0 * self.extra_dyn_fj(t) / self.base_dyn_fj(t)

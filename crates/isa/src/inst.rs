@@ -581,11 +581,6 @@ impl Inst {
         )
     }
 
-    /// Whether this is a cache-maintenance flush.
-    pub fn is_flush(&self) -> bool {
-        matches!(self, Inst::Flush { .. })
-    }
-
     /// Whether this is any kind of control-flow instruction.
     pub fn is_branch(&self) -> bool {
         matches!(
@@ -604,19 +599,6 @@ impl Inst {
     /// Whether this is an *indirect* control transfer (target from a register).
     pub fn is_indirect_branch(&self) -> bool {
         matches!(self, Inst::Br { .. } | Inst::Blr { .. } | Inst::Ret)
-    }
-
-    /// Whether the instruction manipulates MTE tags.
-    pub fn is_tag_op(&self) -> bool {
-        matches!(
-            self,
-            Inst::Irg { .. }
-                | Inst::Addg { .. }
-                | Inst::Subg { .. }
-                | Inst::Stg { .. }
-                | Inst::St2g { .. }
-                | Inst::Ldg { .. }
-        )
     }
 
     /// The static branch target (instruction index) of a direct branch.

@@ -510,11 +510,6 @@ impl ProgramBuilder {
         self.push(Inst::Stg { base, offset })
     }
 
-    /// `ST2G [base, #offset]`.
-    pub fn st2g(&mut self, base: Reg, offset: i64) -> &mut Self {
-        self.push(Inst::St2g { base, offset })
-    }
-
     /// `LDG dst, [base]`.
     pub fn ldg(&mut self, dst: Reg, base: Reg) -> &mut Self {
         self.push(Inst::Ldg { dst, base })

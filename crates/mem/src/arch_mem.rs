@@ -76,12 +76,6 @@ impl MainMemory {
         }
     }
 
-    /// Writes one byte.
-    pub fn write_byte(&mut self, addr: VirtAddr, value: u8) {
-        let a = addr.untagged().raw();
-        self.page_mut(a >> PAGE_SHIFT)[(a as usize) & (PAGE_BYTES - 1)] = value;
-    }
-
     /// Reads `width` bytes little-endian, zero-extended to 64 bits. Each
     /// page the access touches is looked up once.
     ///

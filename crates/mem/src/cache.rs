@@ -23,11 +23,6 @@ impl CacheConfig {
         CacheConfig { size_bytes: 32 * 1024, ways: 2, hit_latency: 2, tagged: true }
     }
 
-    /// The paper's L1 I-cache: 32 KB, 2-way, 64 B lines, 1-cycle hit.
-    pub fn l1i() -> CacheConfig {
-        CacheConfig { size_bytes: 32 * 1024, ways: 2, hit_latency: 1, tagged: false }
-    }
-
     /// The paper's L2: 1 MB, 16-way, 64 B lines, 12-cycle hit, tagged.
     pub fn l2() -> CacheConfig {
         CacheConfig { size_bytes: 1024 * 1024, ways: 16, hit_latency: 12, tagged: true }

@@ -123,11 +123,6 @@ impl IrgRng {
         self.next_tag(mask)
     }
 
-    /// Total number of `IRG` draws served.
-    pub fn draw_count(&self) -> u64 {
-        self.draws
-    }
-
     /// Serializes the generator cursor (state + draw count).
     pub fn encode(&self, e: &mut sas_snap::Enc) {
         e.uv(self.rng.state());

@@ -153,11 +153,6 @@ impl TagStorage {
         self.line_locks(addr).iter().any(|l| *l != TagNibble::ZERO)
     }
 
-    /// Clears every tag whose granule falls within `[base, base+len)`.
-    pub fn clear_range(&mut self, base: VirtAddr, len: u64) {
-        self.set_range(base, len, TagNibble::ZERO);
-    }
-
     /// Fault injection: flips bit `bit & 3` of the stored tag of the granule
     /// containing `addr`, returning the corrupted value. Deliberately does
     /// *not* participate in the coherence machinery — the point is to model

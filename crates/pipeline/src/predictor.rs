@@ -99,12 +99,6 @@ impl Gshare {
         self.ghr
     }
 
-    /// Restores history after a squash: the fetch-time snapshot of the
-    /// mispredicted branch, corrected with its actual outcome.
-    pub fn set_history(&mut self, ghr: u64) {
-        self.ghr = ghr & self.ghr_mask;
-    }
-
     /// Serializes the counter table and history (masks are configuration).
     pub fn encode(&self, e: &mut sas_snap::Enc) {
         e.seq(&self.counters, |e, c| e.u8(*c));

@@ -59,11 +59,6 @@ pub fn escape_text(max_len: usize) -> Gen<String> {
     gen::vec_of(&scalar, 0..max_len + 1).map(|cs| cs.into_iter().collect())
 }
 
-/// An arbitrary 64-bit pointer (key nibble included in the raw bits).
-pub fn virt_addr() -> Gen<VirtAddr> {
-    gen::u64_any().map(VirtAddr::new)
-}
-
 /// An address whose untagged part lies in `range`.
 ///
 /// ```

@@ -26,8 +26,8 @@
 //!   --checkpoint-every N   checkpoint period, cycles (default 1000000)
 //!   --no-checkpoint   disable mid-cell checkpointing
 //!   --warm-fork       fork mitigation cells from a per-benchmark warmed
-//!                     unsafe-baseline snapshot (baselines run first)
-//!   --warm-cycles N   warmup length, cycles       (default 50000)
+//!                     unsafe-baseline snapshot taken at cycle 50000
+//!                     (baselines run first)
 //!   --fault-cell ID   arm a fault plan on exactly this cell
 //!   --fault-plan SPEC the plan spec to arm (see FaultPlan::from_spec)
 //!   --no-shrink       skip failure minimization
@@ -38,7 +38,7 @@
 //! CELL FLAGS (a `CheckpointPlan`, see `sas_bench::checkpoint`, plus the
 //! spawn attempt; the supervisor passes every one it needs):
 //!   --checkpoint PATH  --checkpoint-every N  --warm-base PATH
-//!   --warm-cycles N    --crash-after-checkpoints N
+//!   --crash-after-checkpoints N
 //!   --fault-plan SPEC  fault plan to arm (see FaultPlan::from_spec)
 //!   --heartbeat PATH   progress file the run loop rewrites every 100000
 //!                     cycles and at every checkpoint
@@ -75,11 +75,12 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match flag_value(args, flag) {
-        Some(v) => v.parse().map(Some).map_err(|_| format!("{flag}: bad number {v:?}")),
-        None => Ok(None),
-    }
+/// `flag`'s value parsed as its exact type, when given; a value that does
+/// not parse (or does not fit) is an error naming the flag.
+fn flag_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| v.parse().map_err(|_| format!("{flag}: bad number {v:?}")))
+        .transpose()
 }
 
 /// `--iters N`, when given; zero or an unparsable count is an error.
@@ -103,16 +104,16 @@ fn parse_config(args: &[String], default_manifest: &str) -> Result<Config, Strin
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("target/sas-runner/{default_manifest}.jsonl")));
     let mut cfg = Config::new(manifest);
-    if let Some(j) = flag_u64(args, "--jobs")? {
-        cfg.jobs = (j as usize).max(1);
+    if let Some(j) = flag_num::<usize>(args, "--jobs")? {
+        cfg.jobs = j.max(1);
     }
-    if let Some(t) = flag_u64(args, "--timeout-ms")? {
+    if let Some(t) = flag_num(args, "--timeout-ms")? {
         cfg.timeout = Duration::from_millis(t);
     }
-    if let Some(r) = flag_u64(args, "--retries")? {
-        cfg.retries = r as u32;
+    if let Some(r) = flag_num(args, "--retries")? {
+        cfg.retries = r;
     }
-    if let Some(b) = flag_u64(args, "--backoff-ms")? {
+    if let Some(b) = flag_num(args, "--backoff-ms")? {
         cfg.backoff = Duration::from_millis(b);
     }
     if let Some(i) = flag_iters(args)? {
@@ -140,10 +141,9 @@ fn parse_config(args: &[String], default_manifest: &str) -> Result<Config, Strin
                 .unwrap_or_else(|| cfg.manifest_path.with_extension("state")),
         )
     };
-    cfg.checkpoint_every = flag_u64(args, "--checkpoint-every")?;
+    cfg.checkpoint_every = flag_num(args, "--checkpoint-every")?;
     cfg.warm_fork = has_flag(args, "--warm-fork");
-    cfg.warm_cycles = flag_u64(args, "--warm-cycles")?;
-    cfg.crash_after_checkpoints = flag_u64(args, "--crash-after-checkpoints")?;
+    cfg.crash_after_checkpoints = flag_num(args, "--crash-after-checkpoints")?;
     if cfg.warm_fork && cfg.checkpoint_dir.is_none() {
         return Err("--warm-fork needs a snapshot state dir (drop --no-checkpoint \
                     or pass --checkpoint-dir)"
@@ -220,8 +220,19 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(code) => return code,
     };
-    let n = flag_value(args, "--campaigns").and_then(|v| v.parse().ok()).unwrap_or(60);
+    let n = match campaign_count(args) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("sas-runner: {e}");
+            return ExitCode::from(2);
+        }
+    };
     campaign(cell::chaos_cells(n), &cfg, false)
+}
+
+/// `--campaigns N` (default 60).
+fn campaign_count(args: &[String]) -> Result<u64, String> {
+    Ok(flag_num(args, "--campaigns")?.unwrap_or(60))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -308,10 +319,9 @@ fn cell_plan(args: &[String]) -> Result<CheckpointPlan, String> {
     };
     Ok(CheckpointPlan {
         path: flag_value(args, "--checkpoint").map(PathBuf::from),
-        every: flag_u64(args, "--checkpoint-every")?.unwrap_or(0),
+        every: flag_num(args, "--checkpoint-every")?.unwrap_or(0),
         warm_base: flag_value(args, "--warm-base").map(PathBuf::from),
-        warm_cycles: flag_u64(args, "--warm-cycles")?.unwrap_or(0),
-        exit_after: flag_u64(args, "--crash-after-checkpoints")?.unwrap_or(0),
+        exit_after: flag_num(args, "--crash-after-checkpoints")?.unwrap_or(0),
         faults,
         heartbeat: flag_value(args, "--heartbeat").map(PathBuf::from),
     })
@@ -330,7 +340,7 @@ fn cmd_cell(args: &[String]) -> ExitCode {
         }
     };
     let parsed = cell_plan(args).and_then(|plan| {
-        let attempt = flag_u64(args, "--attempt")?.unwrap_or(1) as u32;
+        let attempt = flag_num(args, "--attempt")?.unwrap_or(1);
         let iters = flag_iters(args)?.unwrap_or_else(sas_bench::bench_iterations);
         Ok((plan, attempt, iters))
     });
@@ -367,16 +377,14 @@ fn cmd_probe(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let iters = match flag_iters(args) {
-        Ok(i) => i.unwrap_or_else(sas_bench::bench_iterations),
+    let parsed = flag_iters(args).and_then(|iters| Ok((iters, nop_mask(args)?)));
+    let (iters, nops) = match parsed {
+        Ok((i, nops)) => (i.unwrap_or_else(sas_bench::bench_iterations), nops),
         Err(e) => {
             eprintln!("sas-runner: {e}");
             return ExitCode::from(2);
         }
     };
-    let nops: Vec<usize> = flag_value(args, "--nops")
-        .map(|csv| csv.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_default();
     let plan = match flag_value(args, "--plan") {
         Some(spec) => match FaultPlan::from_spec(&spec) {
             Ok(p) => Some(p),
@@ -393,6 +401,16 @@ fn cmd_probe(args: &[String]) -> ExitCode {
     .unwrap_or_else(|_| "panic".to_string());
     println!("{}{{\"signature\":\"{sig}\"}}", cell::RESULT_MARKER);
     ExitCode::SUCCESS
+}
+
+/// `--nops 1,5,9`: the instruction indices a probe replaces by `NOP`.
+fn nop_mask(args: &[String]) -> Result<Vec<usize>, String> {
+    let Some(csv) = flag_value(args, "--nops") else { return Ok(Vec::new()) };
+    csv.split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse().map_err(|_| format!("--nops: bad index {t:?}")))
+        .collect()
 }
 
 /// Re-checks a repro bundle: replays the recorded recipe in-process and
@@ -465,5 +483,29 @@ mod tests {
             assert!(err.contains("--iters"), "{bad}: {err}");
         }
         assert_eq!(parse_config(&args(&["--iters", "3"]), "t").unwrap().iters, 3);
+    }
+
+    #[test]
+    fn numeric_flags_refuse_values_that_do_not_fit_their_type() {
+        // `--retries 4294967296` used to wrap to 0 retries.
+        for bad in ["4294967296", "-1", "x"] {
+            let err = parse_config(&args(&["--retries", bad]), "t").unwrap_err();
+            assert!(err.contains("--retries"), "{bad}: {err}");
+        }
+        assert_eq!(
+            parse_config(&args(&["--retries", "4294967295"]), "t").unwrap().retries,
+            u32::MAX
+        );
+        // `--campaigns x` used to start the default 60 campaigns.
+        for bad in ["x", "-1", "18446744073709551616"] {
+            let err = campaign_count(&args(&["--campaigns", bad])).unwrap_err();
+            assert!(err.contains("--campaigns"), "{bad}: {err}");
+        }
+        assert_eq!(campaign_count(&args(&["--campaigns", "3"])), Ok(3));
+        assert_eq!(campaign_count(&args(&[])), Ok(60));
+        // `--nops` used to drop the tokens it could not parse.
+        let err = nop_mask(&args(&["--nops", "1,x,9"])).unwrap_err();
+        assert!(err.contains("--nops"), "{err}");
+        assert_eq!(nop_mask(&args(&["--nops", "1, 5,9"])), Ok(vec![1, 5, 9]));
     }
 }

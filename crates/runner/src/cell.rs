@@ -10,10 +10,10 @@
 use crate::manifest::Record;
 use crate::supervisor::{EXIT_DETERMINISTIC, EXIT_ENVIRONMENTAL};
 use sas_bench::checkpoint::CheckpointPlan;
-use sas_bench::{build_parsec_system, build_spec_system, run_cell_with};
+use sas_bench::{run_cell_with, Target};
 use sas_pipeline::FaultPlan;
-use sas_workloads::{build_parsec_workload, build_workload, parsec_suite, spec_suite, Profile};
-use specasan::{build_multicore, build_system, chaos, Mitigation, SimConfig};
+use sas_workloads::{parsec_suite, spec_suite, Profile};
+use specasan::{chaos, Mitigation};
 use std::fmt;
 
 /// Environment variable gating the deliberately hanging selftest cell into
@@ -148,6 +148,22 @@ impl CellId {
         }
     }
 
+    /// The machine a SPEC or PARSEC cell measures, looked up in the cell's
+    /// own suite, and its mitigation. An error names a benchmark the suite
+    /// lacks, or a cell that measures no named machine.
+    pub(crate) fn target(&self) -> Result<(Target, Mitigation), String> {
+        let (suite, benchmark, m) = match self {
+            CellId::Spec { benchmark, mitigation } => ("SPEC", benchmark, *mitigation),
+            CellId::Parsec { benchmark, mitigation } => ("PARSEC", benchmark, *mitigation),
+            _ => return Err(format!("{self} measures no named machine")),
+        };
+        match Target::parse(benchmark) {
+            Ok(t @ Target::Spec(_)) if suite == "SPEC" => Ok((t, m)),
+            Ok(t @ Target::Parsec(_)) if suite == "PARSEC" => Ok((t, m)),
+            _ => Err(format!("no {suite} benchmark named {benchmark:?}")),
+        }
+    }
+
     /// Whether failures of this cell are worth shrinking (selftest cells
     /// fail on purpose; fuzz cells ddmin their own counterexamples).
     pub fn shrinkable(&self) -> bool {
@@ -253,10 +269,6 @@ fn clip(detail: &str) -> String {
     format!("{}… [{} bytes clipped]", &detail[..end], detail.len() - end)
 }
 
-fn find_profile(suite: &[Profile], name: &str) -> Option<Profile> {
-    suite.iter().find(|p| p.name == name).cloned()
-}
-
 /// Executes one cell in the current process and returns its row together
 /// with the exit class the child exits with: 0, [`EXIT_DETERMINISTIC`] or
 /// [`EXIT_ENVIRONMENTAL`]. This is what `sas-runner cell <id>` calls inside
@@ -282,28 +294,15 @@ pub fn run_in_process(
 
 fn run_cell(cell: &CellId, iters: u32, attempt: u32, plan: &CheckpointPlan) -> (Record, i32) {
     match cell {
-        CellId::Spec { benchmark, mitigation } => {
-            let Some(p) = find_profile(&spec_suite(), benchmark) else {
-                let detail = format!("no SPEC benchmark named {benchmark:?}");
-                return failed(cell, "unknown", &detail, EXIT_DETERMINISTIC);
-            };
-            let sys = build_spec_system(&p, *mitigation, iters);
-            match run_cell_with(sys, "spec", p.name, *mitigation, plan) {
-                Ok(c) => measured(cell, &c),
-                Err(f) => failed(cell, f.exit, &f.detail, EXIT_DETERMINISTIC),
+        CellId::Spec { .. } | CellId::Parsec { .. } => match cell.target() {
+            Ok((t, m)) => {
+                match run_cell_with(t.system(m, iters, &[]), t.suite(), t.name(), m, plan) {
+                    Ok(c) => measured(cell, &c),
+                    Err(f) => failed(cell, f.exit, &f.detail, EXIT_DETERMINISTIC),
+                }
             }
-        }
-        CellId::Parsec { benchmark, mitigation } => {
-            let Some(p) = find_profile(&parsec_suite(), benchmark) else {
-                let detail = format!("no PARSEC benchmark named {benchmark:?}");
-                return failed(cell, "unknown", &detail, EXIT_DETERMINISTIC);
-            };
-            let sys = build_parsec_system(&p, *mitigation, iters);
-            match run_cell_with(sys, "parsec", p.name, *mitigation, plan) {
-                Ok(c) => measured(cell, &c),
-                Err(f) => failed(cell, f.exit, &f.detail, EXIT_DETERMINISTIC),
-            }
-        }
+            Err(detail) => failed(cell, "unknown", &detail, EXIT_DETERMINISTIC),
+        },
         CellId::Chaos { seed } => {
             let failures = chaos::judge(*seed);
             if failures.is_empty() {
@@ -356,10 +355,15 @@ fn run_cell(cell: &CellId, iters: u32, attempt: u32, plan: &CheckpointPlan) -> (
 /// * `no_fire` — chaos only: a corrupting plan never fired.
 pub fn probe_signature(cell: &CellId, iters: u32, nops: &[usize], plan: Option<&FaultPlan>) -> String {
     match cell {
-        CellId::Spec { .. } | CellId::Parsec { .. } => match probe_system(cell, iters, nops, plan)
-        {
-            Some(mut sys) => spec_signature(&sys.run(PROBE_BUDGET_CYCLES).exit),
-            None => "abort:unknown".to_string(),
+        CellId::Spec { .. } | CellId::Parsec { .. } => match cell.target() {
+            Ok((t, m)) => {
+                let mut sys = t.system(m, iters, nops);
+                if let Some(plan) = plan {
+                    sys.arm_faults(plan);
+                }
+                spec_signature(&sys.run(PROBE_BUDGET_CYCLES).exit)
+            }
+            Err(_) => "abort:unknown".to_string(),
         },
         CellId::Chaos { seed } => {
             let class = chaos::Class::of(*seed);
@@ -404,59 +408,12 @@ fn spec_signature(exit: &sas_pipeline::RunExit) -> String {
 /// Cycle budget for probe runs.
 const PROBE_BUDGET_CYCLES: u64 = 1_000_000_000;
 
-/// Builds the exact system a SPEC/PARSEC probe measures — workload, NOP
-/// mask, mitigation, optional fault plan — without running it. `None` for
-/// cells with no probe system (chaos probes run the campaign harness
-/// instead; selftests have no machine at all).
-fn probe_system(
-    cell: &CellId,
-    iters: u32,
-    nops: &[usize],
-    plan: Option<&FaultPlan>,
-) -> Option<sas_pipeline::System> {
-    let mut sys = match cell {
-        CellId::Spec { benchmark, mitigation } => {
-            let p = find_profile(&spec_suite(), benchmark)?;
-            let w = build_workload(&p, iters, sas_bench::SEED, 0);
-            let mut sys =
-                build_system(&SimConfig::table2(), w.program.with_nops(nops), *mitigation);
-            w.setup.apply(&mut sys);
-            sys
-        }
-        CellId::Parsec { benchmark, mitigation } => {
-            let p = find_profile(&parsec_suite(), benchmark)?;
-            let ws = build_parsec_workload(&p, iters, sas_bench::SEED, 4);
-            let mut programs: Vec<_> = ws.iter().map(|w| w.program.clone()).collect();
-            // Delta-debug over core 0's program; the other cores stay fixed.
-            programs[0] = programs[0].with_nops(nops);
-            let mut sys = build_multicore(&SimConfig::table2(), programs, *mitigation);
-            for w in &ws {
-                w.setup.apply(&mut sys);
-            }
-            sys
-        }
-        CellId::Chaos { .. } | CellId::Fuzz { .. } | CellId::Selftest { .. } => return None,
-    };
-    if let Some(plan) = plan {
-        sys.arm_faults(plan);
-    }
-    Some(sys)
-}
-
 /// The cell's (core-0) victim program — the index space the shrinker
 /// delta-debugs over. `None` for cells with no program (selftests).
 pub fn victim_program(cell: &CellId, iters: u32) -> Option<sas_isa::Program> {
     match cell {
-        CellId::Spec { benchmark, .. } => {
-            let p = find_profile(&spec_suite(), benchmark)?;
-            Some(build_workload(&p, iters, sas_bench::SEED, 0).program)
-        }
-        CellId::Parsec { benchmark, .. } => {
-            let p = find_profile(&parsec_suite(), benchmark)?;
-            Some(build_parsec_workload(&p, iters, sas_bench::SEED, 4).swap_remove(0).program)
-        }
         CellId::Chaos { seed } => Some(chaos::campaign_program(*seed)),
-        CellId::Fuzz { .. } | CellId::Selftest { .. } => None,
+        _ => cell.target().ok().map(|(t, _)| t.program(iters)),
     }
 }
 
@@ -565,6 +522,21 @@ mod tests {
         let measured = Record { restored: true, cpi, ..passed(&unknown, 7).0 };
         for r in [row, measured] {
             assert_eq!(Record::from_json(&r.to_json()), Some(r));
+        }
+    }
+
+    #[test]
+    fn a_benchmark_resolves_only_within_its_own_suite() {
+        for id in ["spec/canneal/stt", "parsec/505.mcf_r/stt", "spec/nope/stt"] {
+            let cell = CellId::parse(id).unwrap();
+            let (row, code) = run_in_process(&cell, 1, 1, &CheckpointPlan::none());
+            assert_eq!(
+                (row.ok, row.exit.as_str(), code),
+                (false, "unknown", EXIT_DETERMINISTIC),
+                "{id}"
+            );
+            assert!(victim_program(&cell, 1).is_none(), "{id}");
+            assert_eq!(probe_signature(&cell, 1, &[], None), "abort:unknown", "{id}");
         }
     }
 

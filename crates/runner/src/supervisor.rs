@@ -74,8 +74,6 @@ pub struct Config {
     /// Fork mitigation cells from a per-benchmark warmed-baseline snapshot
     /// (requires [`Config::checkpoint_dir`] for the shared state files).
     pub warm_fork: bool,
-    /// Warmup length override, in cycles (`None` = the bench default).
-    pub warm_cycles: Option<u64>,
     /// Test hook: first-attempt bench children exit as if crashed right
     /// after writing this many checkpoints (`sas-runner cell
     /// --crash-after-checkpoints`), so the retry resumes from one.
@@ -103,7 +101,6 @@ impl Config {
             checkpoint_dir: None,
             checkpoint_every: None,
             warm_fork: false,
-            warm_cycles: None,
             crash_after_checkpoints: None,
         }
     }
@@ -123,16 +120,6 @@ pub fn checkpoint_path(dir: &std::path::Path, cell: &CellId) -> PathBuf {
 /// the state dir.
 pub fn warm_base_path(dir: &std::path::Path, suite: &str, benchmark: &str) -> PathBuf {
     dir.join(format!("warm-{suite}-{}.snap", path_safe(benchmark)))
-}
-
-/// The (suite token, benchmark) of a cell that runs the bench checkpoint
-/// protocol; `None` for chaos/selftest cells.
-fn bench_target(cell: &CellId) -> Option<(&'static str, &str)> {
-    match cell {
-        CellId::Spec { benchmark, .. } => Some(("spec", benchmark)),
-        CellId::Parsec { benchmark, .. } => Some(("parsec", benchmark)),
-        _ => None,
-    }
 }
 
 /// Whether a cell measures the unprotected baseline (the cells that *write*
@@ -364,16 +351,13 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> (Record, bool) {
         .arg(attempt.to_string())
         .arg("--heartbeat")
         .arg(&hb_path);
-    if let (Some(dir), Some((suite, benchmark))) = (&cfg.checkpoint_dir, bench_target(cell)) {
+    if let (Some(dir), Ok((target, _))) = (&cfg.checkpoint_dir, cell.target()) {
         cmd.arg("--checkpoint").arg(checkpoint_path(dir, cell));
         if let Some(every) = cfg.checkpoint_every {
             cmd.arg("--checkpoint-every").arg(every.to_string());
         }
         if cfg.warm_fork {
-            cmd.arg("--warm-base").arg(warm_base_path(dir, suite, benchmark));
-            if let Some(w) = cfg.warm_cycles {
-                cmd.arg("--warm-cycles").arg(w.to_string());
-            }
+            cmd.arg("--warm-base").arg(warm_base_path(dir, target.suite(), target.name()));
         }
         // The simulated-crash test hook may only fire on the first attempt:
         // retries must be able to resume past it and finish the cell.

@@ -241,6 +241,19 @@ fn bad_cell_fault_plan_is_a_usage_error() {
     assert!(stderr.contains("--fault-plan"), "{stderr}");
 }
 
+/// `--attempt` is a `u32`: a value past it is refused, not wrapped into a
+/// small attempt number (4294967298 used to run as attempt 2, where the
+/// flaky selftest passes).
+#[test]
+fn an_attempt_past_u32_is_a_usage_error() {
+    let out = runner(&["cell", "selftest/flaky", "--attempt", "4294967298"])
+        .output()
+        .expect("spawn sas-runner");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--attempt"), "{stderr}");
+}
+
 /// The shrinker's repro bundles replay to the same failure signature. A
 /// corrupting chaos campaign is used as the subject: its probe signature is
 /// a detected-failure class (divergence/fault/audit), deterministic and

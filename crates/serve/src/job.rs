@@ -11,13 +11,10 @@
 //! restart.
 
 use crate::http::json_escape;
-use sas_attacks::spectre::spectre_v1_program;
-use sas_attacks::{layout, GadgetFlavor};
 use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, Interrupted};
 use sas_bench::heartbeat::Heartbeat;
-use sas_pipeline::{DelayCause, RunExit, RunResult, System};
+use sas_pipeline::{DelayCause, RunExit, RunResult};
 use sas_telemetry::json::Json;
-use sas_workloads::spec_suite;
 use specasan::{build_system, Mitigation, SimConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,19 +24,17 @@ use std::time::Instant;
 /// What a simulation or trace job runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Target {
-    /// The Listing-1 bounds-check-bypass PoC.
-    SpectreV1,
-    /// A SPEC CPU2017 profile by name.
-    Spec(String),
-    /// An inline `.sasm` program.
+    /// A named machine: `spectre-v1`, a SPEC or a PARSEC profile.
+    Named(sas_bench::Target),
+    /// An inline `.sasm` program, parsed on the worker.
     Sasm(String),
 }
 
 impl Target {
+    /// Journal rows store a named target by its canonical name.
     fn journal_value(&self) -> (&'static str, String) {
         match self {
-            Target::SpectreV1 => ("target", "\"spectre-v1\"".into()),
-            Target::Spec(name) => ("target", format!("\"{}\"", json_escape(name))),
+            Target::Named(t) => ("target", format!("\"{}\"", json_escape(t.name()))),
             Target::Sasm(text) => ("program", format!("\"{}\"", json_escape(text))),
         }
     }
@@ -49,33 +44,15 @@ impl Target {
             (Some(_), Some(_)) => Err("give either \"target\" or \"program\", not both".into()),
             (None, None) => Err("missing \"target\" (name) or \"program\" (inline .sasm)".into()),
             (None, Some(text)) => Ok(Target::Sasm(text.to_string())),
-            (Some(name), None) => {
-                if name.eq_ignore_ascii_case("spectre-v1") {
-                    Ok(Target::SpectreV1)
-                } else if spec_suite().iter().any(|p| p.name.eq_ignore_ascii_case(name)) {
-                    Ok(Target::Spec(name.to_string()))
-                } else {
-                    Err(format!("unknown target {name:?} (spectre-v1 or a SPEC profile name)"))
-                }
-            }
-        }
-    }
-
-    /// The `(suite, benchmark)` key for warmed-baseline forking; `None` for
-    /// targets that have no shared warm image.
-    pub fn warm_key(&self) -> Option<(&'static str, &str)> {
-        match self {
-            Target::Spec(name) => Some(("spec", name)),
-            _ => None,
+            (Some(name), None) => sas_bench::Target::parse(name).map(Target::Named),
         }
     }
 
     /// Human/status label.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            Target::SpectreV1 => "spectre-v1".into(),
-            Target::Spec(name) => name.clone(),
-            Target::Sasm(_) => "inline-sasm".into(),
+            Target::Named(t) => t.name(),
+            Target::Sasm(_) => "inline-sasm",
         }
     }
 }
@@ -89,7 +66,7 @@ pub enum JobSpec {
         target: Target,
         /// The mitigation policy to run it under.
         mitigation: Mitigation,
-        /// Workload iterations (SPEC targets).
+        /// Workload iterations (SPEC and PARSEC targets).
         iters: u32,
     },
     /// Run with telemetry armed and return the CPI stack (and optionally a
@@ -99,7 +76,7 @@ pub enum JobSpec {
         target: Target,
         /// The mitigation policy to run it under.
         mitigation: Mitigation,
-        /// Workload iterations (SPEC targets).
+        /// Workload iterations (SPEC and PARSEC targets).
         iters: u32,
         /// Include the Chrome trace_event JSON in the result.
         chrome: bool,
@@ -146,14 +123,6 @@ impl JobSpec {
     /// without telemetry; traces re-run instead of resuming).
     pub fn wants_checkpoint(&self) -> bool {
         matches!(self, JobSpec::Simulate { .. })
-    }
-
-    /// The warm-fork key, when the job's target has one.
-    pub fn warm_key(&self) -> Option<(&'static str, &str)> {
-        match self {
-            JobSpec::Simulate { target, .. } => target.warm_key(),
-            _ => None,
-        }
     }
 
     /// Extra journal-row fields as `(key, raw-JSON-value)` pairs.
@@ -222,8 +191,6 @@ impl Progress {
 pub struct RunPlan {
     /// This job's `sas-snap` checkpoint file (checkpointing jobs only).
     pub checkpoint: Option<PathBuf>,
-    /// The shared warmed-baseline image for the job's benchmark.
-    pub warm_base: Option<PathBuf>,
     /// Where the worker stores the job's progress.
     pub progress: Progress,
     /// Checkpoint period in cycles (0 = the 1 M default).
@@ -250,31 +217,6 @@ pub enum JobEnd {
         /// Human diagnostic.
         detail: String,
     },
-}
-
-fn build_sim(target: &Target, m: Mitigation, iters: u32) -> Result<System, String> {
-    let cfg = SimConfig::table2();
-    match target {
-        Target::SpectreV1 => {
-            let program = spectre_v1_program(&cfg, GadgetFlavor::TagViolating);
-            let mut sys = build_system(&cfg, program, m);
-            layout::install_victim(&mut sys);
-            Ok(sys)
-        }
-        Target::Spec(name) => {
-            let suite = spec_suite();
-            let profile = suite
-                .iter()
-                .find(|p| p.name.eq_ignore_ascii_case(name))
-                .ok_or_else(|| format!("unknown SPEC profile {name:?}"))?;
-            Ok(sas_bench::build_spec_system(profile, m, iters))
-        }
-        Target::Sasm(text) => {
-            let program =
-                sas_isa::parse_program(text).map_err(|e| format!("program parse error: {e}"))?;
-            Ok(build_system(&cfg, program, m))
-        }
-    }
 }
 
 fn exit_failure(run: &RunResult) -> JobEnd {
@@ -332,20 +274,25 @@ fn run_sim(
     park: &AtomicBool,
     trace: Option<bool>,
 ) -> JobEnd {
-    let mut sys = match build_sim(target, m, iters) {
-        Ok(sys) => sys,
-        Err(detail) => return JobEnd::Failed { code: "parse".into(), detail },
+    let mut sys = match target {
+        Target::Named(t) => t.system(m, iters, &[]),
+        Target::Sasm(text) => match sas_isa::parse_program(text) {
+            Ok(program) => build_system(&SimConfig::table2(), program, m),
+            Err(e) => {
+                let detail = format!("program parse error: {e}");
+                return JobEnd::Failed { code: "parse".into(), detail };
+            }
+        },
     };
     let budget = if trace.is_some() { TRACE_BUDGET } else { SIM_BUDGET };
     if trace.is_some() {
-        sys.enable_telemetry(64, 65_536);
+        sys.enable_telemetry(sas_bench::TRACE_SAMPLE_INTERVAL, sas_bench::TRACE_TIMELINE_CAP);
     }
     // Trace runs carry telemetry state no snapshot round-trips, so they
     // re-run from scratch after a restart instead of checkpointing.
     let ckpt = CheckpointPlan {
         path: if trace.is_none() { plan.checkpoint.clone() } else { None },
         every: plan.chunk,
-        warm_base: if trace.is_none() { plan.warm_base.clone() } else { None },
         ..CheckpointPlan::none()
     };
     let deadline = plan.deadline;
@@ -389,7 +336,7 @@ fn run_sim(
     }
     let mut result = format!(
         "{{\"target\":\"{}\",\"mitigation\":\"{}\",\"cycles\":{},\"committed\":{},\"restored\":{},\"cpi\":{}",
-        json_escape(&target.label()),
+        json_escape(target.label()),
         m.token(),
         sr.run.cycles,
         sr.run.committed(),
@@ -498,6 +445,10 @@ mod tests {
     /// interruption (cancel / deadline / park) can end its simulation.
     const LOOP_FOREVER: &str = ".entry main\nmain:\nloop:\nADD X1, X1, #1\nB loop\n";
 
+    fn named(name: &str) -> Target {
+        Target::Named(sas_bench::Target::parse(name).unwrap())
+    }
+
     fn round_trip(spec: &JobSpec) -> JobSpec {
         let mut row = String::from("{\"event\":\"accepted\",\"job\":1");
         for (k, v) in spec.journal_fields() {
@@ -523,17 +474,18 @@ mod tests {
     fn journal_rows_round_trip_every_kind() {
         let specs = vec![
             JobSpec::Simulate {
-                target: Target::Spec("505.mcf_r".into()),
+                target: named("505.mcf_r"),
                 mitigation: Mitigation::Stt,
                 iters: 25,
             },
+            JobSpec::Simulate { target: named("canneal"), mitigation: Mitigation::Fence, iters: 2 },
             JobSpec::Simulate {
                 target: Target::Sasm("ld x1, [x2]\nhlt\n".into()),
                 mitigation: Mitigation::SpecAsan,
                 iters: 1,
             },
             JobSpec::Trace {
-                target: Target::SpectreV1,
+                target: named("spectre-v1"),
                 mitigation: Mitigation::Fence,
                 iters: 50,
                 chrome: true,
@@ -544,6 +496,22 @@ mod tests {
         for spec in specs {
             assert_eq!(round_trip(&spec), spec);
         }
+    }
+
+    #[test]
+    fn journal_rows_store_canonical_names_and_replay_any_case() {
+        let row = |name: &str| {
+            let doc =
+                format!(r#"{{"kind":"simulate","target":"{name}","mitigation":"stt","iters":3}}"#);
+            JobSpec::from_journal(&sas_telemetry::json::parse(&doc).unwrap())
+        };
+        for name in ["505.MCF_R", "Canneal", "SPECTRE-V1"] {
+            let spec = row(name).unwrap_or_else(|| panic!("{name} must replay"));
+            let stored = spec.journal_fields();
+            let canonical = name.to_ascii_lowercase();
+            assert!(stored.contains(&("target", format!("\"{canonical}\""))), "{name}: {stored:?}");
+        }
+        assert_eq!(row("nope"), None);
     }
 
     #[test]
@@ -611,7 +579,7 @@ mod tests {
     #[test]
     fn progress_ends_at_the_result() {
         let spec = JobSpec::Simulate {
-            target: Target::Spec("505.mcf_r".into()),
+            target: named("505.mcf_r"),
             mitigation: Mitigation::SpecAsan,
             iters: 100,
         };
@@ -622,6 +590,21 @@ mod tests {
         let hb = plan.progress.latest().expect("progress stored");
         assert_eq!(Some(hb.committed), doc.get("committed").and_then(Json::as_u64), "{result}");
         assert_eq!(Some(hb.cycle), doc.get("cycles").and_then(Json::as_u64), "{result}");
+    }
+
+    #[test]
+    fn a_parsec_target_completes_on_four_cores() {
+        let spec = JobSpec::Simulate {
+            target: named("canneal"),
+            mitigation: Mitigation::SpecAsan,
+            iters: 2,
+        };
+        let end =
+            run_job(&spec, &RunPlan::default(), &AtomicBool::new(false), &AtomicBool::new(false));
+        let JobEnd::Completed { result } = end else { panic!("expected completion, got {end:?}") };
+        let doc = sas_telemetry::json::parse(&result).unwrap();
+        assert_eq!(doc.get("target").and_then(Json::as_str), Some("canneal"), "{result}");
+        assert!(doc.get("committed").and_then(Json::as_u64).is_some_and(|n| n > 0), "{result}");
     }
 
     #[test]

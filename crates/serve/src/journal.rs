@@ -179,7 +179,7 @@ mod tests {
 
     fn spec() -> JobSpec {
         JobSpec::Simulate {
-            target: Target::Spec("505.mcf_r".into()),
+            target: Target::Named(sas_bench::Target::parse("505.mcf_r").unwrap()),
             mitigation: specasan::Mitigation::Stt,
             iters: 25,
         }

@@ -22,7 +22,7 @@ use crate::journal::{Journal, PendingJob};
 use crate::metrics::ServeMetrics;
 use crate::queue::JobQueue;
 use sas_query::Val;
-use sas_runner::{supervisor, sweep};
+use sas_runner::sweep;
 use sas_telemetry::expo;
 use sas_telemetry::json::{self, Json};
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ pub struct Config {
     pub workers: usize,
     /// Queue capacity (admission bound).
     pub queue_cap: usize,
-    /// State directory: journal, job checkpoints, warm bases.
+    /// State directory: the journal and job checkpoints.
     pub state_dir: PathBuf,
     /// Deadline budget for requests that do not set `deadline_ms`.
     pub default_deadline: Duration,
@@ -164,8 +164,8 @@ impl Server {
     /// worker pool, and watchdog.
     pub fn start(cfg: Config) -> std::io::Result<Server> {
         std::fs::create_dir_all(&cfg.state_dir)?;
-        // A SIGKILLed predecessor leaves staging temps; checkpoints and warm
-        // bases are kept — they are the resumable state.
+        // A SIGKILLed predecessor leaves staging temps; checkpoints are
+        // kept — they are the resumable state.
         let swept = sweep::sweep_stale_artifacts(&cfg.state_dir, true)?;
         if !swept.is_empty() {
             eprintln!("sas-serve: swept {} stale artifact(s)", swept.len());
@@ -322,11 +322,6 @@ fn worker_loop(shared: &Shared) {
                 checkpoint: spec
                     .wants_checkpoint()
                     .then(|| shared.cfg.state_dir.join(format!("job-{id}.ckpt.snap"))),
-                warm_base: spec
-                    .warm_key()
-                    .map(|(suite, bench)| {
-                        supervisor::warm_base_path(&shared.cfg.state_dir, suite, bench)
-                    }),
                 progress,
                 chunk: shared.cfg.chunk,
                 deadline: Some(deadline),

@@ -1,12 +1,11 @@
 //! Prometheus-style text exposition.
 //!
-//! Renders the registry types ([`Histogram`], [`GaugeSeries`], counters)
-//! into the plain `name{label="value"} 123` line format scrapers expect:
+//! Renders the registry types ([`Histogram`], counters) into the plain
+//! `name{label="value"} 123` line format scrapers expect:
 //! cumulative `_bucket{le="..."}` lines over the log2 buckets, `_sum` /
 //! `_count`, and `{quantile="..."}` summary lines estimated by
 //! [`Histogram::quantile`]. `sas-serve` materializes its `GET /metrics`
-//! endpoint from these helpers; [`MetricsRegistry::to_prometheus`] turns
-//! any simulator metrics export into the same format.
+//! endpoint from these helpers.
 //!
 //! Conventions (documented in DESIGN.md §14): metric names are
 //! `snake_case` with a `sas_` prefix, dots in hierarchical registry
@@ -14,7 +13,7 @@
 //! bytes (`_bytes`), and label values are escaped per the exposition
 //! format (`\\`, `\"`, `\n`).
 
-use crate::registry::{GaugeSeries, Histogram, MetricsRegistry};
+use crate::registry::Histogram;
 
 /// Makes a metric name exposition-safe: `[a-zA-Z0-9_:]` only, dots and
 /// dashes become underscores, and a leading digit gets a `_` prefix.
@@ -131,39 +130,6 @@ pub fn histogram(out: &mut String, name: &str, labels: &[(&str, &str)], h: &Hist
     }
 }
 
-/// Appends a gauge family for a sampled series: the latest value plus
-/// `_min`/`_max`/`_mean` summary gauges.
-pub fn gauge_series(out: &mut String, name: &str, labels: &[(&str, &str)], g: &GaugeSeries) {
-    let name = sanitize(name);
-    line(out, &name, labels, g.last() as f64);
-    line(out, &format!("{name}_min"), labels, g.min() as f64);
-    line(out, &format!("{name}_max"), labels, g.max() as f64);
-    line(out, &format!("{name}_mean"), labels, g.mean());
-}
-
-impl MetricsRegistry {
-    /// Renders every exported metric in exposition format. Hierarchical
-    /// dotted names flatten to underscores under `prefix` (counters as-is,
-    /// gauges via [`gauge_series`], histograms via [`histogram`]).
-    pub fn to_prometheus(&self, prefix: &str) -> String {
-        let mut out = String::new();
-        for name in self.keys() {
-            let flat = sanitize(&format!("{prefix}_{name}"));
-            if let Some(c) = self.counter_value(name) {
-                type_line(&mut out, &flat, "counter");
-                line(&mut out, &flat, &[], c as f64);
-            } else if let Some(g) = self.gauge_series(name) {
-                type_line(&mut out, &flat, "gauge");
-                gauge_series(&mut out, &flat, &[], g);
-            } else if let Some(h) = self.histogram_value(name) {
-                type_line(&mut out, &flat, "histogram");
-                histogram(&mut out, &flat, &[], h);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,24 +169,6 @@ mod tests {
             assert!(v >= last, "cumulative: {out}");
             last = v;
         }
-    }
-
-    #[test]
-    fn registry_renders_to_prometheus() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("mem.l2.misses", 42);
-        let mut g = GaugeSeries::new(8);
-        g.record(0, 7);
-        reg.gauge("pipeline.core0.rob_occupancy", &g);
-        let mut h = Histogram::new();
-        h.observe(5);
-        reg.histogram("mem.load_latency", &h);
-        let out = reg.to_prometheus("sas");
-        assert!(out.contains("# TYPE sas_mem_l2_misses counter\n"));
-        assert!(out.contains("sas_mem_l2_misses 42\n"));
-        assert!(out.contains("sas_pipeline_core0_rob_occupancy 7\n"));
-        assert!(out.contains("sas_mem_load_latency_bucket{le=\"+Inf\"} 1\n"));
-        assert!(out.contains("sas_mem_load_latency{quantile=\"0.5\"} 5\n"));
     }
 
     #[test]

@@ -370,14 +370,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// Gauge series under `name`, if exported.
-    pub fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
-        self.entries.iter().find_map(|(k, v)| match v {
-            MetricValue::Gauge(g) if k == name => Some(g),
-            _ => None,
-        })
-    }
-
     /// Histogram under `name`, if exported.
     pub fn histogram_value(&self, name: &str) -> Option<&Histogram> {
         self.entries.iter().find_map(|(k, v)| match v {

@@ -42,6 +42,12 @@ if grep -rn 'restore_system(' crates/*/src src | grep -v '^crates/core/src/snaps
   echo "tier1: FAIL — workspace code calls the unchecked restore_system (lines above)" >&2
   exit 1
 fi
+# One way to name and build a machine: front ends build workloads through
+# `sas_bench::Target`, never by calling the workload generators themselves.
+if grep -rnE 'build_(parsec_)?workload\(' crates/*/src src | grep -vE '^crates/(workloads|bench)/src/'; then
+  echo "tier1: FAIL — code outside sas-workloads and sas-bench builds workloads (lines above)" >&2
+  exit 1
+fi
 
 echo "== tier1: offline test suite =="
 cargo test -q --offline

@@ -56,7 +56,7 @@ USAGE:
   sas-serve --state-dir DIR [OPTIONS]
 
 OPTIONS:
-  --state-dir DIR            journal, checkpoints, warm bases (required)
+  --state-dir DIR            journal and job checkpoints (required)
   --addr HOST:PORT           bind address (default 127.0.0.1:0, ephemeral)
   --workers N                worker threads (default 2)
   --queue-cap N              admission queue bound (default 32)
@@ -70,7 +70,9 @@ OPTIONS:
 
 ENDPOINTS:
   POST /rpc          JSON-RPC: simulate, trace, lint, spin, job, cancel, query,
-                     status, drain
+                     status, drain; simulate and trace take a \"target\"
+                     (spectre-v1, a SPEC or a PARSEC name) or an inline
+                     \"program\"
   GET  /status       counters and queue state (schema sas-serve-status-v3)
   GET  /metrics      Prometheus-style text exposition: request counters,
                      latency histograms + quantiles, queue/worker gauges

@@ -9,14 +9,11 @@
 //! ```
 
 use sas_attacks::{all_attacks, bonus_attacks, security_matrix, GadgetFlavor};
+use sas_bench::Target;
 use sas_pipeline::{FaultPlan, RunExit};
-use sas_workloads::{build_workload, parse_iterations, parsec_suite, spec_suite};
-use specasan::{build_system, Mitigation, SimConfig};
+use sas_workloads::parse_iterations;
+use specasan::{Mitigation, SimConfig};
 use std::process::ExitCode;
-
-fn parse_mitigation(s: &str) -> Option<Mitigation> {
-    Mitigation::parse(s)
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -27,7 +24,8 @@ USAGE:
   sas-sim attack <name> [--mitigation M] [--matching]
                                                 run an attack PoC (default: unsafe baseline)
   sas-sim workload <name> [--mitigation M] [--iters N] [--fault-plan SPEC]
-                                                run a synthetic benchmark and print stats;
+                                                run a named machine (spectre-v1, a SPEC or
+                                                a PARSEC profile) and print core 0's stats;
                                                 SPEC arms a fault plan (`sas-runner cell`
                                                 syntax, e.g. \"seed=42 mshr_drop_fill=5,4\")
   sas-sim matrix                                evaluate the full Table 1 security matrix
@@ -41,6 +39,16 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }
 
+/// `--mitigation M`, or `default` without the flag; an unknown name is
+/// reported and becomes the usage exit code.
+fn mitigation_flag(args: &[String], default: Mitigation) -> Result<Mitigation, ExitCode> {
+    let Some(s) = flag_value(args, "--mitigation") else { return Ok(default) };
+    Mitigation::parse(&s).ok_or_else(|| {
+        eprintln!("--mitigation: unknown mitigation {s:?}");
+        ExitCode::from(2)
+    })
+}
+
 fn cmd_list() -> ExitCode {
     println!("attacks:");
     for a in all_attacks().into_iter().chain(bonus_attacks()) {
@@ -51,29 +59,19 @@ fn cmd_list() -> ExitCode {
             if a.has_matching_flavor() { "  (has tag-matching flavour)" } else { "" }
         );
     }
-    println!("\nworkloads (SPEC CPU2017):");
-    for p in spec_suite() {
-        println!("  {}", p.name);
+    println!("\nworkloads (spectre-v1, SPEC CPU2017 on one core, PARSEC on four):");
+    for name in Target::names() {
+        println!("  {name}");
     }
-    println!("\nworkloads (PARSEC, 4-core):");
-    for p in parsec_suite() {
-        println!("  {}", p.name);
-    }
-    println!("\nmitigations: unsafe, mte, fence, stt, ghostminion, specasan, speccfi, specasan+cfi");
+    println!("\nmitigations: {}", Mitigation::all().map(Mitigation::token).join(", "));
     ExitCode::SUCCESS
 }
 
 fn cmd_attack(args: &[String]) -> ExitCode {
     let Some(name) = args.first() else { return usage() };
-    let m = match flag_value(args, "--mitigation") {
-        Some(s) => match parse_mitigation(&s) {
-            Some(m) => m,
-            None => {
-                eprintln!("unknown mitigation {s:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => Mitigation::Unsafe,
+    let m = match mitigation_flag(args, Mitigation::Unsafe) {
+        Ok(m) => m,
+        Err(code) => return code,
     };
     let flavor = if args.iter().any(|a| a == "--matching") {
         GadgetFlavor::TagMatching
@@ -104,9 +102,10 @@ fn cmd_attack(args: &[String]) -> ExitCode {
 
 fn cmd_workload(args: &[String]) -> ExitCode {
     let Some(name) = args.first() else { return usage() };
-    let m = flag_value(args, "--mitigation")
-        .and_then(|s| parse_mitigation(&s))
-        .unwrap_or(Mitigation::SpecAsan);
+    let m = match mitigation_flag(args, Mitigation::SpecAsan) {
+        Ok(m) => m,
+        Err(code) => return code,
+    };
     let iters = match flag_value(args, "--iters").map(|s| parse_iterations(&s)).transpose() {
         Ok(i) => i.unwrap_or(150),
         Err(e) => {
@@ -129,20 +128,20 @@ fn cmd_workload(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let suite = spec_suite();
-    let Some(profile) = suite.iter().find(|p| p.name.eq_ignore_ascii_case(name)) else {
-        eprintln!("unknown workload {name:?}; see `sas-sim list` (PARSEC runs via `cargo bench`)");
-        return ExitCode::from(2);
+    let target = match Target::parse(name) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
-    let w = build_workload(profile, iters, 0x5A5_CA5A, 0);
-    let mut sys = build_system(&SimConfig::table2(), w.program, m);
+    let mut sys = target.system(m, iters, &[]);
     if let Some(plan) = &plan {
         sys.arm_faults(plan);
     }
-    w.setup.apply(&mut sys);
     let r = sys.run(2_000_000_000);
     let s = &r.core_stats[0];
-    println!("workload    : {} ({iters} iterations)", profile.name);
+    println!("workload    : {} ({iters} iterations)", target.name());
     println!("mitigation  : {m}");
     println!("exit        : {}", match &r.exit {
         RunExit::Halted => "Halted".to_string(),

@@ -20,13 +20,12 @@
 //!     --from runs/campaign/manifest.jsonl
 //! ```
 
-use sas_attacks::spectre::spectre_v1_program;
-use sas_attacks::{layout, GadgetFlavor};
-use sas_pipeline::{DelayCause, RunExit, System};
+use sas_bench::Target;
+use sas_pipeline::{DelayCause, RunExit};
 use sas_telemetry::json::validate_chrome_trace;
 use sas_telemetry::konata;
-use sas_workloads::{build_workload, parse_iterations, spec_suite};
-use specasan::{build_system, Mitigation, SimConfig};
+use sas_workloads::parse_iterations;
+use specasan::Mitigation;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -40,14 +39,13 @@ USAGE:
 
 TARGETS:
   spectre-v1                  the Listing-1 bounds-check-bypass PoC
-  <spec workload name>        any SPEC CPU2017 profile (see `sas-trace list`)
+  <SPEC or PARSEC name>       a SPEC CPU2017 profile (one core) or a PARSEC
+                              profile (four cores); see `sas-trace list`
 
 FLAGS:
   --mitigation M              unsafe|mte|fence|stt|ghostminion|specasan|speccfi|specasan+cfi
   --matching                  use the tag-matching gadget flavour (spectre-v1)
   --iters N                   workload iterations (default 50)
-  --sample-interval N         gauge sampling period in cycles (default 64)
-  --timeline-cap N            max per-core instruction records (default 65536)
   --chrome FILE               write a Chrome trace_event JSON (Perfetto-loadable)
   --konata FILE               write a Konata/Kanata 0004 pipeline log
   --metrics FILE              write the metrics registry as JSONL ('-' = stdout)
@@ -72,31 +70,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
-}
-
-/// Builds the target's system (program loaded, victim/workload data
-/// installed) without running it.
-fn build_target(name: &str, m: Mitigation, iters: u32, args: &[String]) -> Result<System, String> {
-    let cfg = SimConfig::table2();
-    if name.eq_ignore_ascii_case("spectre-v1") {
-        let flavor = if has_flag(args, "--matching") {
-            GadgetFlavor::TagMatching
-        } else {
-            GadgetFlavor::TagViolating
-        };
-        let program = spectre_v1_program(&cfg, flavor);
-        let mut sys = build_system(&cfg, program, m);
-        layout::install_victim(&mut sys);
-        return Ok(sys);
-    }
-    let suite = spec_suite();
-    let Some(profile) = suite.iter().find(|p| p.name.eq_ignore_ascii_case(name)) else {
-        return Err(format!("unknown target {name:?}; see `sas-trace list`"));
-    };
-    let w = build_workload(profile, iters, 0x5A5_CA5A, 0);
-    let mut sys = build_system(&cfg, w.program.clone(), m);
-    w.setup.apply(&mut sys);
-    Ok(sys)
 }
 
 /// Every value of a repeatable flag, in order.
@@ -157,11 +130,10 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_list() -> ExitCode {
     println!("targets:");
-    println!("  spectre-v1");
-    for p in spec_suite() {
-        println!("  {}", p.name);
+    for name in Target::names() {
+        println!("  {name}");
     }
-    println!("\nmitigations: unsafe, mte, fence, stt, ghostminion, specasan, speccfi, specasan+cfi");
+    println!("\nmitigations: {}", Mitigation::all().map(Mitigation::token).join(", "));
     ExitCode::SUCCESS
 }
 
@@ -205,10 +177,6 @@ fn run() -> Result<ExitCode, String> {
         }
         None => Mitigation::SpecAsan,
     };
-    let sample_interval: u64 =
-        flag_value(&args, "--sample-interval").and_then(|s| s.parse().ok()).unwrap_or(64);
-    let timeline_cap: usize =
-        flag_value(&args, "--timeline-cap").and_then(|s| s.parse().ok()).unwrap_or(65_536);
 
     let iters = match flag_value(&args, "--iters").map(|s| parse_iterations(&s)).transpose() {
         Ok(i) => i.unwrap_or(50),
@@ -218,8 +186,12 @@ fn run() -> Result<ExitCode, String> {
         }
     };
 
-    let mut sys = build_target(&target, m, iters, &args)?;
-    sys.enable_telemetry(sample_interval, timeline_cap);
+    let target = match Target::parse(&target)? {
+        Target::SpectreV1 { .. } => Target::SpectreV1 { matching: has_flag(&args, "--matching") },
+        named => named,
+    };
+    let mut sys = target.system(m, iters, &[]);
+    sys.enable_telemetry(sas_bench::TRACE_SAMPLE_INTERVAL, sas_bench::TRACE_TIMELINE_CAP);
     let result = sys.run(20_000_000);
 
     let cause_names = DelayCause::ALL.map(|c| c.name());
@@ -303,7 +275,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     // --- summary -----------------------------------------------------------
-    println!("target     : {target}");
+    println!("target     : {}", target.name());
     println!("mitigation : {m}");
     println!(
         "exit       : {}",

@@ -1,4 +1,4 @@
-//! End-to-end checks of the `sas-sim` binary's `--fault-plan` flag.
+//! End-to-end checks of the `sas-sim` binary's `workload` flags.
 
 use std::process::{Command, Output};
 
@@ -36,4 +36,13 @@ fn a_bad_fault_plan_is_a_usage_error_naming_the_flag() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--fault-plan"), "{args:?}: {stderr}");
     }
+}
+
+/// An unknown mitigation used to run under SpecASan and exit 0.
+#[test]
+fn a_bad_mitigation_is_a_usage_error_naming_the_flag() {
+    let out = sas_sim(&["workload", "505.mcf_r", "--mitigation", "bogus", "--iters", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--mitigation"), "{stderr}");
 }
