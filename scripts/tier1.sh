@@ -161,9 +161,9 @@ if ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT"
   exit 1
 fi
 ./target/release/sas-snap verify "$CKPT"
-# A fresh checkpoint is written in the current format (version 5).
+# A fresh checkpoint is written in the current format (version 6).
 ./target/release/sas-snap inspect "$CKPT" > "$SNAPDIR/inspect.txt"
-grep -qx '  version:  5' "$SNAPDIR/inspect.txt"
+grep -qx '  version:  6' "$SNAPDIR/inspect.txt"
 resumed=$(./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" 2>/dev/null)
 echo "$resumed" | grep -q '"restored":true'
 [ "$(echo "$resumed" | result_cycles)" = "$ref" ]
