@@ -206,13 +206,13 @@ impl Cfg {
         }
         loop {
             let last = self.blocks[b].end - 1;
-            if last < pc || self.block_of(pc) != Some(b) {
-                if matches!(
+            if (last < pc || self.block_of(pc) != Some(b))
+                && matches!(
                     program.fetch(last),
                     Some(Inst::BCond { .. } | Inst::Cbz { .. } | Inst::Cbnz { .. })
-                ) {
-                    return Some(last);
-                }
+                )
+            {
+                return Some(last);
             }
             if b == self.entry_block || self.idom[b] == b {
                 return None;

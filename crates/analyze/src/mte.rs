@@ -55,7 +55,7 @@ pub fn lint(
         let base_val = if base.is_zero() { Some(0) } else { st.consts[base.index()] };
         if let Some(bv) = base_val {
             let key = VirtAddr::new(bv).key().value();
-            if key != 0 && !(!base.is_zero() && st.derived[base.index()]) {
+            if key != 0 && (base.is_zero() || !st.derived[base.index()]) {
                 out.push(Finding {
                     kind: FindingKind::UnderivedTaggedBase,
                     pc,
@@ -71,7 +71,7 @@ pub fn lint(
                 if let Some(raw) = resolved {
                     let va = VirtAddr::new(raw);
                     let u = va.untagged().raw();
-                    if u % GRANULE_BYTES != 0 {
+                    if !u.is_multiple_of(GRANULE_BYTES) {
                         out.push(Finding {
                             kind: FindingKind::MisalignedTagStore,
                             pc,

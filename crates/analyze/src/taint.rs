@@ -363,7 +363,7 @@ fn transfer(
     if let Some((base, index, offset)) = inst.addr_operands() {
         let addr = resolve_addr(st, base, index, offset);
         let addr_taint = st.taint_of(base) | index.map_or(0, |r| st.taint_of(r));
-        let faults = addr.map_or(false, |a| access_faults(acfg, a));
+        let faults = addr.is_some_and(|a| access_faults(acfg, a));
         if inst.is_load() {
             let width = inst.access_width().unwrap_or(8);
             let stl_hazard = st.stores_unknown > 0
@@ -422,7 +422,7 @@ fn transfer(
             };
             let t = st.taint_of(lhs) | st.op_taint(rhs);
             let d = st.derived_of(lhs)
-                || rhs.source_reg().map_or(false, |r| st.derived_of(r));
+                || rhs.source_reg().is_some_and(|r| st.derived_of(r));
             out.write(dst, val, t, d);
             if val.is_none() {
                 // Range-track unknown values: an AND mask, narrow shift, or
@@ -596,8 +596,8 @@ pub fn findings(
     graph: &Cfg,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-    for pc in 0..program.len() {
-        let Some(st) = flow[pc].as_ref() else { continue };
+    for (pc, st) in flow.iter().enumerate().take(program.len()) {
+        let Some(st) = st.as_ref() else { continue };
         let inst = program.fetch(pc).expect("pc in range");
         if let Some((base, index, offset)) = inst.addr_operands() {
             let addr_taint = st.taint_of(base) | index.map_or(0, |r| st.taint_of(r));
@@ -664,16 +664,16 @@ pub fn findings(
             }
         }
         match inst {
-            Inst::Alu { op, lhs, rhs, .. } if op.is_long_latency() => {
-                if (st.taint_of(lhs) | st.op_taint(rhs)) & SECRET != 0 {
-                    out.push(Finding {
-                        kind: FindingKind::ContentionTransmit,
-                        pc,
-                        detail: format!(
-                            "secret operand feeds long-latency {op:?} (SCC contention channel)"
-                        ),
-                    });
-                }
+            Inst::Alu { op, lhs, rhs, .. }
+                if op.is_long_latency() && (st.taint_of(lhs) | st.op_taint(rhs)) & SECRET != 0 =>
+            {
+                out.push(Finding {
+                    kind: FindingKind::ContentionTransmit,
+                    pc,
+                    detail: format!(
+                        "secret operand feeds long-latency {op:?} (SCC contention channel)"
+                    ),
+                });
             }
             Inst::Br { reg } | Inst::Blr { reg } => {
                 let t = st.taint_of(reg);
@@ -714,7 +714,7 @@ pub fn findings(
 pub fn btb_window_scan(program: &Program, acfg: &AnalysisConfig) -> Vec<Finding> {
     let len = program.len();
     let any_indirect =
-        (0..len).any(|pc| program.fetch(pc).map_or(false, |i| i.is_indirect_branch()));
+        (0..len).any(|pc| program.fetch(pc).is_some_and(|i| i.is_indirect_branch()));
     if !any_indirect || acfg.spec_window == 0 {
         return Vec::new();
     }
@@ -759,7 +759,7 @@ fn scan_from(
         let inst = program.fetch(pc).expect("pc in range");
         let in_mask = |r: Reg| !r.is_zero() && mask & mask_bit(r) != 0;
         if let Some((base, index, _)) = inst.addr_operands() {
-            if in_mask(base) || index.map_or(false, in_mask) {
+            if in_mask(base) || index.is_some_and(in_mask) {
                 out.push(Finding {
                     kind: if inst.is_load() {
                         FindingKind::TransmitLoad
@@ -775,41 +775,38 @@ fn scan_from(
             }
         }
         match inst {
-            Inst::Alu { op, lhs, rhs, .. } if op.is_long_latency() => {
-                if in_mask(lhs) || rhs.source_reg().map_or(false, in_mask) {
-                    out.push(Finding {
-                        kind: FindingKind::ContentionTransmit,
-                        pc,
-                        detail: format!(
-                            "value loaded at {load_pc} feeds long-latency {op:?} within a \
-                             mispredicted-indirect window"
-                        ),
-                    });
-                }
+            Inst::Alu { op, lhs, rhs, .. }
+                if op.is_long_latency()
+                    && (in_mask(lhs) || rhs.source_reg().is_some_and(in_mask)) =>
+            {
+                out.push(Finding {
+                    kind: FindingKind::ContentionTransmit,
+                    pc,
+                    detail: format!(
+                        "value loaded at {load_pc} feeds long-latency {op:?} within a \
+                         mispredicted-indirect window"
+                    ),
+                });
             }
-            Inst::Br { reg } | Inst::Blr { reg } => {
-                if in_mask(reg) {
-                    out.push(Finding {
-                        kind: FindingKind::TaintedIndirectTarget,
-                        pc,
-                        detail: format!(
-                            "value loaded at {load_pc} reaches this indirect target within a \
-                             mispredicted-indirect window"
-                        ),
-                    });
-                }
+            Inst::Br { reg } | Inst::Blr { reg } if in_mask(reg) => {
+                out.push(Finding {
+                    kind: FindingKind::TaintedIndirectTarget,
+                    pc,
+                    detail: format!(
+                        "value loaded at {load_pc} reaches this indirect target within a \
+                         mispredicted-indirect window"
+                    ),
+                });
             }
-            Inst::Ret => {
-                if in_mask(Reg::LR) {
-                    out.push(Finding {
-                        kind: FindingKind::TaintedIndirectTarget,
-                        pc,
-                        detail: format!(
-                            "value loaded at {load_pc} reaches this return within a \
-                             mispredicted-indirect window"
-                        ),
-                    });
-                }
+            Inst::Ret if in_mask(Reg::LR) => {
+                out.push(Finding {
+                    kind: FindingKind::TaintedIndirectTarget,
+                    pc,
+                    detail: format!(
+                        "value loaded at {load_pc} reaches this return within a \
+                         mispredicted-indirect window"
+                    ),
+                });
             }
             _ => {}
         }

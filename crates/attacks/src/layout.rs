@@ -73,7 +73,7 @@ mod tests {
     fn alias_shares_low_bits_with_victim_slot() {
         assert_eq!(PROT_ALIAS & 0xFFF, VICTIM_SLOT & 0xFFF);
         assert_ne!(PROT_ALIAS, VICTIM_SLOT);
-        assert!(PROT_ALIAS >= PROT_BASE && PROT_ALIAS < PROT_BASE + PROT_LEN);
+        assert!((PROT_BASE..PROT_BASE + PROT_LEN).contains(&PROT_ALIAS));
     }
 
     #[test]

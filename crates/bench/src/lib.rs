@@ -595,19 +595,28 @@ mod tests {
         }
     }
 
-    /// Building a machine copies no data byte: every frame of the cached
-    /// programs, masked core 0's included, gains two holders, the
-    /// machine's memory page and its base page, and they cover every
-    /// page the machine holds.
+    /// Building a machine computes no generated byte and copies no data
+    /// byte: no frame of the cached programs' generated segments exists
+    /// afterwards, and every chase-ring frame, masked core 0's included,
+    /// gains two holders, the machine's memory page and its base page.
+    /// The ring frames are every page the machine holds.
     #[test]
     fn target_machines_share_the_programs_data_frames() {
         let t = Target::parse("blackscholes").unwrap();
         let workloads = t.workloads(2).unwrap();
-        let frames: Vec<&sas_isa::Page> = workloads
+        let (generated, rings): (Vec<&sas_isa::DataSegment>, Vec<_>) = workloads
             .iter()
             .flat_map(|w| w.program.data())
+            .partition(|s| s.is_generated());
+        assert_eq!(
+            (generated.len(), rings.len()),
+            (16, 4),
+            "three arrays and a guard a core"
+        );
+        let frames: Vec<&sas_isa::Page> = rings
+            .iter()
             .flat_map(|s| s.pages())
-            .map(|p| p.frame.expect("a generated array keeps frames"))
+            .map(|p| p.frame.expect("a chase ring keeps frames"))
             .collect();
         let holders = || {
             frames
@@ -620,6 +629,8 @@ mod tests {
         let sys = t.system(Mitigation::SpecAsan, 2, &[3]);
         let built: Vec<usize> = unbuilt.iter().map(|n| n + 2).collect();
         assert_eq!(holders(), built, "a page was copied");
+        let computed: usize = generated.iter().map(|s| s.materialised()).sum();
+        assert_eq!(computed, 0, "building computed a generated frame");
         assert_eq!(frames.len(), sys.mem().arch.resident_pages());
     }
 

@@ -234,3 +234,67 @@ fn a_heartbeat_armed_cell_matches_an_unarmed_one() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Blackscholes' four cores with their data as built (chase rings given as
+/// bytes, everything else generated), or with every segment given as bytes.
+fn blackscholes(m: Mitigation, generated: bool) -> System {
+    use sas_isa::{DataSegment, Program, ProgramBuilder};
+    const ITERS: u32 = 150;
+    let profile = sas_workloads::parsec_suite().into_iter().find(|p| p.name == "blackscholes");
+    let workloads =
+        sas_workloads::build_parsec_workload(&profile.unwrap(), ITERS, sas_bench::SEED, 4);
+    let as_bytes = |p: &Program| {
+        let mut asm = ProgramBuilder::new();
+        for &inst in p.insts() {
+            asm.push(inst);
+        }
+        asm.entry(p.entry());
+        for seg in p.data() {
+            asm.segment(DataSegment::new(seg.base(), &seg.to_vec()));
+        }
+        asm.build().unwrap()
+    };
+    let programs = workloads
+        .iter()
+        .map(|w| if generated { w.program.clone() } else { as_bytes(&w.program) })
+        .collect();
+    let mut sys = specasan::build_multicore(&SimConfig::table2(), programs, m);
+    for w in &workloads {
+        w.setup.apply(&mut sys);
+    }
+    sys
+}
+
+/// A generated workload's warm image stores only the pages its warm-up
+/// wrote: its memory table is byte for byte the one of the same machine
+/// built with every data byte given up front, which holds every page from
+/// the start. Forking from it runs bit-identically to the run that wrote it.
+#[test]
+fn a_generated_workloads_warm_image_stores_only_written_pages() {
+    let dir = state_dir("generated-warm");
+    let mem_table = |path: &Path| {
+        let snap = sas_snap::Snapshot::read(path).unwrap();
+        let mut mem = snap.section("mem").unwrap();
+        mem.raw(mem.remaining()).unwrap().to_vec()
+    };
+
+    let (warm, eager_warm) = (dir.join("generated.snap"), dir.join("eager.snap"));
+    let mut cold = blackscholes(Mitigation::Unsafe, true);
+    let plan = CheckpointPlan { warm_base: Some(warm.clone()), ..CheckpointPlan::none() };
+    let cold_run = run(&mut cold, &plan);
+    assert!(!cold_run.restored && cold_run.run.cycles > WARM_CYCLES, "{:?}", cold_run.run);
+    let mut eager = blackscholes(Mitigation::Unsafe, false);
+    let eager_plan = CheckpointPlan { warm_base: Some(eager_warm.clone()), ..CheckpointPlan::none() };
+    assert_eq!(digest(&run(&mut eager, &eager_plan).run), digest(&cold_run.run));
+    let table = mem_table(&warm);
+    assert!(table == mem_table(&eager_warm), "the memory tables differ");
+    let mut d = sas_snap::Dec::new(&table, "mem");
+    let pages = (d.usz().unwrap(), d.usz().unwrap()).1;
+    // The four cores hold 2,176 data pages; the warm-up writes a few dozen.
+    assert!((1..200).contains(&pages), "{pages} pages stored");
+
+    let mut forked = blackscholes(Mitigation::Unsafe, true);
+    let sr = run(&mut forked, &plan);
+    assert!(sr.restored, "the second run must fork from the warm image");
+    assert_eq!(digest(&sr.run), digest(&cold_run.run), "the fork diverged");
+}

@@ -176,7 +176,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusCase)>, String> {
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().map_or(false, |x| x == "sasm"))
+        .filter(|p| p.extension().is_some_and(|x| x == "sasm"))
         .collect();
     paths.sort();
     let mut out = Vec::with_capacity(paths.len());

@@ -508,7 +508,7 @@ mod tests {
         for k in ALL_SHAPES {
             for _ in 0..8 {
                 let (p, pinned) = build_shape(k, &cfg, &mut rng);
-                assert!(p.len() > 0, "{k:?}");
+                assert!(!p.is_empty(), "{k:?}");
                 assert!(
                     p.insts().contains(&sas_isa::Inst::Halt),
                     "{k:?} program lacks a HALT"

@@ -181,69 +181,70 @@ pub fn table3(t: &TechNode) -> Table3 {
     let roblsq = roblsq_specasan();
     let cfi = cfi_ext();
 
-    let mut rows = Vec::new();
-    // Per-component rows: the paper reports each extension only against the
-    // component it modifies; zeros elsewhere.
-    rows.push(Table3Row {
-        component: "L1 D-Cache",
-        metric: "Area Overhead (%)",
-        values: [l1d.area_pct(t), 0.0, 0.0],
-    });
-    rows.push(Table3Row {
-        component: "L1 D-Cache",
-        metric: "Static Power (%)",
-        values: [l1d.static_pct(t), 0.0, 0.0],
-    });
-    rows.push(Table3Row {
-        component: "L1 D-Cache",
-        metric: "Dynamic Energy (%)",
-        values: [l1d.dynamic_pct(t), 0.0, 0.0],
-    });
-    rows.push(Table3Row {
-        component: "LFB",
-        metric: "Area Overhead (%)",
-        values: [0.0, lfb.area_pct(t), lfb.area_pct(t)],
-    });
-    rows.push(Table3Row {
-        component: "LFB",
-        metric: "Static Power (%)",
-        values: [0.0, lfb.static_pct(t), lfb.static_pct(t)],
-    });
-    rows.push(Table3Row {
-        component: "LFB",
-        metric: "Dynamic Energy (%)",
-        values: [0.0, lfb.dynamic_pct(t), lfb.dynamic_pct(t)],
-    });
-    rows.push(Table3Row {
-        component: "ROB/LSQ/MSHR",
-        metric: "Area Overhead (%)",
-        values: [0.0, roblsq.area_pct(t), roblsq.area_pct(t)],
-    });
-    rows.push(Table3Row {
-        component: "ROB/LSQ/MSHR",
-        metric: "Static Power (%)",
-        values: [0.0, roblsq.static_pct(t), roblsq.static_pct(t)],
-    });
-    rows.push(Table3Row {
-        component: "ROB/LSQ/MSHR",
-        metric: "Dynamic Energy (%)",
-        values: [0.0, roblsq.dynamic_pct(t), roblsq.dynamic_pct(t)],
-    });
-    rows.push(Table3Row {
-        component: "CFI Extensions",
-        metric: "Area Overhead (%)",
-        values: [0.0, 0.0, 100.0 * cfi.extra_area(t) / CORE_AREA_UM2],
-    });
-    rows.push(Table3Row {
-        component: "CFI Extensions",
-        metric: "Static Power (%)",
-        values: [0.0, 0.0, 100.0 * cfi.extra_static(t) / CORE_STATIC_NW],
-    });
-    rows.push(Table3Row {
-        component: "CFI Extensions",
-        metric: "Dynamic Energy (%)",
-        values: [0.0, 0.0, 0.41], // per-access activity relative to core, DC estimate
-    });
+    let mut rows = vec![
+        // Per-component rows: the paper reports each extension only against the
+        // component it modifies; zeros elsewhere.
+        Table3Row {
+            component: "L1 D-Cache",
+            metric: "Area Overhead (%)",
+            values: [l1d.area_pct(t), 0.0, 0.0],
+        },
+        Table3Row {
+            component: "L1 D-Cache",
+            metric: "Static Power (%)",
+            values: [l1d.static_pct(t), 0.0, 0.0],
+        },
+        Table3Row {
+            component: "L1 D-Cache",
+            metric: "Dynamic Energy (%)",
+            values: [l1d.dynamic_pct(t), 0.0, 0.0],
+        },
+        Table3Row {
+            component: "LFB",
+            metric: "Area Overhead (%)",
+            values: [0.0, lfb.area_pct(t), lfb.area_pct(t)],
+        },
+        Table3Row {
+            component: "LFB",
+            metric: "Static Power (%)",
+            values: [0.0, lfb.static_pct(t), lfb.static_pct(t)],
+        },
+        Table3Row {
+            component: "LFB",
+            metric: "Dynamic Energy (%)",
+            values: [0.0, lfb.dynamic_pct(t), lfb.dynamic_pct(t)],
+        },
+        Table3Row {
+            component: "ROB/LSQ/MSHR",
+            metric: "Area Overhead (%)",
+            values: [0.0, roblsq.area_pct(t), roblsq.area_pct(t)],
+        },
+        Table3Row {
+            component: "ROB/LSQ/MSHR",
+            metric: "Static Power (%)",
+            values: [0.0, roblsq.static_pct(t), roblsq.static_pct(t)],
+        },
+        Table3Row {
+            component: "ROB/LSQ/MSHR",
+            metric: "Dynamic Energy (%)",
+            values: [0.0, roblsq.dynamic_pct(t), roblsq.dynamic_pct(t)],
+        },
+        Table3Row {
+            component: "CFI Extensions",
+            metric: "Area Overhead (%)",
+            values: [0.0, 0.0, 100.0 * cfi.extra_area(t) / CORE_AREA_UM2],
+        },
+        Table3Row {
+            component: "CFI Extensions",
+            metric: "Static Power (%)",
+            values: [0.0, 0.0, 100.0 * cfi.extra_static(t) / CORE_STATIC_NW],
+        },
+        Table3Row {
+            component: "CFI Extensions",
+            metric: "Dynamic Energy (%)",
+            values: [0.0, 0.0, 0.41], // per-access activity relative to core, DC estimate
+        },
+    ];
 
     // Core roll-ups.
     let mte_area = 100.0 * l1d.extra_area(t) / CORE_AREA_UM2;

@@ -43,11 +43,13 @@ pub mod inst;
 pub mod parse;
 pub mod program;
 pub mod reg;
+pub mod rng;
 pub mod segment;
 
 pub use addr::{TagNibble, VirtAddr, GRANULE_BYTES, LINE_BYTES};
 pub use inst::{AluOp, AmoOp, BtiKind, Cond, Inst, MemWidth, Operand};
-pub use parse::{parse_program, ParseError};
+pub use parse::{parse_program, ParseError, MAX_DATA_PAGES};
 pub use program::{AsmError, Label, Program, ProgramBuilder};
 pub use reg::{Flags, Reg};
+pub use rng::SplitMix64;
 pub use segment::{DataSegment, Page, PageBytes, PAGE_BYTES, PAGE_SHIFT};

@@ -24,11 +24,19 @@
 //! line, `;` or `//` comments, `label:` definitions, and two directives —
 //! `.entry <label>` and `.data <addr> = <byte>, <byte>, …`.
 
+use crate::addr::VirtAddr;
 use crate::inst::{AluOp, AmoOp, BtiKind, Cond, Inst, MemWidth, Operand};
 use crate::program::{Program, ProgramBuilder};
 use crate::reg::Reg;
-use std::collections::HashMap;
+use crate::segment::{PAGE_BYTES, PAGE_SHIFT};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+
+/// The most distinct 4 KiB pages a parsed program's `.data` may touch:
+/// 16 MiB, as much as the largest four-core workload holds across its
+/// cores. A machine holds a page for each, so without a bound 4 MiB of
+/// one-byte lines a page apart would cost close to a gigabyte to load.
+pub const MAX_DATA_PAGES: usize = 4096;
 
 /// A parse failure, with the 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,9 +232,11 @@ fn split_operands(s: &str) -> Vec<String> {
 /// second time is an error at that binding's line, a branch to a label that
 /// is never bound is an error at the first line naming it, and an `.entry`
 /// label that is unknown or at the end of the program is an error at the
-/// `.entry` line.
+/// `.entry` line. Data touching more than [`MAX_DATA_PAGES`] pages is an
+/// error at the `.data` line that crosses the bound.
 pub fn parse_program(text: &str) -> Result<Program, ParseError> {
     let mut asm = ProgramBuilder::new();
+    let mut data_pages: HashSet<u64> = HashSet::new();
     let mut entry_label: Option<(String, usize)> = None;
     // Label name -> the line that bound it, and the first line that named
     // each branch target, so label mistakes surface as `ParseError`s
@@ -259,6 +269,21 @@ pub fn parse_program(text: &str) -> Result<Program, ParseError> {
                     return err(lineno, format!("data byte {v} out of range"));
                 }
                 data.push(v as u8);
+            }
+            let mut at = 0;
+            while at < data.len() {
+                let addr = VirtAddr::new(base.wrapping_add(at as u64)).untagged().raw();
+                data_pages.insert(addr >> PAGE_SHIFT);
+                at += PAGE_BYTES - (addr as usize & (PAGE_BYTES - 1));
+            }
+            if data_pages.len() > MAX_DATA_PAGES {
+                return err(
+                    lineno,
+                    format!(
+                        "data touches {} pages, more than the {MAX_DATA_PAGES} a program may hold",
+                        data_pages.len()
+                    ),
+                );
             }
             asm.data_segment(base, data);
             continue;
@@ -629,6 +654,37 @@ mod tests {
         assert!(p.len() >= 24);
         assert_eq!(p.label("start"), Some(0));
         assert!(p.fetch(p.label("done").unwrap()).unwrap() == Inst::Halt);
+    }
+
+    #[test]
+    fn data_may_touch_at_most_max_data_pages() {
+        let lines = |pages: u64| -> String {
+            let mut text = String::from("HALT\n");
+            for i in 0..pages {
+                // A tagged address names the same page as its untagged one.
+                text.push_str(&format!(".data {:#x} = 1\n", (0xA << 56) | (i << 12)));
+                text.push_str(&format!(".data {:#x} = 2, 3\n", (i << 12) + 8));
+            }
+            text
+        };
+        let p = parse_program(&lines(MAX_DATA_PAGES as u64)).unwrap();
+        assert_eq!(p.data().len(), 2 * MAX_DATA_PAGES);
+        let e = parse_program(&lines(MAX_DATA_PAGES as u64 + 1)).unwrap_err();
+        assert_eq!(e.line, 2 + 2 * MAX_DATA_PAGES);
+        assert_eq!(
+            e.message,
+            "data touches 4097 pages, more than the 4096 a program may hold"
+        );
+        // One line straddling two pages counts both.
+        let e = parse_program(&format!("HALT\n{}.data 0x10000fff = 1, 2\n", {
+            let mut t = String::new();
+            for i in 0..MAX_DATA_PAGES as u64 - 1 {
+                t.push_str(&format!(".data {:#x} = 0\n", i << 12));
+            }
+            t
+        }))
+        .unwrap_err();
+        assert_eq!(e.line, 1 + MAX_DATA_PAGES);
     }
 
     #[test]

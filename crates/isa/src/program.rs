@@ -160,7 +160,10 @@ impl Program {
 
     /// A 64-bit fingerprint of what the program executes: every instruction
     /// (its derived `Debug` text), the entry index, and each data segment's
-    /// base, length and bytes. Label names are not covered.
+    /// base, length and bytes. A generated segment
+    /// ([`DataSegment::generated`]) is covered by its recipe, the generator
+    /// state and byte mask, which fix every byte without computing one.
+    /// Label names are not covered.
     ///
     /// Snapshots persist this value, so it is a hand-rolled FNV-1a rather
     /// than `std::hash`, whose output may change between Rust releases.
@@ -181,6 +184,14 @@ impl Program {
         h.u64(self.entry as u64);
         h.u64(self.data.len() as u64);
         for seg in self.data.iter() {
+            if let Some((state, mask)) = seg.recipe() {
+                h.bytes(b"generated");
+                h.u64(seg.base());
+                h.u64(seg.len() as u64);
+                h.u64(state);
+                h.u64(mask.into());
+                continue;
+            }
             h.u64(seg.base());
             h.u64(seg.len() as u64);
             h.segment(seg);
@@ -965,6 +976,38 @@ mod tests {
         // Two whole words and a three-byte tail.
         let p = fingerprint_sample(0, (0..19).collect(), "top");
         assert_eq!(p.fingerprint(), 0x4D01_54D1_F5AF_9D50);
+        // A generated segment: its recipe, not its bytes.
+        let p = generated_sample(7, 0x7f);
+        assert_eq!(p.fingerprint(), 0x77A7_D641_481C_5F0F);
+        assert_eq!(p.data()[0].materialised(), 0, "hashing computed a frame");
+    }
+
+    fn generated_sample(state: u64, mask: u8) -> Program {
+        let mut asm = ProgramBuilder::new();
+        asm.halt();
+        asm.segment(DataSegment::generated(
+            0x4000,
+            2 * crate::PAGE_BYTES,
+            crate::SplitMix64::new(state),
+            mask,
+        ));
+        asm.build().unwrap()
+    }
+
+    #[test]
+    fn fingerprint_covers_the_recipe_of_generated_data() {
+        let base = generated_sample(7, 0x7f).fingerprint();
+        assert_ne!(generated_sample(8, 0x7f).fingerprint(), base);
+        assert_ne!(generated_sample(7, 0xff).fingerprint(), base);
+        let bytes = generated_sample(7, 0x7f).data()[0].to_vec();
+        let mut asm = ProgramBuilder::new();
+        asm.halt();
+        asm.data_segment(0x4000, bytes);
+        assert_ne!(
+            asm.build().unwrap().fingerprint(),
+            base,
+            "a recipe is not its bytes"
+        );
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //! segment keeps just its bytes, which a machine copies in, so a program
 //! of many small segments (a `.sasm` file has one per `.data` line) costs
 //! about its data size, not a page per segment.
+//!
+//! A *generated* segment ([`DataSegment::generated`]) is a recipe instead:
+//! whole pages of [`SplitMix64`] draws. Its frames are computed the first
+//! time something reads them and are then shared by every clone of the
+//! segment, so data no one reads costs nothing.
 
+use crate::rng::SplitMix64;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// log2 of [`PAGE_BYTES`].
 pub const PAGE_SHIFT: u32 = 12;
@@ -27,9 +33,8 @@ pub type Page = Arc<[u8; PAGE_BYTES]>;
 /// ```
 /// use sas_isa::{DataSegment, PAGE_BYTES};
 ///
-/// let mut seg = DataSegment::new(0x1ffe, &[1, 2, 3, 4]);
-/// seg.write(1, &[9, 9]);
-/// assert_eq!(seg.to_vec(), vec![1, 9, 9, 4]);
+/// let seg = DataSegment::new(0x1ffe, &[1, 2, 3, 4]);
+/// assert_eq!(seg.to_vec(), vec![1, 2, 3, 4]);
 /// assert_eq!(seg.pages().count(), 2, "the bytes straddle a page boundary");
 /// assert!(seg.pages().all(|p| p.frame.is_none()), "short: kept as bytes");
 ///
@@ -42,7 +47,7 @@ pub struct DataSegment {
     bytes: Bytes,
 }
 
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 enum Bytes {
     /// Fewer than [`PAGE_BYTES`] bytes, kept as they are.
     Short(Box<[u8]>),
@@ -50,7 +55,41 @@ enum Bytes {
     /// from the page that contains `base`; the bytes of a frame outside
     /// the segment are zero, like a page memory has never written.
     Frames { len: usize, frames: Box<[Page]> },
+    /// Whole pages from a page-aligned base, computed on first read, once
+    /// for every clone. Behind one pointer, which keeps every segment (a
+    /// `.sasm` program has one per `.data` line) as small as the other
+    /// variants allow.
+    Generated(Arc<Recipe>),
 }
+
+/// A generated segment: byte `i` is draw `i + 1` of a [`SplitMix64`] in
+/// `state`, truncated to a byte and masked with `mask`.
+struct Recipe {
+    state: u64,
+    mask: u8,
+    /// Frame `i` once something has read it; one per page.
+    frames: Box<[OnceLock<Page>]>,
+}
+
+/// Two segments are equal when they hold the same bytes given up front, or
+/// the same recipe: how much of a generated segment has been computed is
+/// not compared.
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        match (self, other) {
+            (Bytes::Short(a), Bytes::Short(b)) => a == b,
+            (Bytes::Frames { len: a, frames: x }, Bytes::Frames { len: b, frames: y }) => {
+                a == b && x == y
+            }
+            (Bytes::Generated(a), Bytes::Generated(b)) => {
+                (a.frames.len(), a.state, a.mask) == (b.frames.len(), b.state, b.mask)
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Bytes {}
 
 /// The part of a [`DataSegment`] that falls in one page.
 #[derive(Debug, Clone)]
@@ -67,22 +106,37 @@ pub struct PageBytes<'a> {
 }
 
 impl DataSegment {
-    /// A segment of `len` bytes at `base` whose bytes are `next()` in
-    /// ascending address order, written straight into place.
-    pub fn filled(base: u64, len: usize, mut next: impl FnMut() -> u8) -> DataSegment {
-        if len < PAGE_BYTES {
-            let bytes = Bytes::Short((0..len).map(|_| next()).collect());
-            return DataSegment { base, bytes };
-        }
-        let mut frames = zero_frames(base, len);
-        for (frame, range) in frames.iter_mut().zip(ranges(base, len)) {
-            for b in &mut Arc::make_mut(frame)[range] {
-                *b = next();
-            }
-        }
+    /// A segment of `len` pseudorandom bytes at `base`: byte `i` is draw
+    /// `i + 1` of `rng` (`rng` itself is not advanced) as a byte, masked
+    /// with `mask`. Nothing is computed until a page is read.
+    ///
+    /// ```
+    /// use sas_isa::{DataSegment, SplitMix64, PAGE_BYTES};
+    ///
+    /// let seg = DataSegment::generated(0x8000, 2 * PAGE_BYTES, SplitMix64::new(9), 0x7f);
+    /// assert_eq!(seg.materialised(), 0);
+    /// let mut rng = SplitMix64::new(9);
+    /// let want: Vec<u8> = (0..2 * PAGE_BYTES).map(|_| rng.next_u64() as u8 & 0x7f).collect();
+    /// assert_eq!(seg.to_vec(), want);
+    /// assert_eq!(seg.materialised(), 2);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` or `len` is not a multiple of [`PAGE_BYTES`].
+    pub fn generated(base: u64, len: usize, rng: SplitMix64, mask: u8) -> DataSegment {
+        assert!(
+            page_offset(base) == 0 && len.is_multiple_of(PAGE_BYTES),
+            "a generated segment covers whole pages, got {len} bytes at {base:#x}"
+        );
+        let frames = (0..len / PAGE_BYTES).map(|_| OnceLock::new()).collect();
         DataSegment {
             base,
-            bytes: Bytes::Frames { len, frames },
+            bytes: Bytes::Generated(Arc::new(Recipe {
+                state: rng.state(),
+                mask,
+                frames,
+            })),
         }
     }
 
@@ -94,15 +148,20 @@ impl DataSegment {
                 bytes: Bytes::Short(bytes.into()),
             };
         }
-        let mut seg = DataSegment {
+        let mut frames = zero_frames(base, bytes.len());
+        let mut rest = bytes;
+        for (frame, range) in frames.iter_mut().zip(ranges(base, bytes.len())) {
+            let (now, later) = rest.split_at(range.len());
+            Arc::get_mut(frame).expect("a new frame")[range].copy_from_slice(now);
+            rest = later;
+        }
+        DataSegment {
             base,
             bytes: Bytes::Frames {
                 len: bytes.len(),
-                frames: zero_frames(base, bytes.len()),
+                frames,
             },
-        };
-        seg.write(0, bytes);
-        seg
+        }
     }
 
     /// Untagged base virtual address.
@@ -115,6 +174,7 @@ impl DataSegment {
         match &self.bytes {
             Bytes::Short(b) => b.len(),
             Bytes::Frames { len, .. } => *len,
+            Bytes::Generated(r) => r.frames.len() * PAGE_BYTES,
         }
     }
 
@@ -123,53 +183,64 @@ impl DataSegment {
         self.len() == 0
     }
 
-    /// Overwrites the bytes from `offset` on with `bytes`, copying a frame
-    /// first if another segment shares it.
+    /// The generator state and byte mask of a generated segment.
+    pub(crate) fn recipe(&self) -> Option<(u64, u8)> {
+        match &self.bytes {
+            Bytes::Generated(r) => Some((r.state, r.mask)),
+            _ => None,
+        }
+    }
+
+    /// Whether the segment is a recipe ([`DataSegment::generated`]) whose
+    /// frames are computed when first read.
+    pub fn is_generated(&self) -> bool {
+        self.recipe().is_some()
+    }
+
+    /// Frame `i`, counted from the page that contains the base; `None`
+    /// for a segment shorter than a page. A generated frame is computed
+    /// on the first call and shared from then on.
     ///
     /// # Panics
     ///
-    /// Panics if the write runs past the end of the segment.
-    pub fn write(&mut self, offset: usize, bytes: &[u8]) {
-        let len = self.len();
-        assert!(
-            offset
-                .checked_add(bytes.len())
-                .is_some_and(|end| end <= len),
-            "write of {} bytes at offset {offset} runs past a {len}-byte segment",
-            bytes.len(),
-        );
-        let frames = match &mut self.bytes {
-            Bytes::Short(b) => {
-                b[offset..offset + bytes.len()].copy_from_slice(bytes);
-                return;
-            }
-            Bytes::Frames { frames, .. } => frames,
-        };
-        let mut at = page_offset(self.base) + offset;
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let (frame, off) = (at >> PAGE_SHIFT, at & (PAGE_BYTES - 1));
-            let n = (PAGE_BYTES - off).min(rest.len());
-            Arc::make_mut(&mut frames[frame])[off..off + n].copy_from_slice(&rest[..n]);
-            at += n;
-            rest = &rest[n..];
+    /// Panics if the segment has no frame `i`.
+    pub fn frame(&self, i: usize) -> Option<&Page> {
+        match &self.bytes {
+            Bytes::Short(_) => None,
+            Bytes::Frames { frames, .. } => Some(&frames[i]),
+            Bytes::Generated(r) => Some(r.frames[i].get_or_init(|| generate(r.state, r.mask, i))),
+        }
+    }
+
+    /// How many of the segment's frames exist: every one for bytes given
+    /// up front, those read so far for a generated segment, none for a
+    /// segment shorter than a page.
+    pub fn materialised(&self) -> usize {
+        match &self.bytes {
+            Bytes::Short(_) => 0,
+            Bytes::Frames { frames, .. } => frames.len(),
+            Bytes::Generated(r) => r.frames.iter().filter(|f| f.get().is_some()).count(),
         }
     }
 
     /// The segment page by page, in ascending address order. This is the
-    /// byte view every reader goes through.
+    /// byte view every reader goes through; it computes every frame of a
+    /// generated segment.
     pub fn pages(&self) -> impl Iterator<Item = PageBytes<'_>> {
         let first_page = self.base & !(PAGE_BYTES as u64 - 1);
         let first = page_offset(self.base);
         ranges(self.base, self.len())
             .enumerate()
             .map(move |(i, range)| {
-                let (bytes, frame) = match &self.bytes {
-                    Bytes::Short(b) => {
+                let (bytes, frame) = match (&self.bytes, self.frame(i)) {
+                    (Bytes::Short(b), _) => {
                         let at = i * PAGE_BYTES + range.start - first;
                         (&b[at..at + range.len()], None)
                     }
-                    Bytes::Frames { frames, .. } => (&frames[i][range.clone()], Some(&frames[i])),
+                    (_, frame) => {
+                        let frame = frame.expect("a segment of a page or more keeps frames");
+                        (&frame[range.clone()], Some(frame))
+                    }
                 };
                 PageBytes {
                     addr: first_page.wrapping_add((i as u64) << PAGE_SHIFT),
@@ -182,17 +253,23 @@ impl DataSegment {
 
     /// A copy of the segment's bytes.
     pub fn to_vec(&self) -> Vec<u8> {
-        match &self.bytes {
-            Bytes::Short(b) => b.to_vec(),
-            Bytes::Frames { len, .. } => {
-                let mut out = Vec::with_capacity(*len);
-                for p in self.pages() {
-                    out.extend_from_slice(p.bytes);
-                }
-                out
-            }
+        let mut out = Vec::with_capacity(self.len());
+        for p in self.pages() {
+            out.extend_from_slice(p.bytes);
         }
+        out
     }
+}
+
+/// Frame `i` of a generated segment: draws `i * PAGE_BYTES + 1` on.
+fn generate(state: u64, mask: u8, i: usize) -> Page {
+    let mut rng = SplitMix64::new(state);
+    rng.advance((i * PAGE_BYTES) as u64);
+    let mut frame = Arc::new([0; PAGE_BYTES]);
+    for b in Arc::get_mut(&mut frame).expect("a new frame").iter_mut() {
+        *b = rng.next_u64() as u8 & mask;
+    }
+    frame
 }
 
 /// Zeroed frames for `len` bytes from `base`.
@@ -260,7 +337,7 @@ mod tests {
 
     #[test]
     fn bytes_outside_the_segment_stay_zero() {
-        let seg = DataSegment::filled(0x1ffd, PAGE_BYTES + 6, || 0xEE);
+        let seg = DataSegment::new(0x1ffd, &[0xEE; PAGE_BYTES + 6]);
         let pages: Vec<_> = seg.pages().collect();
         let addrs: Vec<u64> = pages.iter().map(|p| p.addr).collect();
         assert_eq!(addrs, [0x1000, 0x2000, 0x3000]);
@@ -271,37 +348,47 @@ mod tests {
         assert_eq!(seg.to_vec(), vec![0xEE; PAGE_BYTES + 6]);
     }
 
+    /// The bytes of a generated segment are the stream its recipe names,
+    /// computed page by page only when read, once for every clone.
     #[test]
-    fn a_write_to_a_clone_copies_only_the_frame_it_touches() {
-        let a = DataSegment::new(0x4000, &[5; 3 * PAGE_BYTES]);
-        let mut b = a.clone();
-        b.write(PAGE_BYTES + 7, &[1]);
-        let shared: Vec<bool> = a
-            .pages()
-            .zip(b.pages())
-            .map(|(x, y)| Arc::ptr_eq(x.frame.unwrap(), y.frame.unwrap()))
-            .collect();
-        assert_eq!(shared, [true, false, true]);
-        assert_eq!(a.to_vec(), vec![5; 3 * PAGE_BYTES]);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn a_write_to_a_short_clone_leaves_the_original() {
-        let a = DataSegment::new(0xffe, &[1, 2, 3, 4]);
-        let mut b = a.clone();
-        b.write(1, &[9, 9, 9]);
-        assert_eq!(
-            (a.to_vec(), b.to_vec()),
-            (vec![1, 2, 3, 4], vec![1, 9, 9, 9])
+    fn generated_frames_are_computed_on_first_read_and_shared() {
+        let seg = DataSegment::generated(0x3000, 3 * PAGE_BYTES, SplitMix64::new(42), 0xff);
+        let clone = seg.clone();
+        assert_eq!((seg.materialised(), clone.materialised()), (0, 0));
+        let second = clone.frame(1).unwrap();
+        assert!(
+            Arc::ptr_eq(second, seg.frame(1).unwrap()),
+            "one frame for both"
         );
-        let b_pages: Vec<&[u8]> = b.pages().map(|p| p.bytes).collect();
-        assert_eq!(b_pages, [&[1, 9][..], &[9, 9][..]]);
+        assert_eq!(seg.materialised(), 1);
+        let mut rng = SplitMix64::new(42);
+        let want: Vec<u8> = (0..3 * PAGE_BYTES).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(second[..], want[PAGE_BYTES..2 * PAGE_BYTES]);
+        assert_eq!(clone.to_vec(), want);
+        assert_eq!(seg.materialised(), 3);
+        let addrs: Vec<u64> = seg.pages().map(|p| p.addr).collect();
+        assert_eq!(addrs, [0x3000, 0x4000, 0x5000]);
     }
 
     #[test]
-    #[should_panic(expected = "runs past")]
-    fn a_write_past_the_end_panics() {
-        DataSegment::new(0x1000, &[0; 4]).write(2, &[0; 3]);
+    fn generated_segments_compare_by_recipe() {
+        let make =
+            |state, mask| DataSegment::generated(0x1000, PAGE_BYTES, SplitMix64::new(state), mask);
+        let read = make(1, 0x7f);
+        read.to_vec();
+        assert_eq!(read, make(1, 0x7f), "materialisation is not compared");
+        assert_ne!(make(1, 0x7f), make(2, 0x7f));
+        assert_ne!(make(1, 0x7f), make(1, 0xff));
+        assert_ne!(
+            read,
+            DataSegment::new(0x1000, &read.to_vec()),
+            "a recipe is not bytes"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "whole pages")]
+    fn a_generated_segment_must_be_page_aligned() {
+        DataSegment::generated(0x1800, PAGE_BYTES, SplitMix64::new(0), 0xff);
     }
 }

@@ -4,7 +4,9 @@
 //! segment that rounds up to whole pages: each line would cost a 4 KiB
 //! frame, hundreds of times its text. The parse runs under a counting
 //! allocator that records the peak of live heap bytes, for a 4 MiB text
-//! (the largest request body `sas-serve` accepts) in three layouts.
+//! (the largest request body `sas-serve` accepts) in three layouts. Lines
+//! one page apart touch more pages than a program may hold
+//! (`MAX_DATA_PAGES`), so that layout is refused, within the same bound.
 //!
 //! This file holds a single test: the allocator counts every thread of
 //! the test binary.
@@ -60,10 +62,16 @@ fn one_byte_data_lines_cost_a_few_times_their_text() {
         let text = one_byte_lines(stride);
         let before = LIVE.load(Ordering::Relaxed);
         PEAK.store(before, Ordering::Relaxed);
-        let program = sas_isa::parse_program(&text).unwrap();
+        let parsed = sas_isa::parse_program(&text);
         let peak = PEAK.load(Ordering::Relaxed) - before;
         let lines = text.lines().count() - 1;
-        assert_eq!(program.data().len(), lines, "{name}");
+        if stride == 4096 {
+            let e = parsed.unwrap_err();
+            assert_eq!(e.line, 2 + sas_isa::MAX_DATA_PAGES, "{name}");
+            assert!(e.message.contains("4097 pages"), "{name}: {e}");
+        } else {
+            assert_eq!(parsed.unwrap().data().len(), lines, "{name}");
+        }
         let ratio = peak as f64 / text.len() as f64;
         println!("{name}: {lines} lines, parse peak {ratio:.1}x the text");
         assert!(

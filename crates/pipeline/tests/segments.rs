@@ -7,27 +7,101 @@
 //! segment of a page or more touches is that segment's frame, shared by
 //! pointer with every clone of the program and adopted by the machine's
 //! memory, and a simulated store copies only the page it writes.
+//!
+//! Each core may also carry one generated segment (whole pages of a
+//! recipe, disjoint from the other cores' ones) among its other segments.
+//! Building computes none of its frames but those a segment given as bytes
+//! shares a page with, and the machine holds none of its pages but those.
 
-use sas_isa::{Page, Program, ProgramBuilder, Reg, VirtAddr, PAGE_BYTES};
+use sas_isa::{DataSegment, Page, Program, ProgramBuilder, Reg, SplitMix64, VirtAddr, PAGE_BYTES};
 use sas_mem::{MainMemory, MemConfig};
 use sas_pipeline::{CoreConfig, MitigationPolicy, NoPolicy, RunExit, System};
 use sas_ptest::{check, Rng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Start of the four pages every segment falls in.
+/// Start of the eight pages every segment falls in.
 const WINDOW: u64 = 0x10_0000;
 const PAGE: u64 = PAGE_BYTES as u64;
 
-/// `(base, bytes)` pairs: unaligned or page-aligned bases, lengths from a
-/// handful of bytes (so several share a page) to three whole pages.
-fn random_segments(rng: &mut Rng, at_least_a_word: bool) -> Vec<(u64, Vec<u8>)> {
-    (0..rng.range(1, 5))
+/// One segment of a random layout.
+#[derive(Debug, Clone)]
+enum Seg {
+    /// Bytes given up front.
+    Bytes(u64, Vec<u8>),
+    /// A recipe: `pages` whole pages from `base` of draws from `state`.
+    Generated {
+        base: u64,
+        pages: u64,
+        state: u64,
+        mask: u8,
+    },
+}
+
+impl Seg {
+    fn base(&self) -> u64 {
+        match *self {
+            Seg::Bytes(base, _) | Seg::Generated { base, .. } => base,
+        }
+    }
+
+    /// The bytes, drawn here rather than read from a segment.
+    fn bytes(&self) -> Vec<u8> {
+        match *self {
+            Seg::Bytes(_, ref b) => b.clone(),
+            Seg::Generated {
+                pages, state, mask, ..
+            } => {
+                let mut rng = SplitMix64::new(state);
+                (0..pages * PAGE)
+                    .map(|_| rng.next_u64() as u8 & mask)
+                    .collect()
+            }
+        }
+    }
+
+    fn segment(&self) -> DataSegment {
+        match *self {
+            Seg::Bytes(base, ref b) => DataSegment::new(base, b),
+            Seg::Generated {
+                base,
+                pages,
+                state,
+                mask,
+            } => {
+                DataSegment::generated(base, (pages * PAGE) as usize, SplitMix64::new(state), mask)
+            }
+        }
+    }
+
+    /// The page addresses the segment touches.
+    fn pages(&self) -> impl Iterator<Item = u64> {
+        let base = self.base();
+        let len = match *self {
+            Seg::Bytes(_, ref b) => b.len() as u64,
+            Seg::Generated { pages, .. } => pages * PAGE,
+        };
+        let first = base / PAGE;
+        let end = if len == 0 {
+            first
+        } else {
+            (base + len - 1) / PAGE + 1
+        };
+        (first..end).map(|p| p * PAGE)
+    }
+}
+
+/// Segments of core `core`: unaligned or page-aligned bases, lengths from a
+/// handful of bytes (so several share a page) to three whole pages, and
+/// maybe one generated segment of one or two pages in the core's own pair
+/// of pages.
+fn random_segments(rng: &mut Rng, core: u64, at_least_a_word: bool) -> Vec<Seg> {
+    let mut segs: Vec<Seg> = (0..rng.range(1, 5))
         .map(|i| {
             let base = if rng.chance(0.5) {
-                WINDOW + rng.below(4) * PAGE
+                WINDOW + rng.below(8) * PAGE
             } else {
-                WINDOW + rng.below(4 * PAGE)
+                WINDOW + rng.below(8 * PAGE)
             };
             let mut len = match rng.below(3) {
                 0 => rng.below(33),
@@ -37,14 +111,26 @@ fn random_segments(rng: &mut Rng, at_least_a_word: bool) -> Vec<(u64, Vec<u8>)> 
             if i == 0 && at_least_a_word {
                 len = len.max(8);
             }
-            (base, (0..len).map(|_| rng.next_u64() as u8).collect())
+            Seg::Bytes(base, (0..len).map(|_| rng.next_u64() as u8).collect())
         })
-        .collect()
+        .collect();
+    if rng.chance(0.75) {
+        let generated = Seg::Generated {
+            base: WINDOW + 2 * core * PAGE,
+            pages: rng.range(1, 3),
+            state: rng.next_u64(),
+            mask: [0xff, 0x7f][rng.below(2) as usize],
+        };
+        // Anywhere but first: core 0 stores into its first segment.
+        let at = rng.range(1, segs.len() as u64 + 1) as usize;
+        segs.insert(at, generated);
+    }
+    segs
 }
 
 /// A program that stores `value` at `addr` (8 bytes) when given one, then
 /// halts.
-fn program(segments: &[(u64, Vec<u8>)], store: Option<(u64, u64)>) -> Program {
+fn program(segments: &[Seg], store: Option<(u64, u64)>) -> Program {
     let mut asm = ProgramBuilder::new();
     if let Some((addr, value)) = store {
         asm.mov_imm64(Reg::X1, addr);
@@ -52,8 +138,8 @@ fn program(segments: &[(u64, Vec<u8>)], store: Option<(u64, u64)>) -> Program {
         asm.str(Reg::X2, Reg::X1, 0);
     }
     asm.halt();
-    for (base, bytes) in segments {
-        asm.data_segment(*base, bytes.clone());
+    for seg in segments {
+        asm.segment(seg.segment());
     }
     asm.build().unwrap()
 }
@@ -71,17 +157,23 @@ fn build(programs: &[Program]) -> System {
     }
 }
 
-/// Every page the segments touch, with the frame of the one segment that
-/// touches it (`None` when several do, or when that one is too short to
-/// keep frames), in address order.
+/// Every page the segments given as bytes touch, with the frame of the one
+/// segment that touches it (`None` when several do, when that one is too
+/// short to keep frames, or when a generated segment covers the page too),
+/// in address order.
 fn sole_frames(programs: &[Program]) -> BTreeMap<u64, Option<Page>> {
     let mut pages = BTreeMap::new();
-    for seg in programs.iter().flat_map(|p| p.data().iter()) {
+    let segs = programs.iter().flat_map(|p| p.data().iter());
+    let generated: Vec<&DataSegment> = segs.clone().filter(|s| s.is_generated()).collect();
+    for seg in segs.filter(|s| !s.is_generated()) {
         for page in seg.pages() {
+            let covered = generated
+                .iter()
+                .any(|g| (g.base()..g.base() + g.len() as u64).contains(&page.addr));
             pages
                 .entry(page.addr)
                 .and_modify(|sole| *sole = None)
-                .or_insert_with(|| page.frame.cloned());
+                .or_insert_with(|| page.frame.filter(|_| !covered).cloned());
         }
     }
     pages
@@ -95,9 +187,16 @@ fn holders(pages: &BTreeMap<u64, Option<Page>>) -> BTreeMap<u64, usize> {
         .collect()
 }
 
-fn assert_reads_like(sys: &System, reference: &MainMemory, pages: &BTreeMap<u64, Option<Page>>) {
-    assert_eq!(sys.mem().arch.resident_pages(), reference.resident_pages());
-    for &addr in pages.keys() {
+/// How many frames of each generated segment exist, in load order.
+fn materialised(programs: &[Program]) -> Vec<usize> {
+    let segs = programs.iter().flat_map(|p| p.data().iter());
+    segs.filter(|s| s.is_generated())
+        .map(|s| s.materialised())
+        .collect()
+}
+
+fn assert_reads_like(sys: &System, reference: &MainMemory, pages: &BTreeSet<u64>) {
+    for &addr in pages {
         let at = VirtAddr::new(addr);
         assert!(
             sys.mem().arch.read_bytes(at, PAGE_BYTES) == reference.read_bytes(at, PAGE_BYTES),
@@ -112,11 +211,14 @@ fn segments_load_exactly_and_share_frames_until_a_store() {
         "segments_load_exactly_and_share_frames_until_a_store",
         64,
         |rng| {
-            let cores = rng.range(1, 5) as usize;
-            let layouts: Vec<Vec<(u64, Vec<u8>)>> =
-                (0..cores).map(|c| random_segments(rng, c == 0)).collect();
+            let cores = rng.range(1, 5);
+            let layouts: Vec<Vec<Seg>> = (0..cores)
+                .map(|c| random_segments(rng, c, c == 0))
+                .collect();
             // Core 0 stores a word inside its first segment.
-            let (first_base, first_bytes) = &layouts[0][0];
+            let Seg::Bytes(first_base, first_bytes) = &layouts[0][0] else {
+                unreachable!("core 0's first segment holds bytes")
+            };
             let store_at = first_base + rng.below(first_bytes.len() as u64 - 7);
             let value = rng.next_u64();
             let programs: Vec<Program> = layouts
@@ -126,9 +228,16 @@ fn segments_load_exactly_and_share_frames_until_a_store() {
                 .collect();
 
             let mut reference = MainMemory::new();
-            for (base, bytes) in layouts.iter().flatten() {
-                reference.write_bytes(VirtAddr::new(*base), bytes);
+            for seg in layouts.iter().flatten() {
+                reference.write_bytes(VirtAddr::new(seg.base()), &seg.bytes());
             }
+            let touched: BTreeSet<u64> = layouts.iter().flatten().flat_map(Seg::pages).collect();
+            let by_bytes: BTreeSet<u64> = layouts
+                .iter()
+                .flatten()
+                .filter(|s| matches!(s, Seg::Bytes(..)))
+                .flat_map(Seg::pages)
+                .collect();
             let pages = sole_frames(&programs);
             // A sole frame is the same frame in the program and its clones.
             let clones: Vec<Program> = programs.iter().map(|p| p.with_nops(&[0])).collect();
@@ -143,15 +252,30 @@ fn segments_load_exactly_and_share_frames_until_a_store() {
             }
 
             // Building a machine adds two holders to each sole frame, its
-            // memory page and its base page: the load adopted it.
+            // memory page and its base page: the load adopted it. It
+            // computes only the generated frames that share a page with
+            // bytes given up front, and holds only the pages bytes touch.
             let unbuilt = holders(&pages);
             let mut sys = build(&programs);
             let built = holders(&pages);
             for (addr, n) in &unbuilt {
                 assert_eq!(built[addr], n + 2, "page {addr:#x} was copied on load");
             }
+            let shared: Vec<usize> = layouts
+                .iter()
+                .flatten()
+                .filter(|s| matches!(s, Seg::Generated { .. }))
+                .map(|g| g.pages().filter(|p| by_bytes.contains(p)).count())
+                .collect();
+            assert_eq!(materialised(&programs), shared, "frames computed on load");
+            assert_eq!(sys.mem().arch.resident_pages(), by_bytes.len());
             let sibling = build(&programs);
-            assert_reads_like(&sys, &reference, &pages);
+            assert_reads_like(&sys, &reference, &touched);
+            assert_eq!(
+                sys.mem().arch.resident_pages(),
+                by_bytes.len(),
+                "a read took a page"
+            );
 
             // A store leaves the base page shared and copies only the
             // memory pages it writes.
@@ -166,12 +290,14 @@ fn segments_load_exactly_and_share_frames_until_a_store() {
                     "page {addr:#x}: only the stored-to pages are copies"
                 );
             }
+            let held: BTreeSet<u64> = by_bytes.iter().chain(&written).copied().collect();
+            assert_eq!(sys.mem().arch.resident_pages(), held.len());
             for (p, segs) in programs.iter().zip(&layouts) {
                 let now: Vec<Vec<u8>> = p.data().iter().map(|s| s.to_vec()).collect();
-                let then: Vec<&Vec<u8>> = segs.iter().map(|(_, b)| b).collect();
-                assert!(now.iter().eq(then), "the store reached the program's bytes");
+                let then: Vec<Vec<u8>> = segs.iter().map(Seg::bytes).collect();
+                assert!(now == then, "the store reached the program's bytes");
             }
-            assert_reads_like(&sibling, &reference, &pages);
+            assert_reads_like(&sibling, &reference, &touched);
         },
     );
 }

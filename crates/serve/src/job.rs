@@ -646,6 +646,39 @@ mod tests {
         assert!(start.elapsed() < std::time::Duration::from_secs(30), "deadline was not prompt");
     }
 
+    /// One-byte `.data` lines a page apart, up to the 4 MiB request body:
+    /// more pages than a program may hold, so simulate and lint jobs fail
+    /// as parse errors instead of loading a gigabyte of pages.
+    #[test]
+    fn data_on_too_many_pages_fails_as_a_parse_error() {
+        let mut program = String::from("HALT\n");
+        for i in 0.. {
+            let line = format!(".data {:#x} = 7\n", 0x1000 + i * 4096);
+            if program.len() + line.len() > 4 << 20 {
+                break;
+            }
+            program.push_str(&line);
+        }
+        let jobs = [
+            JobSpec::Simulate {
+                target: Target::Sasm(program.clone()),
+                mitigation: Mitigation::Unsafe,
+                iters: 1,
+            },
+            JobSpec::Lint { program, suggest: false },
+        ];
+        for spec in &jobs {
+            let (cancel, park) = (AtomicBool::new(false), AtomicBool::new(false));
+            match run_job(spec, &RunPlan::default(), &cancel, &park) {
+                JobEnd::Failed { code, detail } => {
+                    assert_eq!(code, "parse");
+                    assert!(detail.contains("4097 pages, more than the 4096"), "{detail}");
+                }
+                other => panic!("expected a parse failure, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn lint_reports_gadgets_and_hardens() {
         // A dependent double-load under speculation — the shape the

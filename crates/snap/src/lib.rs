@@ -38,10 +38,11 @@ pub const MAGIC: [u8; 8] = *b"SASNAP\x00\x01";
 /// longer exist, version 3 carried per-core event traces, which no longer
 /// exist either, version 4 stored every resident memory page where later
 /// versions store only the pages that differ from the build-time image,
-/// and version 5 fingerprinted program data a byte at a time where version
-/// 6 hashes it a word at a time (see DESIGN.md §11 for the migration
-/// policy).
-pub const VERSION: u16 = 6;
+/// version 5 fingerprinted program data a byte at a time where later
+/// versions hash it a word at a time, and version 6 hashed the bytes of
+/// generated data where version 7 hashes its recipe (see DESIGN.md §11 for
+/// the migration policy).
+pub const VERSION: u16 = 7;
 
 /// Header flag: the snapshot is a warmed-baseline image — caches, predictors
 /// and architectural state warmed under the unprotected baseline. Restoring
@@ -946,7 +947,7 @@ mod tests {
     /// header CRC over it change with a format version.
     #[test]
     fn two_section_bytes_are_pinned() {
-        let want = "5341534e415000010600020002000000f4b68687\
+        let want = "5341534e4150000107000200020000006ab62c4b\
                     48af875f046d6574610d0c6d6574612d636f6e74656e74\
                     1f56c1a50573746174650403070809";
         let got: String = sample().iter().map(|b| format!("{b:02x}")).collect();
@@ -1042,9 +1043,10 @@ mod tests {
         // Version 1 fingerprinted programs over rendered `.sasm`; version 2
         // carried policy-state blobs and ghost epochs; version 3 carried
         // event traces; version 4 stored every resident memory page;
-        // version 5 fingerprinted data bytewise. Their images are rejected
-        // (and checkpoints replayed), never misread.
-        for found in [1, 2, 3, 4, 5] {
+        // version 5 fingerprinted data bytewise; version 6 fingerprinted
+        // the bytes of generated data, not its recipe. Their images are
+        // rejected (and checkpoints replayed), never misread.
+        for found in [1, 2, 3, 4, 5, 6] {
             let err = Snapshot::parse(sample_as_version(found)).err();
             assert_eq!(
                 err,

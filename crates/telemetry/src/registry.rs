@@ -220,7 +220,7 @@ impl GaugeSeries {
         self.sum += value;
         self.count += 1;
         self.last = value;
-        if self.seen % self.keep_every == 0 {
+        if self.seen.is_multiple_of(self.keep_every) {
             if self.points.len() >= self.cap {
                 // Thin to every other stored point and double the stride.
                 let mut i = 0;
@@ -230,7 +230,7 @@ impl GaugeSeries {
                 });
                 self.keep_every *= 2;
             }
-            if self.seen % self.keep_every == 0 {
+            if self.seen.is_multiple_of(self.keep_every) {
                 self.points.push((cycle, value));
             }
         }
@@ -311,12 +311,13 @@ impl GaugeSeries {
     }
 }
 
-/// One exported metric.
+/// One exported metric. A histogram's buckets are boxed, so a counter
+/// entry stays small.
 #[derive(Debug, Clone, PartialEq)]
 enum MetricValue {
     Counter(u64),
     Gauge(GaugeSeries),
-    Histogram(Histogram),
+    Histogram(Box<Histogram>),
 }
 
 /// The export-time registry: hierarchical names mapped to metric values,
@@ -344,7 +345,7 @@ impl MetricsRegistry {
 
     /// Exports a histogram under `name`.
     pub fn histogram(&mut self, name: impl Into<String>, hist: &Histogram) {
-        self.entries.push((name.into(), MetricValue::Histogram(hist.clone())));
+        self.entries.push((name.into(), MetricValue::Histogram(Box::new(hist.clone()))));
     }
 
     /// Number of exported metrics.
@@ -373,7 +374,7 @@ impl MetricsRegistry {
     /// Histogram under `name`, if exported.
     pub fn histogram_value(&self, name: &str) -> Option<&Histogram> {
         self.entries.iter().find_map(|(k, v)| match v {
-            MetricValue::Histogram(h) if k == name => Some(h),
+            MetricValue::Histogram(h) if k == name => Some(&**h),
             _ => None,
         })
     }

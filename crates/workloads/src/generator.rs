@@ -3,14 +3,17 @@
 use crate::profile::Profile;
 use sas_isa::{
     BtiKind, Cond, DataSegment, Operand, Program, ProgramBuilder, Reg, TagNibble, VirtAddr,
+    PAGE_BYTES,
 };
 use sas_mte::SplitMix64;
 use sas_pipeline::System;
 
 /// Number of data arrays each workload slices its footprint into.
 const ARRAYS: usize = 4;
-/// Byte value guard entries stay below, so guard branches never fire.
+/// Byte value guard entries stay below, so guard branches never fire. A
+/// power of two, so a guard byte is a draw masked with `GUARD_LIMIT - 1`.
 const GUARD_LIMIT: u8 = 0x80;
+const _: () = assert!(GUARD_LIMIT.is_power_of_two());
 /// Blocks generated per outer-loop iteration.
 const BLOCKS_PER_ITER: usize = 8;
 /// Base virtual address of workload data (per-core instances are offset).
@@ -246,6 +249,23 @@ pub fn parse_iterations(text: &str) -> Result<u32, String> {
     }
 }
 
+/// `len` bytes at `base`: the draws `rng` makes next, each cut to a byte
+/// and masked with `mask`, with `rng` moved past them. Whole pages become
+/// a recipe whose pages are computed when first read; anything else (the
+/// arrays of a footprint of at most 8 KiB, which only tests use) is drawn
+/// now.
+fn random_segment(base: u64, len: usize, rng: &mut SplitMix64, mask: u8) -> DataSegment {
+    let seg = if base.is_multiple_of(PAGE_BYTES as u64) && len.is_multiple_of(PAGE_BYTES) {
+        DataSegment::generated(base, len, rng.clone(), mask)
+    } else {
+        let mut draws = rng.clone();
+        let bytes: Vec<u8> = (0..len).map(|_| draws.next_u64() as u8 & mask).collect();
+        DataSegment::new(base, &bytes)
+    };
+    rng.advance(len as u64);
+    seg
+}
+
 /// Generates a single-threaded workload instance.
 ///
 /// `iterations` controls run length (committed instructions ≈ `iterations ×`
@@ -279,8 +299,9 @@ pub(crate) fn build_workload_inner(
     let mut asm = ProgramBuilder::new();
 
     // Data segments: pseudorandom bytes; array 0 doubles as the chase ring.
-    // Bytes go straight into the segments' page frames, which the machine
-    // later adopts as its memory pages.
+    // The others are recipes whose pages are computed when first read; the
+    // generator skips over their bytes, so the stream after the data (and
+    // with it every instruction) is what drawing each byte would leave.
     let mut tagged = [None; ARRAYS];
     let mut setup = WorkloadSetup::default();
     for (k, slot) in tagged.iter_mut().enumerate() {
@@ -294,9 +315,13 @@ pub(crate) fn build_workload_inner(
         };
         *slot = tag;
         let len = array_size.min(1 << 20) as usize;
-        let mut seg = DataSegment::filled(base, len, || rng.next_u64() as u8);
-        if k == 0 {
+        if k > 0 {
+            asm.segment(random_segment(base, len, &mut rng, 0xff));
+        } else {
             // Chase ring: 8-byte tagged pointers forming one random cycle.
+            // The ring covers the whole array, so its random bytes are
+            // only skipped.
+            rng.advance(len as u64);
             let entries = (len / 8).max(2);
             let mut perm: Vec<usize> = (0..entries).collect();
             for i in (1..entries).rev() {
@@ -319,9 +344,8 @@ pub(crate) fn build_workload_inner(
                 }
                 entry.copy_from_slice(&ptr.raw().to_le_bytes());
             }
-            seg.write(0, &ring);
+            asm.segment(DataSegment::new(base, &ring));
         }
-        asm.segment(seg);
     }
     // Guard array: strided validity bytes, always below the check limit.
     // Guards walk metadata (object headers, bounds words) scattered across
@@ -330,9 +354,12 @@ pub(crate) fn build_workload_inner(
     // the speculation windows restrictive defenses serialize on.
     let guard_size: u64 = 1 << 21;
     let guard_base = data_base + ARRAYS as u64 * array_size;
-    asm.segment(DataSegment::filled(guard_base, guard_size as usize, || {
-        (rng.next_u64() as u8) % GUARD_LIMIT
-    }));
+    asm.segment(random_segment(
+        guard_base,
+        guard_size as usize,
+        &mut rng,
+        GUARD_LIMIT - 1,
+    ));
 
     // Scratch granule (retag target).
     let scratch = data_base + SCRATCH_OFF;

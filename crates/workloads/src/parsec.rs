@@ -10,6 +10,8 @@ use crate::profile::Profile;
 
 /// The 7 PARSEC benchmarks the paper could compile (Figure 7's x-axis).
 pub fn parsec_suite() -> Vec<Profile> {
+    // One positional argument per table column keeps each row on one line.
+    #[allow(clippy::too_many_arguments)]
     fn p(
         name: &'static str,
         footprint: u64,

@@ -12,6 +12,8 @@ use crate::profile::Profile;
 /// The 15 SPECrate 2017 benchmarks the paper could compile (Figure 6's
 /// x-axis, in order).
 pub fn spec_suite() -> Vec<Profile> {
+    // One positional argument per table column keeps each row on one line.
+    #[allow(clippy::too_many_arguments)]
     fn p(
         name: &'static str,
         footprint: u64,

@@ -20,6 +20,11 @@ export RUSTFLAGS="-D warnings"
 echo "== tier1: offline release build (all targets) =="
 cargo build --release --offline --workspace --benches --examples --bins
 
+echo "== tier1: clippy (every crate and target, warnings are errors) =="
+# A lint that is wrong for some code is allowed on that item only, with a
+# one-line reason; no crate- or workspace-wide allow.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "== tier1: simulator reads no environment =="
 # Every number the simulator produces is a function of its explicit inputs
 # (program, config, mitigation, fault plan). No crate that builds or runs a
@@ -161,9 +166,9 @@ if ./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT"
   exit 1
 fi
 ./target/release/sas-snap verify "$CKPT"
-# A fresh checkpoint is written in the current format (version 6).
+# A fresh checkpoint is written in the current format (version 7).
 ./target/release/sas-snap inspect "$CKPT" > "$SNAPDIR/inspect.txt"
-grep -qx '  version:  6' "$SNAPDIR/inspect.txt"
+grep -qx '  version:  7' "$SNAPDIR/inspect.txt"
 resumed=$(./target/release/sas-runner cell "$SNAP_CELL" --iters 25 --checkpoint "$CKPT" 2>/dev/null)
 echo "$resumed" | grep -q '"restored":true'
 [ "$(echo "$resumed" | result_cycles)" = "$ref" ]
